@@ -1,4 +1,5 @@
 """Coherent information, entanglement fidelity, and erasure-channel capacity numerics."""
+from types import ModuleType as _ModuleType
 
 from .channels import (
     CodingScheme,
@@ -38,6 +39,7 @@ from .erasure import (
     half_sum_fraction,
     iplus_iminus_split,
     maximize_coherent_info,
+    output_entropy_from_decomposition,
     verify_iplus_bound,
 )
 from .functionals import (
@@ -78,67 +80,9 @@ from .states import (
 
 __version__ = "0.1.0"
 
+# every name imported above is public; the submodules themselves are not listed
 __all__ = [
-    "CodingScheme",
-    "KrausChannel",
-    "apply_channel",
-    "apply_to_subsystem",
-    "compose",
-    "environment_state",
-    "erasure_channel",
-    "identity_channel",
-    "measure_environment_branches",
-    "tensor_power",
-    "unitary_channel",
-    "TrialReport",
-    "check_fannes",
-    "check_mixed_overlap_continuity",
-    "check_mixing_bounds",
-    "check_pure_overlap_continuity",
-    "EliminationInstance",
-    "eliminate_encoder",
-    "random_demo_schemes",
-    "CapacityPoint",
-    "ErasureDecomposition",
-    "IplusBoundReport",
-    "binomial_mean",
-    "capacity_curve",
-    "coherent_info_from_decomposition",
-    "erasure_coherent_info_block",
-    "erasure_decomposition",
-    "erasure_output_entropy_block",
-    "half_sum_fraction",
-    "iplus_iminus_split",
-    "maximize_coherent_info",
-    "verify_iplus_bound",
-    "KRAUS_METHOD",
-    "PURIFICATION_METHOD",
-    "CoherentInfoReport",
-    "FidelityReport",
-    "coherent_information",
-    "end_to_end_fidelity",
-    "entanglement_fidelity",
-    "entropy_exchange",
-    "Spectrum",
-    "binary_entropy",
-    "bw_overlap",
-    "eig_hermitian",
-    "partial_trace",
-    "tensor_product",
-    "trace_norm",
-    "uhlmann_fidelity",
-    "von_neumann_entropy",
-    "DensityMatrix",
-    "PureState",
-    "high_entropy_counterexample",
-    "max_overlap_purification",
-    "maximally_mixed",
-    "purify",
-    "random_density",
-    "random_pure_state",
-    "random_unitary",
-    "read_density_file",
-    "relate_purifications",
-    "write_density_file",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

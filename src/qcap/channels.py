@@ -104,28 +104,30 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(_apply_matrix(channel, rho.matrix), (channel.out_dim,), ("out",))
 
 
-def _lift(channel_op: np.ndarray, dims, index: int) -> np.ndarray:
-    left = math.prod(dims[:index])
-    right = math.prod(dims[index + 1 :])
-    out = np.eye(left, dtype=complex)
-    out = tensor_product(out, channel_op)
-    return tensor_product(out, np.eye(right, dtype=complex))
+def _on_factor(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """Contract ``op`` (out x in) into one axis of ``tensor``, other axes in place."""
+    return np.moveaxis(np.tensordot(op, tensor, axes=(1, axis)), 0, axis)
+
+
+def _locate_factor(channel: KrausChannel, state, factor: str) -> tuple[int, tuple[int, ...]]:
+    """Index of the labeled input factor and the factor dimensions after the channel."""
+    idx = state.factor_index(factor)
+    if state.dims[idx] != channel.in_dim:
+        raise ValueError(
+            f"factor {factor!r} has dimension {state.dims[idx]}, channel expects "
+            f"{channel.in_dim}"
+        )
+    return idx, state.dims[:idx] + (channel.out_dim,) + state.dims[idx + 1 :]
 
 
 def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: str) -> DensityMatrix:
     """Apply the channel to one labeled factor, leaving the others alone."""
-    idx = rho.factor_index(factor)
-    if rho.dims[idx] != channel.in_dim:
-        raise ValueError(
-            f"factor {factor!r} has dimension {rho.dims[idx]}, channel expects "
-            f"{channel.in_dim}"
-        )
-    lifted = [_lift(a, rho.dims, idx) for a in channel.kraus]
-    out = sum(op @ rho.matrix @ op.conj().T for op in lifted)
-    new_dims = tuple(
-        channel.out_dim if k == idx else d for k, d in enumerate(rho.dims)
-    )
-    return DensityMatrix(out, new_dims, rho.labels)
+    idx, new_dims = _locate_factor(channel, rho, factor)
+    n = len(rho.dims)
+    table = rho.matrix.reshape(rho.dims + rho.dims)
+    out = sum(_on_factor(a.conj(), _on_factor(a, table, idx), n + idx) for a in channel.kraus)
+    dim = math.prod(new_dims)
+    return DensityMatrix(out.reshape(dim, dim), new_dims, rho.labels)
 
 
 def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
@@ -188,19 +190,11 @@ def measure_environment_branches(
     probability are dropped.  Probabilities sum to 1 and the weighted
     mixture of branch projectors reconstructs the channel output.
     """
-    idx = state.factor_index(factor)
-    if state.dims[idx] != channel.in_dim:
-        raise ValueError(
-            f"factor {factor!r} has dimension {state.dims[idx]}, channel expects "
-            f"{channel.in_dim}"
-        )
-    new_dims = tuple(
-        channel.out_dim if k == idx else d for k, d in enumerate(state.dims)
-    )
+    idx, new_dims = _locate_factor(channel, state, factor)
+    table = state.vector.reshape(state.dims)
     branches = []
     for a in channel.kraus:
-        lifted = _lift(a, state.dims, idx)
-        v = lifted @ state.vector
+        v = _on_factor(a, table, idx).reshape(-1)
         prob = float(np.vdot(v, v).real)
         if prob > BRANCH_CUTOFF:
             branches.append((prob, PureState(v / math.sqrt(prob), new_dims, state.labels)))

@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channels import erasure_channel, tensor_power
+from .channels import erasure_channel
 from .continuity import (
     check_fannes,
     check_mixed_overlap_continuity,
@@ -17,9 +17,16 @@ from .continuity import (
     check_pure_overlap_continuity,
 )
 from .elimination import eliminate_encoder, random_demo_schemes
-from .erasure import capacity_curve, maximize_coherent_info
-from .functionals import coherent_information
+from .erasure import (
+    capacity_curve,
+    coherent_info_from_decomposition,
+    erasure_decomposition,
+    maximize_coherent_info,
+    output_entropy_from_decomposition,
+)
 from .states import maximally_mixed, random_density, read_density_file
+
+MAX_BLOCK_SIZE = 10
 
 LEMMA_CHECKS = {
     "fannes": check_fannes,
@@ -66,7 +73,16 @@ def _grid(p_start: float, p_end: float, steps: int) -> list[float]:
     return [p_start + i * width for i in range(steps)]
 
 
+def _check_block_size(n: int) -> None:
+    """Refuse block sizes whose 2^n x 2^n input would not fit in memory."""
+    if not 1 <= n <= MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"--n {n} is outside the supported block sizes 1..{MAX_BLOCK_SIZE}"
+        )
+
+
 def _cmd_capacity_curve(args) -> int:
+    _check_block_size(args.n)
     points = capacity_curve(_grid(args.p_start, args.p_end, args.steps), args.n)
     lines = ["p,N,ic_per_use,capacity_bound"]
     lines += [
@@ -92,13 +108,14 @@ def _resolve_state(args, dim: int):
 
 
 def _cmd_coherent_info(args) -> int:
-    block = tensor_power(erasure_channel(args.p), args.n)
+    _check_block_size(args.n)
     rho = _resolve_state(args, 2**args.n)
-    report = coherent_information(rho, block)
+    decomp = erasure_decomposition(rho, args.p, args.n)
+    s_out = output_entropy_from_decomposition(decomp)
+    ic = coherent_info_from_decomposition(decomp)
     lines = [
         "p,N,S_out,S_env,Ic",
-        f"{_fmt(args.p)},{args.n},{_fmt(report.output_entropy)},"
-        f"{_fmt(report.env_entropy)},{_fmt(report.coherent_info)}",
+        f"{_fmt(args.p)},{args.n},{_fmt(s_out)},{_fmt(s_out - ic)},{_fmt(ic)}",
     ]
     _emit(lines, args.out)
     return 0

@@ -72,10 +72,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
             other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
             dist = trace_norm(rho.matrix - other)
         eps_max = max(eps_max, dist)
-        diff = abs(
-            von_neumann_entropy(rho.matrix, validate=False)
-            - von_neumann_entropy(other, validate=False)
-        )
+        diff = abs(rho.entropy() - von_neumann_entropy(other, validate=False))
         eta = -dist * math.log2(dist) if dist > 0.0 else 0.0
         for bound in (dist * math.log2(dim) + eta, dist * math.log2(dim) + 1.0):
             slack = diff - bound
@@ -210,10 +207,7 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
         ]
         mixture = sum(w * part.matrix for w, part in zip(weights, parts))
         s_mix = von_neumann_entropy(mixture, validate=False)
-        s_avg = sum(
-            w * von_neumann_entropy(part.matrix, validate=False)
-            for w, part in zip(weights, parts)
-        )
+        s_avg = sum(w * part.entropy() for w, part in zip(weights, parts))
         h_weights = float(-np.sum(weights * np.log2(weights)))
         eps_max = max(eps_max, h_weights)
         for slack in (s_avg - s_mix, s_mix - (s_avg + h_weights)):

@@ -105,7 +105,10 @@ def coherent_info_from_decomposition(decomp: ErasureDecomposition) -> float:
 
 def erasure_output_entropy_block(rho: DensityMatrix, p: float, block_size: int) -> float:
     """Receiver entropy: weighted marginal entropies plus the flag entropy."""
-    decomp = erasure_decomposition(rho, p, block_size)
+    return output_entropy_from_decomposition(erasure_decomposition(rho, p, block_size))
+
+
+def output_entropy_from_decomposition(decomp: ErasureDecomposition) -> float:
     total = 0.0
     mix = 0.0
     for mask in range(1 << decomp.block_size):

@@ -20,7 +20,6 @@ from .channels import (
     environment_state,
     tensor_power,
 )
-from .linalg import von_neumann_entropy
 from .states import DensityMatrix, purify
 
 KRAUS_METHOD = "kraus-formula"
@@ -107,12 +106,12 @@ def entanglement_fidelity(
 
 def entropy_exchange(rho: DensityMatrix, channel: KrausChannel) -> float:
     """Entropy in bits picked up by the channel environment."""
-    return von_neumann_entropy(environment_state(channel, rho).matrix)
+    return environment_state(channel, rho).entropy()
 
 
 def coherent_information(rho: DensityMatrix, channel: KrausChannel) -> CoherentInfoReport:
     """Receiver entropy minus environment entropy for one channel use."""
-    s_out = von_neumann_entropy(apply_channel(channel, rho).matrix)
+    s_out = apply_channel(channel, rho).entropy()
     s_env = entropy_exchange(rho, channel)
     return CoherentInfoReport(s_out, s_env, s_out - s_env)
 

@@ -42,7 +42,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
+def eig_hermitian(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, sorted descending.
 
     Ties (eigenvalues within 1e-12 of each other) are ordered by the
@@ -54,7 +54,7 @@ def eig_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^dag| entry is {defect:.3e}"
         )
@@ -120,15 +120,6 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
-    if values.size and float(values.min()) < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"matrix has negative eigenvalue {float(values.min()):.3e} "
-            f"below the floor {EIGENVALUE_FLOOR:.0e}"
-        )
-    return np.clip(values, 0.0, None)
-
-
 def entropy_of_spectrum(values: np.ndarray) -> float:
     """Shannon entropy in bits of a nonnegative eigenvalue vector."""
     positive = values[values > 0.0]
@@ -137,26 +128,39 @@ def entropy_of_spectrum(values: np.ndarray) -> float:
     return float(abs(-(positive * np.log2(positive)).sum()))
 
 
+def density_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix and return its eigenvalues, clamped at zero.
+
+    The input must be Hermitian within 1e-9, have unit trace within 1e-9,
+    and eigenvalues above -1e-10; the eigenvalues come from one solve of the
+    Hermitian part, ascending, with small negative ones set to zero.
+    """
+    m = np.asarray(rho, dtype=complex)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density matrix is not Hermitian: max deviation {defect:.3e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr:.12g} deviates from 1")
+    values = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if values.size and float(values[0]) < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix has negative eigenvalue {float(values[0]):.3e} "
+            f"below the floor {EIGENVALUE_FLOOR:.0e}"
+        )
+    return np.clip(values, 0.0, None)
+
+
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
     """Von Neumann entropy in bits, -Tr(rho log2 rho).
 
-    With ``validate`` the input must be Hermitian within 1e-9, have unit
-    trace within 1e-9, and eigenvalues above -1e-10; small negative
-    eigenvalues are clamped to zero before taking logs.
+    With ``validate`` the input is checked by :func:`density_spectrum`;
+    without it, negative eigenvalues are clamped to zero unchecked.
     """
-    m = np.asarray(rho, dtype=complex)
     if validate:
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(
-                f"density matrix is not Hermitian: max deviation {defect:.3e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-    values = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    values = _clamp_spectrum(values) if validate else np.clip(values, 0.0, None)
-    return entropy_of_spectrum(values)
+        return entropy_of_spectrum(density_spectrum(rho))
+    m = np.asarray(rho, dtype=complex)
+    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None))
 
 
 def binary_entropy(x: float) -> float:

@@ -2,20 +2,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
-    EIGENVALUE_FLOOR,
-    HERMITICITY_TOL,
     TRACE_TOL,
+    density_spectrum,
     eig_hermitian,
-    hermiticity_defect,
+    entropy_of_spectrum,
+    partial_trace,
     trace_norm,
-    von_neumann_entropy,
 )
 
 SCHMIDT_CUTOFF = 1e-12
@@ -49,38 +48,10 @@ def _check_factors(total: int, dims, labels) -> tuple[tuple[int, ...], tuple[str
     return dims, labels
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Unit-trace positive semidefinite matrix with labeled tensor factors."""
+class _Factors:
+    """Lookup of a labeled tensor factor, shared by the state types."""
 
-    matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dims, labels = _check_factors(m.shape[0], self.dims, self.labels)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix is not Hermitian: max deviation {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} deviates from 1")
-        smallest = float(np.linalg.eigvalsh(m).min())
-        if smallest < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {smallest:.3e} "
-                f"below the floor {EIGENVALUE_FLOOR:.0e}"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    labels: tuple[str, ...]
 
     def factor_index(self, label: str) -> int:
         try:
@@ -90,10 +61,36 @@ class DensityMatrix:
                 f"factor {label!r} not found; available factors are {list(self.labels)}"
             ) from None
 
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_Factors):
+    """Unit-trace positive semidefinite matrix with labeled tensor factors.
+
+    Construction validates the matrix and keeps its clamped eigenvalues,
+    ascending, in ``eigenvalues``; :meth:`entropy` reads them.
+    """
+
+    matrix: np.ndarray
+    dims: tuple[int, ...] | None = None
+    labels: tuple[str, ...] | None = None
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        dims, labels = _check_factors(m.shape[0], self.dims, self.labels)
+        object.__setattr__(self, "eigenvalues", density_spectrum(m))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
     def reduced(self, keep_labels: Sequence[str]) -> "DensityMatrix":
         """Partial trace keeping only the listed factors, original order."""
-        from .linalg import partial_trace
-
         keep = sorted(self.factor_index(s) for s in keep_labels)
         sub = partial_trace(self.matrix, self.dims, keep)
         return DensityMatrix(
@@ -103,7 +100,7 @@ class DensityMatrix:
         )
 
     def entropy(self) -> float:
-        return von_neumann_entropy(self.matrix)
+        return entropy_of_spectrum(self.eigenvalues)
 
     def flattened(self, label: str = "sys") -> "DensityMatrix":
         """Same matrix viewed as a single tensor factor."""
@@ -111,7 +108,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Factors):
     """Unit vector with labeled tensor factors."""
 
     vector: np.ndarray
@@ -131,14 +128,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.vector.size
-
-    def factor_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"factor {label!r} not found; available factors are {list(self.labels)}"
-            ) from None
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims, self.labels)
@@ -273,21 +262,20 @@ def _relate_by_frames(
     return u, float(gap)
 
 
-def relate_purifications(
-    state1: PureState, state2: PureState, shared: str, gap_tol: float = MARGINAL_GAP_TOL
-) -> np.ndarray:
+def relate_purifications(state1: PureState, state2: PureState, shared: str) -> np.ndarray:
     """Isometry U on the complement of ``shared`` with (I x U) state1 = state2.
 
     Requires the reduced states on the shared factor to agree within
-    ``gap_tol`` in trace norm.  When the complements have equal dimension U
-    is unitary; when the second is larger U is an isometry (U^dag U = I).
+    ``MARGINAL_GAP_TOL`` (1e-8) in trace norm.  When the complements have
+    equal dimension U is unitary; when the second is larger U is an
+    isometry (U^dag U = I).
     The global phase makes <state2|(I x U)|state1> real and nonnegative.
     """
     u, gap = _relate_by_frames(state1, state2, shared)
-    if gap > gap_tol:
+    if gap > MARGINAL_GAP_TOL:
         raise ValueError(
             f"reduced states on {shared!r} differ by trace-norm gap {gap:.3e}, "
-            f"above the tolerance {gap_tol:.0e}"
+            f"above the tolerance {MARGINAL_GAP_TOL:.0e}"
         )
     return u
 

@@ -20,6 +20,7 @@ from qcap.states import (
     PureState,
     maximally_mixed,
     random_density,
+    random_pure_state,
     random_unitary,
 )
 
@@ -245,6 +246,34 @@ def test_measure_environment_branches_reconstruct_output():
     mix = sum(prob * state.density().matrix for prob, state in branches)
     direct = apply_to_subsystem(chan, psi.density(), "b")
     assert np.max(np.abs(mix - direct.matrix)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "factor, in_dim, out_dim, num_kraus", [("a", 2, 3, 2), ("b", 3, 2, 3)]
+)
+def test_factor_kernel_on_first_and_middle_factor(factor, in_dim, out_dim, num_kraus):
+    rng = np.random.default_rng(41)
+    dims, labels = (2, 3, 2), ("a", "b", "c")
+    chan = random_kraus_channel(in_dim, out_dim, num_kraus, rng)
+    idx = labels.index(factor)
+    left = np.eye(int(np.prod(dims[:idx])), dtype=complex)
+    right = np.eye(int(np.prod(dims[idx + 1 :])), dtype=complex)
+    lifted = [tensor_product(tensor_product(left, a), right) for a in chan.kraus]
+    new_dims = dims[:idx] + (out_dim,) + dims[idx + 1 :]
+
+    rho = DensityMatrix(random_density(12, rank=12, seed=rng).matrix, dims, labels)
+    expected = sum(op @ rho.matrix @ op.conj().T for op in lifted)
+    out = apply_to_subsystem(chan, rho, factor)
+    assert out.dims == new_dims
+    assert out.labels == labels
+    assert np.max(np.abs(out.matrix - expected)) < 1e-12
+
+    psi = random_pure_state(12, rng, dims, labels)
+    expected = sum(np.outer(op @ psi.vector, (op @ psi.vector).conj()) for op in lifted)
+    branches = measure_environment_branches(chan, psi, factor)
+    mix = sum(prob * state.density().matrix for prob, state in branches)
+    assert all(state.dims == new_dims for _, state in branches)
+    assert np.max(np.abs(mix - expected)) < 1e-12
 
 
 def test_measure_environment_branches_drops_null_branches():

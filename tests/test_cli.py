@@ -44,6 +44,23 @@ def test_coherent_info_golden_row(capsys):
     assert lines[1] == "0.250000000,1,1.561278124,1.061278124,0.500000000"
 
 
+def test_coherent_info_eight_uses_matches_flat_closed_form(capsys):
+    code, out, err = run_cli(capsys, ["coherent-info", "--p", "0.25", "--n", "8"])
+    assert code == 0
+    assert err == ""
+    # flat input: S_out = 8 (1 - p) + 8 H2(p), Ic = 8 (1 - 2p)
+    assert out.strip().split("\n")[1] == "0.250000000,8,12.490224996,8.490224996,4.000000000"
+
+
+def test_block_size_outside_range_is_refused(capsys):
+    for command in (["coherent-info", "--p", "0.25"], ["capacity-curve"]):
+        for n in ("11", "0", "-1"):
+            code, out, err = run_cli(capsys, command + ["--n", n])
+            assert code == 1
+            assert out == ""
+            assert f"--n {n} is outside the supported block sizes 1..10" in err
+
+
 def test_coherent_info_random_state_deterministic(capsys):
     code, out1, _ = run_cli(
         capsys, ["coherent-info", "--p", "0.3", "--state", "random", "--seed", "5"]

@@ -16,7 +16,11 @@ from qcap.elimination import (
     eliminate_encoder,
     random_demo_schemes,
 )
-from qcap.functionals import end_to_end_fidelity, entanglement_fidelity
+from qcap.functionals import (
+    PURIFICATION_METHOD,
+    end_to_end_fidelity,
+    entanglement_fidelity,
+)
 from qcap.states import maximally_mixed, purify, random_density
 
 
@@ -101,6 +105,19 @@ def test_instance_numbers_are_reproducible_from_parts():
     d_src = scheme.source.dim
     bound = 2.0 * math.sqrt(2.0 * instance.eps_in) * math.log2(d_src) + 2.0
     assert abs(instance.entropy_bound - bound) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eps_out_matches_purification_route(seed):
+    # 30 schemes cycle through all three demo families ten times each
+    for scheme, channel in random_demo_schemes(30, seed):
+        inst = eliminate_encoder(scheme, channel)
+        chain = compose(
+            inst.tail_decoder,
+            compose(scheme.decoder, tensor_power(channel, scheme.block_size)),
+        )
+        redo = entanglement_fidelity(inst.rho_prime, chain, method=PURIFICATION_METHOD)
+        assert abs(inst.eps_out - (1.0 - redo.value)) < 1e-10
 
 
 def test_selected_branch_is_first_argmax():
