@@ -33,7 +33,7 @@ from .states import (
     DensityMatrix,
     PureState,
     _as_rng,
-    _relate_by_frames,
+    _uhlmann_isometry,
     max_overlap_purification,
     purify,
     random_density,
@@ -113,26 +113,22 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     branches = measure_environment_branches(scheme.encoder, phi, "sys")
     best_index = -1
     best_fid = -math.inf
-    best_state = None
+    psi = rho_out = None
     for index, (_, branch) in enumerate(branches):
         decoded = apply_to_subsystem(decode_block, branch.density(), "sys")
         fid = float(np.vdot(phi.vector, decoded.matrix @ phi.vector).real)
         if fid > best_fid:
-            best_index, best_fid, best_state = index, fid, branch
+            best_index, best_fid, psi, rho_out = index, fid, branch, decoded
 
-    psi = best_state
     rho_prime = psi.reduced(["sys"])
-    rho_out = apply_to_subsystem(decode_block, psi.density(), "sys")
     big_psi, _ = max_overlap_purification(rho_out, aux_label="aux")
     aux_dim = d_src + 1
-    zero_proj = np.zeros((aux_dim, aux_dim), dtype=complex)
-    zero_proj[0, 0] = 1.0
-    overlap = float(
-        np.vdot(big_psi.vector, np.kron(rho_out.matrix, zero_proj) @ big_psi.vector).real
-    )
+    # <big_psi| rho_out x |0><0| |big_psi> needs only the aux-0 slice
+    b0 = big_psi.vector.reshape(-1, aux_dim)[:, 0]
+    overlap = float(np.vdot(b0, rho_out.matrix @ b0).real)
 
     psi_zero = _append_zero(psi, aux_dim, "aux")
-    u, gap = _relate_by_frames(big_psi, psi_zero, "ref")
+    u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
     tail = KrausChannel.from_kraus(
         [np.ascontiguousarray(reshaped[:, j, :, 0]) for j in range(aux_dim)]

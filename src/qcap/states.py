@@ -17,7 +17,6 @@ from .linalg import (
     trace_norm,
 )
 
-SCHMIDT_CUTOFF = 1e-12
 MARGINAL_GAP_TOL = 1e-8
 
 
@@ -199,33 +198,19 @@ def _factor_first(state: PureState, label: str) -> np.ndarray:
     return arr.reshape(state.dims[idx], -1)
 
 
-def _loewdin(frame: np.ndarray) -> np.ndarray:
-    """Symmetric orthonormalization of nearly orthonormal columns."""
-    gram = frame.conj().T @ frame
-    values, vectors = np.linalg.eigh(gram)
-    values = np.clip(values, SCHMIDT_CUTOFF, None)
-    inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
-    return frame @ inv_root
-
-
-def _complete_basis(frame: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis."""
-    n, r = frame.shape
-    if r == n:
-        return frame
-    q, _ = np.linalg.qr(np.concatenate([frame, np.eye(n, dtype=complex)], axis=1))
-    return np.concatenate([frame, q[:, r:n]], axis=1)
-
-
-def _relate_by_frames(
+def _uhlmann_isometry(
     state1: PureState, state2: PureState, shared: str
 ) -> tuple[np.ndarray, float]:
-    """Isometry on the complement factors carrying state1 onto state2.
+    """Isometry U on the complement factors maximizing Re <state2|(I x U)|state1>.
 
     Both states must share the named factor with equal dimension, and the
-    complement of ``state1`` must not exceed that of ``state2``.  Returns
-    (U, gap) where gap is the trace-norm mismatch of the shared marginals;
-    callers decide how much gap they tolerate.
+    complement of ``state1`` must not exceed that of ``state2``.  U is the
+    Uhlmann polar factor: with M = v2^dag v1 the cross-overlap of the two
+    state tables (shared factor as rows) and M = W S V^dag its thin SVD,
+    U = conj(W V^dag).  The overlap it attains is Tr S, real and
+    nonnegative, and its square is the fidelity of the shared marginals.
+    Returns (U, gap) where gap is the trace-norm mismatch of the shared
+    marginals; callers decide how much gap they tolerate.
     """
     i1, i2 = state1.factor_index(shared), state2.factor_index(shared)
     ds = state1.dims[i1]
@@ -242,24 +227,9 @@ def _relate_by_frames(
             f"complement dimension {n1} of the first state exceeds {n2}; "
             "an isometry needs the first complement to be no larger"
         )
-    sigma1 = v1 @ v1.conj().T
-    sigma2 = v2 @ v2.conj().T
-    gap = trace_norm(sigma1 - sigma2)
-    spec = eig_hermitian(sigma1)
-    support = spec.values > SCHMIDT_CUTOFF
-    vecs = spec.vectors[:, support]
-    roots = np.sqrt(spec.values[support])
-    frame1 = (vecs.conj().T @ v1).T / roots[None, :]
-    frame2 = (vecs.conj().T @ v2).T / roots[None, :]
-    frame1 = _loewdin(frame1)
-    frame2 = _loewdin(frame2)
-    basis1 = _complete_basis(frame1)
-    basis2 = _complete_basis(frame2)[:, :n1]
-    u = basis2 @ basis1.conj().T
-    phase = np.vdot(v2.reshape(-1), (v1 @ u.T).reshape(-1))
-    if abs(phase) > SCHMIDT_CUTOFF:
-        u = u * (phase.conjugate() / abs(phase))
-    return u, float(gap)
+    gap = trace_norm(v1 @ v1.conj().T - v2 @ v2.conj().T)
+    w, _, vh = np.linalg.svd(v2.conj().T @ v1, full_matrices=False)
+    return (w @ vh).conj(), float(gap)
 
 
 def relate_purifications(state1: PureState, state2: PureState, shared: str) -> np.ndarray:
@@ -268,10 +238,10 @@ def relate_purifications(state1: PureState, state2: PureState, shared: str) -> n
     Requires the reduced states on the shared factor to agree within
     ``MARGINAL_GAP_TOL`` (1e-8) in trace norm.  When the complements have
     equal dimension U is unitary; when the second is larger U is an
-    isometry (U^dag U = I).
-    The global phase makes <state2|(I x U)|state1> real and nonnegative.
+    isometry (U^dag U = I).  U is the Uhlmann polar factor, so
+    <state2|(I x U)|state1> is real and nonnegative.
     """
-    u, gap = _relate_by_frames(state1, state2, shared)
+    u, gap = _uhlmann_isometry(state1, state2, shared)
     if gap > MARGINAL_GAP_TOL:
         raise ValueError(
             f"reduced states on {shared!r} differ by trace-norm gap {gap:.3e}, "
@@ -339,10 +309,18 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
             f"ambient dimension {d} too small: n={n} orthogonal directions "
             f"need dimension at least {n + 1}"
         )
-    stacked = np.concatenate([psi.vector[:, None], np.eye(d, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(stacked)
-    others = q[:, 1 : n + 1]
-    m = (1.0 - eps) * np.outer(psi.vector, psi.vector.conj())
+    # The Householder reflection H = I - 2 w w^dag / |w|^2 with
+    # w = psi + (psi_k / |psi_k|) e_k maps e_k to a multiple of psi, so its
+    # other columns are orthonormal and orthogonal to psi.  Taking k at the
+    # largest entry keeps |w|^2 = 2 (1 + |psi_k|) away from zero.
+    v = psi.vector
+    k = int(np.argmax(np.abs(v)))
+    w = v.copy()
+    w[k] += v[k] / abs(v[k])
+    cols = [j for j in range(n + 1) if j != k][:n]
+    others = np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj())
+    others[cols, np.arange(n)] += 1.0
+    m = (1.0 - eps) * np.outer(v, v.conj())
     m += (eps / n) * (others @ others.conj().T)
     return DensityMatrix(m, psi.dims, psi.labels)
 

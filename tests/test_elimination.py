@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from qcap.functionals import (
     end_to_end_fidelity,
     entanglement_fidelity,
 )
-from qcap.states import maximally_mixed, purify, random_density
+from qcap.states import DensityMatrix, maximally_mixed, purify, random_density
 
 
 def test_trivial_scheme_eliminates_cleanly():
@@ -118,6 +119,27 @@ def test_eps_out_matches_purification_route(seed):
         )
         redo = entanglement_fidelity(inst.rho_prime, chain, method=PURIFICATION_METHOD)
         assert abs(inst.eps_out - (1.0 - redo.value)) < 1e-10
+
+
+def test_eps_out_is_stable_under_tiny_source_nudge():
+    # the tail isometry must depend continuously on its inputs: a 1e-15
+    # change of the source may not move eps_out by more than 1e-9
+    rng = np.random.default_rng(5)
+    rotations = random_demo_schemes(300, 0)[1::3]
+    worst = 0.0
+    for scheme, channel in rotations:
+        d = scheme.source.dim
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = h + h.conj().T
+        h -= np.trace(h) / d * np.eye(d)
+        h *= 1e-15 / np.max(np.abs(h))
+        nudged = dataclasses.replace(
+            scheme, source=DensityMatrix(scheme.source.matrix + h)
+        )
+        base = eliminate_encoder(scheme, channel).eps_out
+        moved = eliminate_encoder(nudged, channel).eps_out
+        worst = max(worst, abs(moved - base))
+    assert worst < 1e-9
 
 
 def test_selected_branch_is_first_argmax():

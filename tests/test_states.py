@@ -5,6 +5,7 @@ from qcap.linalg import binary_entropy, tensor_product, trace_norm, uhlmann_fide
 from qcap.states import (
     DensityMatrix,
     PureState,
+    _uhlmann_isometry,
     apply_to_complement,
     high_entropy_counterexample,
     max_overlap_purification,
@@ -208,6 +209,22 @@ def test_relate_purifications_rejects_shrinking_complement():
     )
     with pytest.raises(ValueError, match="complement dimension"):
         relate_purifications(psi1, small, "ref")
+
+
+def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
+    # Uhlmann: max over isometries U of |<b|(I x U)|a>|^2 is the fidelity of
+    # the ref marginals; they differ here, so no U carries a onto b and only
+    # the optimal U attains that fidelity
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        a = purify(random_density(3, rank=3, seed=rng))
+        b = PureState(random_pure_state(15, seed=rng).vector, (3, 5), ("ref", "sys"))
+        u, gap = _uhlmann_isometry(a, b, "ref")
+        assert gap > 1e-3
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
+        overlap = np.vdot(b.vector, apply_to_complement(a, "ref", u).vector)
+        fid = uhlmann_fidelity(a.reduced(["ref"]).matrix, b.reduced(["ref"]).matrix)
+        assert abs(abs(overlap) ** 2 - fid) < 1e-10
 
 
 def test_random_density_properties():
