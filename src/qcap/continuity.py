@@ -2,8 +2,16 @@
 
 Each check draws seeded random instances, evaluates a closed-form bound
 against exact entropies, and reports violation counts plus the worst
-observed slack (signed distance past the bound, negative when safe).
-All entropies are in bits.
+observed slack (signed distance past the bound, negative when safe) and
+the trial that set it.  All entropies are in bits.
+
+Every check runs in chunks of ``_CHUNK`` trials, each in two phases.  A
+Python loop first makes one trial's random draws after another, in a fixed
+call order, so a seed gives the same instances whatever the chunking.  The
+chunk's draws are then stacked, and validation, mixing, partial traces,
+eigensolves and slacks run once on the whole stack through the stack-aware
+kernels of :mod:`qcap.linalg`.  The chunk bounds the memory a check holds
+while keeping per-call overhead small.
 """
 from __future__ import annotations
 
@@ -12,37 +20,90 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, trace_norm, von_neumann_entropy
-from .states import _as_rng, random_density, random_pure_state
+from .linalg import (
+    density_spectrum,
+    entropy_of_spectrum,
+    partial_trace,
+    trace_norm,
+    von_neumann_entropy,
+)
+from .states import _as_rng, _gaussian_unit_vector, _unit_trace, _wishart_gram
 
 FP_TOL = 1e-9
 PURE_EPS_CAP = 1.0 / 36.0
 MIXED_EPS_CAP = 1.0 / 72.0
+_MAX_PARTS = 4
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Summary of one randomized bound check."""
+    """Summary of one randomized bound check.
+
+    ``worst_trial`` is the index of the first trial whose slack equals
+    ``max_slack``; with the seed of the run it replays that instance.
+    """
 
     trials: int
     violations: int
     max_slack: float
     epsilon_max: float
     dim: int
+    worst_trial: int
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
 
-def _marginal_entropies(vec: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
-    dense = np.outer(vec, vec.conj())
-    left = partial_trace(dense, dims, [0])
-    right = partial_trace(dense, dims, [1])
-    return (
-        von_neumann_entropy(left, validate=False),
-        von_neumann_entropy(right, validate=False),
+def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
+    """Draw and measure ``trials`` instances chunk by chunk.
+
+    ``draw(rng)`` makes one trial's draws and returns them as a tuple;
+    ``measure`` takes the chunk's draws stacked field by field and returns
+    the slacks (one row per trial), the count of violated side conditions
+    that have no slack, and the epsilon reached by each trial.
+    """
+    rng = _as_rng(seed)
+    violations, max_slack, worst, eps_max = 0, -math.inf, 0, 0.0
+    for start in range(0, trials, _CHUNK):
+        drawn = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
+        slacks, misses, eps = measure(*(np.array(field) for field in zip(*drawn)))
+        violations += int(np.count_nonzero(slacks > FP_TOL)) + misses
+        k = int(np.argmax(slacks))
+        if slacks.flat[k] > max_slack:
+            max_slack, worst = float(slacks.flat[k]), start + k // slacks.shape[1]
+        eps_max = max(eps_max, float(eps.max()))
+    return TrialReport(trials, violations, max_slack, eps_max, dim, worst)
+
+
+def _check_sizes(trials: int, dim: int, what: str) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if dim < 2:
+        raise ValueError(f"need {what} >= 2, got {dim}")
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    return vectors[..., :, None] * vectors[..., None, :].conj()
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconjugated dot product of stacked vectors, one BLAS dot per pair.
+
+    This is the dot ``np.vdot`` and ``np.linalg.norm`` call on a single
+    vector, so the stacked values round as a per-trial loop's do.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _marginal_entropies(dense: np.ndarray, dim: int) -> np.ndarray:
+    """Entropies of the (left, right) marginals of stacked states on dim x dim."""
+    dims = (dim, dim)
+    marginals = np.stack(
+        [partial_trace(dense, dims, [0]), partial_trace(dense, dims, [1])], axis=-3
     )
+    return von_neumann_entropy(marginals, validate=False)
 
 
 def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
@@ -51,35 +112,38 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     Pairs are built by mixing a state toward a second one; whenever the
     trace distance t stays below 1/3 both forms must hold:
     |S1 - S2| <= t log2(dim) - t log2(t)  and  |S1 - S2| <= t log2(dim) + 1.
-    epsilon_max records the largest trace distance tested.
+    The mixing weight is halved until t < 1/3.  epsilon_max records the
+    largest trace distance tested.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if dim < 2:
-        raise ValueError(f"need dimension >= 2, got {dim}")
-    rng = _as_rng(seed)
-    violations = 0
-    max_slack = -math.inf
-    eps_max = 0.0
-    for _ in range(trials):
-        rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
-        sigma = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
-        t_mix = float(rng.uniform(0.0, 0.22))
-        other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
-        dist = trace_norm(rho.matrix - other)
-        while dist >= 1.0 / 3.0:
-            t_mix /= 2.0
-            other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
-            dist = trace_norm(rho.matrix - other)
-        eps_max = max(eps_max, dist)
-        diff = abs(rho.entropy() - von_neumann_entropy(other, validate=False))
-        eta = -dist * math.log2(dist) if dist > 0.0 else 0.0
-        for bound in (dist * math.log2(dim) + eta, dist * math.log2(dim) + 1.0):
-            slack = diff - bound
-            max_slack = max(max_slack, slack)
-            if slack > FP_TOL:
-                violations += 1
-    return TrialReport(trials, violations, max_slack, eps_max, dim)
+    _check_sizes(trials, dim, "dimension")
+    log_dim = math.log2(dim)
+
+    def draw(rng):
+        rho = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+        sigma = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+        return rho, sigma, rng.uniform(0.0, 0.22)
+
+    def mix(rho, sigma, t):
+        return (1.0 - t)[:, None, None] * rho + t[:, None, None] * sigma
+
+    def measure(rho, sigma, t_mix):
+        rho, sigma = _unit_trace(rho), _unit_trace(sigma)
+        spectrum = density_spectrum(rho)
+        density_spectrum(sigma)
+        other = mix(rho, sigma, t_mix)
+        dist = trace_norm(rho - other)
+        far = dist >= 1.0 / 3.0
+        while far.any():
+            t_mix[far] /= 2.0
+            other[far] = mix(rho[far], sigma[far], t_mix[far])
+            dist[far] = trace_norm(rho[far] - other[far])
+            far = dist >= 1.0 / 3.0
+        diff = np.abs(entropy_of_spectrum(spectrum) - von_neumann_entropy(other, validate=False))
+        eta = -dist * np.log2(np.where(dist > 0.0, dist, 1.0))
+        bounds = np.stack([dist * log_dim + eta, dist * log_dim + 1.0], axis=1)
+        return diff[:, None] - bounds, 0, dist
+
+    return _run(trials, dim, seed, draw, measure)
 
 
 def check_pure_overlap_continuity(
@@ -92,36 +156,28 @@ def check_pure_overlap_continuity(
     with eps drawn uniformly below ``eps_max`` (capped at 1/36).  Each
     marginal entropy difference must stay below 2 sqrt(eps) log2(dim) + 1.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if dim < 2:
-        raise ValueError(f"need local dimension >= 2, got {dim}")
+    _check_sizes(trials, dim, "local dimension")
     if not 0.0 < eps_max <= PURE_EPS_CAP:
         raise ValueError(
             f"eps_max {eps_max!r} outside the validity window (0, 1/36]"
         )
-    rng = _as_rng(seed)
     total_dim = dim * dim
-    violations = 0
-    max_slack = -math.inf
-    eps_seen = 0.0
-    for _ in range(trials):
-        psi = random_pure_state(total_dim, seed=rng).vector
+
+    def draw(rng):
+        psi = _gaussian_unit_vector(total_dim, rng)
         raw = rng.standard_normal(total_dim) + 1j * rng.standard_normal(total_dim)
-        raw -= np.vdot(psi, raw) * psi
-        chi = raw / np.linalg.norm(raw)
-        eps = float(rng.uniform(0.0, eps_max))
-        eps_seen = max(eps_seen, eps)
-        other = math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * chi
-        s_first = _marginal_entropies(psi, (dim, dim))
-        s_second = _marginal_entropies(other, (dim, dim))
-        bound = 2.0 * math.sqrt(eps) * math.log2(dim) + 1.0
-        for side in (0, 1):
-            slack = abs(s_first[side] - s_second[side]) - bound
-            max_slack = max(max_slack, slack)
-            if slack > FP_TOL:
-                violations += 1
-    return TrialReport(trials, violations, max_slack, eps_seen, dim)
+        return psi, raw, rng.uniform(0.0, eps_max)
+
+    def measure(psi, raw, eps):
+        raw -= _dot(psi.conj(), raw)[:, None] * psi
+        norm = np.sqrt(_dot(raw.real, raw.real) + _dot(raw.imag, raw.imag))
+        chi = raw / norm[:, None]
+        other = np.sqrt(1.0 - eps)[:, None] * psi + np.sqrt(eps)[:, None] * chi
+        s = _marginal_entropies(_projectors(np.stack([psi, other], axis=1)), dim)
+        bound = 2.0 * np.sqrt(eps) * math.log2(dim) + 1.0
+        return np.abs(s[:, 0] - s[:, 1]) - bound[:, None], 0, eps
+
+    return _run(trials, dim, seed, draw, measure)
 
 
 def check_mixed_overlap_continuity(
@@ -136,82 +192,73 @@ def check_mixed_overlap_continuity(
     |S(rho_left) - S(rho_right)| <= 2 b log2(dim) + 4, and as a side
     condition that the top eigenvalue of rho is at least 1 - eps.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if dim < 2:
-        raise ValueError(f"need local dimension >= 2, got {dim}")
+    _check_sizes(trials, dim, "local dimension")
     if not 0.0 < eps_max <= MIXED_EPS_CAP:
         raise ValueError(
             f"eps_max {eps_max!r} outside the validity window (0, 1/72]"
         )
-    rng = _as_rng(seed)
     total_dim = dim * dim
-    violations = 0
-    max_slack = -math.inf
-    eps_seen = 0.0
-    for _ in range(trials):
-        phi = random_pure_state(total_dim, seed=rng).vector
-        sigma = random_density(
-            total_dim, rank=int(rng.integers(1, total_dim + 1)), seed=rng
+    log_dim = math.log2(dim)
+
+    def draw(rng):
+        phi = _gaussian_unit_vector(total_dim, rng)
+        sigma = _wishart_gram(total_dim, int(rng.integers(1, total_dim + 1)), rng)
+        return phi, sigma, rng.uniform(0.0, eps_max)
+
+    def measure(phi, sigma, weight):
+        sigma = _unit_trace(sigma)
+        density_spectrum(sigma)
+        w = weight[:, None, None]
+        pure = _projectors(phi)
+        dense = (1.0 - w) * pure + w * sigma
+        eps = 1.0 - _dot(phi.conj(), (dense @ phi[..., None])[..., 0]).real
+        eps = np.clip(eps, 0.0, eps_max)
+        s_phi, s_rho = np.moveaxis(
+            _marginal_entropies(np.stack([pure, dense], axis=1), dim), 1, 0
         )
-        weight = float(rng.uniform(0.0, eps_max))
-        dense = (1.0 - weight) * np.outer(phi, phi.conj()) + weight * sigma.matrix
-        eps = 1.0 - float(np.vdot(phi, dense @ phi).real)
-        eps = min(max(eps, 0.0), eps_max)
-        eps_seen = max(eps_seen, eps)
-        s_phi = _marginal_entropies(phi, (dim, dim))
-        rho_left = partial_trace(dense, (dim, dim), [0])
-        rho_right = partial_trace(dense, (dim, dim), [1])
-        s_rho = (
-            von_neumann_entropy(rho_left, validate=False),
-            von_neumann_entropy(rho_right, validate=False),
-        )
-        base = 2.0 * math.sqrt(2.0 * eps)
-        for side in (0, 1):
-            slack = abs(s_rho[side] - s_phi[side]) - (base * math.log2(dim) + 2.0)
-            max_slack = max(max_slack, slack)
-            if slack > FP_TOL:
-                violations += 1
-        cross = abs(s_rho[0] - s_rho[1]) - (2.0 * base * math.log2(dim) + 4.0)
-        max_slack = max(max_slack, cross)
-        if cross > FP_TOL:
-            violations += 1
-        top = float(np.linalg.eigvalsh(dense)[-1])
-        if top < 1.0 - eps - FP_TOL:
-            violations += 1
-    return TrialReport(trials, violations, max_slack, eps_seen, dim)
+        base = 2.0 * np.sqrt(2.0 * eps)
+        sides = np.abs(s_rho - s_phi) - (base * log_dim + 2.0)[:, None]
+        cross = np.abs(s_rho[:, 0] - s_rho[:, 1]) - (2.0 * base * log_dim + 4.0)
+        top = np.linalg.eigvalsh(dense)[:, -1]
+        misses = int(np.count_nonzero(top < 1.0 - eps - FP_TOL))
+        return np.column_stack([sides, cross]), misses, eps
+
+    return _run(trials, dim, seed, draw, measure)
 
 
 def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
-    """Concavity sandwich for mixtures of up to four states.
+    """Concavity sandwich for mixtures of two to four states.
 
     For weights w and components rho_i the mixture entropy must satisfy
     sum w_i S(rho_i) <= S(sum w_i rho_i) <= sum w_i S(rho_i) + H(w)
     with H the Shannon entropy of the weights.  epsilon_max records the
-    largest H(w) drawn.
+    largest H(w) drawn.  Trials with fewer parts are padded to
+    ``_MAX_PARTS`` with zero weights and zero matrices, which add
+    exact zeros to every sum.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if dim < 2:
-        raise ValueError(f"need dimension >= 2, got {dim}")
-    rng = _as_rng(seed)
-    violations = 0
-    max_slack = -math.inf
-    eps_max = 0.0
-    for _ in range(trials):
-        count = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(count))
-        parts = [
-            random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
-            for _ in range(count)
-        ]
-        mixture = sum(w * part.matrix for w, part in zip(weights, parts))
-        s_mix = von_neumann_entropy(mixture, validate=False)
-        s_avg = sum(w * part.entropy() for w, part in zip(weights, parts))
-        h_weights = float(-np.sum(weights * np.log2(weights)))
-        eps_max = max(eps_max, h_weights)
-        for slack in (s_avg - s_mix, s_mix - (s_avg + h_weights)):
-            max_slack = max(max_slack, slack)
-            if slack > FP_TOL:
-                violations += 1
-    return TrialReport(trials, violations, max_slack, eps_max, dim)
+    _check_sizes(trials, dim, "dimension")
+
+    def draw(rng):
+        count = int(rng.integers(2, _MAX_PARTS + 1))
+        weights = np.zeros(_MAX_PARTS)
+        weights[:count] = rng.dirichlet(np.ones(count))
+        parts = np.zeros((_MAX_PARTS, dim, dim), dtype=complex)
+        for i in range(count):
+            parts[i] = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+        return weights, parts, count
+
+    def measure(weights, parts, count):
+        drawn = np.arange(_MAX_PARTS) < count[:, None]
+        states = _unit_trace(parts[drawn])
+        parts[drawn] = states
+        entropies = np.zeros(drawn.shape)
+        entropies[drawn] = entropy_of_spectrum(density_spectrum(states))
+        s_mix = von_neumann_entropy(
+            (weights[:, :, None, None] * parts).sum(axis=1), validate=False
+        )
+        s_avg = (weights * entropies).sum(axis=1)
+        h_weights = entropy_of_spectrum(weights)
+        slacks = np.stack([s_avg - s_mix, s_mix - (s_avg + h_weights)], axis=1)
+        return slacks, 0, h_weights
+
+    return _run(trials, dim, seed, draw, measure)

@@ -24,6 +24,24 @@ class Spectrum(NamedTuple):
     vectors: np.ndarray
 
 
+def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:
+    """Index of the first flagged stack member and a message suffix naming it.
+
+    ``bad`` holds one flag per member of a stack; a single matrix has a 0-d
+    flag and an empty suffix.  Returns None when nothing is flagged.
+    """
+    if bad.ndim == 0:
+        return ((), "") if bad else None
+    if not bad.any():
+        return None
+    where = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    return where, f" at stack index {where[0] if bad.ndim == 1 else where}"
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation of ``matrix`` from its own adjoint."""
     m = np.asarray(matrix)
@@ -88,44 +106,52 @@ def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) 
 
     ``dims`` lists the factor dimensions left to right, ``keep`` the factor
     indices to retain (original order is preserved).  An empty keep set
-    returns the 1x1 matrix holding the trace.
+    returns the 1x1 matrix holding the trace.  Leading axes of ``matrix``
+    index a stack of matrices, each reduced alike.
     """
     dims = tuple(int(d) for d in dims)
     keep = sorted({int(k) for k in keep})
     m = np.asarray(matrix, dtype=complex)
     total = math.prod(dims)
-    if m.shape != (total, total):
+    if m.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {m.shape} does not match factor dimensions {dims}"
         )
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    lead = m.shape[:-2]
     if not keep:
-        return np.array([[np.trace(m)]], dtype=complex)
-    reshaped = m.reshape(dims + dims)
+        return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    reshaped = m.reshape(lead + dims + dims)
     row = list(range(n))
     col = [k + n if k in set(keep) else k for k in range(n)]
     out = [k for k in keep] + [k + n for k in keep]
-    reduced = np.einsum(reshaped, row + col, out)
+    reduced = np.einsum(reshaped, [Ellipsis] + row + col, [Ellipsis] + out)
     kept_dim = math.prod(dims[k] for k in keep)
-    return np.ascontiguousarray(reduced.reshape(kept_dim, kept_dim))
+    return np.ascontiguousarray(reduced.reshape(lead + (kept_dim, kept_dim)))
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input this is sum |eigenvalue|."""
+def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; for Hermitian input this is sum |eigenvalue|.
+
+    Leading axes index a stack of matrices, giving one norm per member.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+        return _scalar_or_stack(np.zeros(m.shape[:-2]))
+    return _scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(-1))
 
 
-def entropy_of_spectrum(values: np.ndarray) -> float:
-    """Shannon entropy in bits of a nonnegative eigenvalue vector."""
-    positive = values[values > 0.0]
-    if positive.size == 0:
-        return 0.0
-    return float(abs(-(positive * np.log2(positive)).sum()))
+def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in bits of a nonnegative eigenvalue vector.
+
+    Entries that are not positive contribute nothing.  Leading axes index a
+    stack of spectra, giving one entropy per member.
+    """
+    values = np.asarray(values, dtype=float)
+    logs = np.log2(np.where(values > 0.0, values, 1.0))
+    return _scalar_or_stack(np.abs((values * logs).sum(-1)))
 
 
 def density_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -134,33 +160,48 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     The input must be Hermitian within 1e-9, have unit trace within 1e-9,
     and eigenvalues above -1e-10; the eigenvalues come from one solve of the
     Hermitian part, ascending, with small negative ones set to zero.
+
+    Leading axes index a stack of matrices, validated and solved in one
+    call; an error names the first failing member by its stack index.
     """
     m = np.asarray(rho, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"density matrix is not Hermitian: max deviation {defect:.3e}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr:.12g} deviates from 1")
-    values = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if values.size and float(values[0]) < EIGENVALUE_FLOOR:
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    failed = _first_failure(defect > HERMITICITY_TOL)
+    if failed:
+        where, note = failed
         raise ValueError(
-            f"density matrix has negative eigenvalue {float(values[0]):.3e} "
-            f"below the floor {EIGENVALUE_FLOOR:.0e}"
+            f"density matrix is not Hermitian: max deviation {defect[where]:.3e}{note}"
+        )
+    tr = m.trace(axis1=-2, axis2=-1)
+    failed = _first_failure(abs(tr - 1.0) > TRACE_TOL)
+    if failed:
+        where, note = failed
+        raise ValueError(f"density matrix trace {complex(tr[where]):.12g} deviates from 1{note}")
+    values = np.linalg.eigvalsh(0.5 * (m + adjoint))
+    lowest = values[..., 0]
+    failed = _first_failure(lowest < EIGENVALUE_FLOOR)
+    if failed:
+        where, note = failed
+        raise ValueError(
+            f"density matrix has negative eigenvalue {float(lowest[where]):.3e} "
+            f"below the floor {EIGENVALUE_FLOOR:.0e}{note}"
         )
     return np.clip(values, 0.0, None)
 
 
-def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
+def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
     """Von Neumann entropy in bits, -Tr(rho log2 rho).
 
     With ``validate`` the input is checked by :func:`density_spectrum`;
-    without it, negative eigenvalues are clamped to zero unchecked.
+    without it, negative eigenvalues are clamped to zero unchecked.  Leading
+    axes index a stack of matrices, giving one entropy per member.
     """
     if validate:
         return entropy_of_spectrum(density_spectrum(rho))
     m = np.asarray(rho, dtype=complex)
-    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None))
+    values = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    return entropy_of_spectrum(np.clip(values, 0.0, None))
 
 
 def binary_entropy(x: float) -> float:

@@ -267,20 +267,32 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_density(dim: int, rank: int, seed) -> DensityMatrix:
-    """Wishart-style random state G G^dag / Tr with a d x rank Gaussian G."""
+def _wishart_gram(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """G G^dag for a d x rank complex Gaussian G drawn from ``rng``, unnormalized."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank {rank} outside the valid range 1..{dim}")
-    rng = _as_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return g @ g.conj().T
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack divided by the real part of its trace."""
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def random_density(dim: int, rank: int, seed) -> DensityMatrix:
+    """Wishart-style random state G G^dag / Tr with a d x rank Gaussian G."""
+    return DensityMatrix(_unit_trace(_wishart_gram(dim, rank, _as_rng(seed))))
+
+
+def _gaussian_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized complex Gaussian vector drawn from ``rng``: a Haar-random pure state."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 def random_pure_state(dim: int, seed, dims=None, labels=None) -> PureState:
-    rng = _as_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v), dims, labels)
+    return PureState(_gaussian_unit_vector(dim, _as_rng(seed)), dims, labels)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

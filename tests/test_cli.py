@@ -153,6 +153,36 @@ def test_lemma_check_runs_each_suite(capsys):
         float(cols[3])
 
 
+# stdout of `qcap lemma-check <suite> --trials 2000 --seed <seed>`; the CSV
+# of existing seeds must not change by a byte
+LEMMA_CHECK_ROWS = {
+    0: (
+        "fannes,2000,0,-0.000657360",
+        "lemma1,2000,0,-1.002451963",
+        "lemma2,2000,0,-2.009007333",
+        "mixing,2000,0,-0.001897055",
+    ),
+    1: (
+        "fannes,2000,0,-0.000578150",
+        "lemma1,2000,0,-1.006189706",
+        "lemma2,2000,0,-2.006780844",
+        "mixing,2000,0,-0.002489784",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA_CHECK_ROWS))
+def test_lemma_check_pinned_bytes(capsys, seed):
+    for row in LEMMA_CHECK_ROWS[seed]:
+        lemma = row.split(",")[0]
+        code, out, err = run_cli(
+            capsys, ["lemma-check", lemma, "--trials", "2000", "--seed", str(seed)]
+        )
+        assert code == 0
+        assert err == ""
+        assert out == f"lemma,trials,violations,max_slack\n{row}\n"
+
+
 def test_out_file_duplicates_stdout(capsys, tmp_path):
     path = tmp_path / "curve.csv"
     code, out, _ = run_cli(

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from qcap import continuity
 from qcap.continuity import (
+    FP_TOL,
     MIXED_EPS_CAP,
     PURE_EPS_CAP,
     check_fannes,
@@ -9,8 +13,8 @@ from qcap.continuity import (
     check_mixing_bounds,
     check_pure_overlap_continuity,
 )
-from qcap.linalg import von_neumann_entropy
-from qcap.states import random_density, random_unitary
+from qcap.linalg import partial_trace, trace_norm, von_neumann_entropy
+from qcap.states import random_density, random_pure_state, random_unitary
 
 
 def test_fannes_check_passes():
@@ -137,3 +141,167 @@ def test_fannes_bound_direct_on_rotated_pair():
     gap = abs(von_neumann_entropy(rho) - von_neumann_entropy(kicked))
     bound = dist * np.log2(4) - dist * np.log2(dist) if dist > 0 else 0.0
     assert gap <= bound + 1e-9
+
+
+# Per-trial reference for the batched suites: one loop iteration per trial,
+# with one random_density / partial_trace / trace_norm / von_neumann_entropy
+# call per state, drawing in the suites' RNG call order.  Each returns, per
+# trial, the slacks in the order the suite checks them, the number of
+# violated side conditions without a slack, and the trial's epsilon.
+
+
+def _reference_marginal_entropies(vec, dims):
+    dense = np.outer(vec, vec.conj())
+    return tuple(
+        von_neumann_entropy(partial_trace(dense, dims, [k]), validate=False) for k in (0, 1)
+    )
+
+
+def _reference_fannes(trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    records, halvings = [], 0
+    for _ in range(trials):
+        rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
+        sigma = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
+        t_mix = float(rng.uniform(0.0, 0.22))
+        other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
+        dist = trace_norm(rho.matrix - other)
+        while dist >= 1.0 / 3.0:
+            halvings += 1
+            t_mix /= 2.0
+            other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
+            dist = trace_norm(rho.matrix - other)
+        diff = abs(rho.entropy() - von_neumann_entropy(other, validate=False))
+        eta = -dist * math.log2(dist) if dist > 0.0 else 0.0
+        bounds = (dist * math.log2(dim) + eta, dist * math.log2(dim) + 1.0)
+        records.append(([diff - b for b in bounds], 0, dist))
+    return records, halvings
+
+
+def _reference_pure_overlap(trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    total_dim = dim * dim
+    records = []
+    for _ in range(trials):
+        psi = random_pure_state(total_dim, seed=rng).vector
+        raw = rng.standard_normal(total_dim) + 1j * rng.standard_normal(total_dim)
+        raw -= np.vdot(psi, raw) * psi
+        chi = raw / np.linalg.norm(raw)
+        eps = float(rng.uniform(0.0, PURE_EPS_CAP))
+        other = math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * chi
+        s_first = _reference_marginal_entropies(psi, (dim, dim))
+        s_second = _reference_marginal_entropies(other, (dim, dim))
+        bound = 2.0 * math.sqrt(eps) * math.log2(dim) + 1.0
+        records.append(([abs(s_first[k] - s_second[k]) - bound for k in (0, 1)], 0, eps))
+    return records, 0
+
+
+def _reference_mixed_overlap(trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    total_dim = dim * dim
+    records = []
+    for _ in range(trials):
+        phi = random_pure_state(total_dim, seed=rng).vector
+        sigma = random_density(total_dim, rank=int(rng.integers(1, total_dim + 1)), seed=rng)
+        weight = float(rng.uniform(0.0, MIXED_EPS_CAP))
+        dense = (1.0 - weight) * np.outer(phi, phi.conj()) + weight * sigma.matrix
+        eps = 1.0 - float(np.vdot(phi, dense @ phi).real)
+        eps = min(max(eps, 0.0), MIXED_EPS_CAP)
+        s_phi = _reference_marginal_entropies(phi, (dim, dim))
+        s_rho = tuple(
+            von_neumann_entropy(partial_trace(dense, (dim, dim), [k]), validate=False)
+            for k in (0, 1)
+        )
+        base = 2.0 * math.sqrt(2.0 * eps)
+        slacks = [abs(s_rho[k] - s_phi[k]) - (base * math.log2(dim) + 2.0) for k in (0, 1)]
+        slacks.append(abs(s_rho[0] - s_rho[1]) - (2.0 * base * math.log2(dim) + 4.0))
+        top = float(np.linalg.eigvalsh(dense)[-1])
+        records.append((slacks, int(top < 1.0 - eps - FP_TOL), eps))
+    return records, 0
+
+
+def _reference_mixing(trials, dim, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(trials):
+        count = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(count))
+        parts = [
+            random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=rng)
+            for _ in range(count)
+        ]
+        mixture = sum(w * part.matrix for w, part in zip(weights, parts))
+        s_mix = von_neumann_entropy(mixture, validate=False)
+        s_avg = sum(w * part.entropy() for w, part in zip(weights, parts))
+        h_weights = float(-np.sum(weights * np.log2(weights)))
+        records.append(([s_avg - s_mix, s_mix - (s_avg + h_weights)], 0, h_weights))
+    return records, 0
+
+
+def _reference_report(records, trials):
+    violations, max_slack, worst, eps_max = 0, -math.inf, 0, 0.0
+    for index, (slacks, misses, eps) in enumerate(records[:trials]):
+        for slack in slacks:
+            if slack > max_slack:
+                max_slack, worst = slack, index
+            violations += int(slack > FP_TOL)
+        violations += misses
+        eps_max = max(eps_max, eps)
+    return violations, max_slack, worst, eps_max
+
+
+SUITES = {
+    "fannes": (check_fannes, _reference_fannes),
+    "pure-overlap": (check_pure_overlap_continuity, _reference_pure_overlap),
+    "mixed-overlap": (check_mixed_overlap_continuity, _reference_mixed_overlap),
+    "mixing": (check_mixing_bounds, _reference_mixing),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_batched_suites_match_per_trial_reference(suite, dim):
+    check, reference = SUITES[suite]
+    for seed, counts in ((0, (1, 63, 65, 1000)), (1, (1, 63, 65)), (2, (1, 63, 65))):
+        records, halvings = reference(max(counts), dim, seed)
+        for trials in counts:
+            report = check(trials=trials, dim=dim, seed=seed)
+            violations, max_slack, worst, eps_max = _reference_report(records, trials)
+            assert report.trials == trials
+            assert report.dim == dim
+            assert report.violations == violations
+            assert abs(report.max_slack - max_slack) <= 1e-12
+            assert abs(report.epsilon_max - eps_max) <= 1e-12
+            assert report.worst_trial == worst
+        if suite == "fannes" and seed == 0:
+            # the masked re-run of the shrink loop is exercised on this seed
+            assert halvings > 0
+
+
+@pytest.mark.parametrize(
+    "suite, per_trial",
+    [("fannes", 2), ("pure-overlap", 2), ("mixed-overlap", 4), ("mixing", 2)],
+)
+def test_violations_are_counted_per_inequality(monkeypatch, suite, per_trial):
+    monkeypatch.setattr(continuity, "FP_TOL", -math.inf)
+    check, _ = SUITES[suite]
+    for trials in (1, 70):
+        report = check(trials=trials, dim=3, seed=4)
+        assert report.violations == per_trial * trials
+        assert not report.passed
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_report_fields_are_plain_numbers_and_worst_trial_replays(suite):
+    check, _ = SUITES[suite]
+    report = check(trials=150, dim=4, seed=6)
+    for name, kind in (
+        ("trials", int), ("violations", int), ("max_slack", float),
+        ("epsilon_max", float), ("dim", int), ("worst_trial", int),
+    ):
+        assert type(getattr(report, name)) is kind, name
+    assert 0 <= report.worst_trial < report.trials
+    # a run of the same seed that stops at the witness ends on the same slack
+    replay = check(trials=report.worst_trial + 1, dim=4, seed=6)
+    assert replay.worst_trial == report.worst_trial
+    assert abs(replay.max_slack - report.max_slack) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from qcap.linalg import (
     binary_entropy,
     bw_overlap,
+    density_spectrum,
     eig_hermitian,
     entropy_of_spectrum,
     partial_trace,
@@ -230,3 +231,77 @@ def test_bw_overlap_dominates_fidelity_on_sorted_spectra():
 def test_bw_overlap_rejects_bad_input():
     with pytest.raises(ValueError):
         bw_overlap(np.array([0.5, 0.5]), np.array([1.0]))
+
+
+def _valid_stack(count, dim, seed):
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, dim + 1, size=count)
+    return np.array([random_density(dim, rank=int(r), seed=rng).matrix for r in ranks])
+
+
+@pytest.mark.parametrize(
+    "single, message",
+    [
+        (
+            np.array([[0.5, 1e-6], [0.0, 0.5]]),
+            r"density matrix is not Hermitian: max deviation 1\.000e-06",
+        ),
+        (np.diag([1.0, 0.5]), r"density matrix trace 1\.5\+0j deviates from 1"),
+        (
+            np.diag([1.0 + 1e-9, -1e-9]),
+            r"density matrix has negative eigenvalue -1\.000e-09 below the floor -1e-10",
+        ),
+    ],
+    ids=["non-hermitian", "trace", "negative-eigenvalue"],
+)
+def test_density_spectrum_names_the_bad_stack_member(single, message):
+    with pytest.raises(ValueError, match=message + "$"):
+        density_spectrum(single)
+    stack = _valid_stack(5, 2, seed=3)
+    stack[3] = single
+    with pytest.raises(ValueError, match=message + " at stack index 3$"):
+        density_spectrum(stack)
+    with pytest.raises(ValueError, match=message + " at stack index 3$"):
+        von_neumann_entropy(stack)
+    grid = np.concatenate([stack, stack[:1]]).reshape(2, 3, 2, 2)
+    with pytest.raises(ValueError, match=message + r" at stack index \(1, 0\)$"):
+        density_spectrum(grid)
+
+
+def test_density_spectrum_of_a_single_matrix_is_unchanged():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 5, 16):
+        rho = random_density(dim, rank=max(1, dim // 2), seed=rng).matrix
+        expected = np.clip(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)), 0.0, None)
+        values = density_spectrum(rho)
+        assert values.shape == (dim,)
+        assert np.array_equal(values, expected)
+        entropy = von_neumann_entropy(rho)
+        assert type(entropy) is float
+        positive = expected[expected > 0.0]
+        assert abs(entropy - float(abs(-(positive * np.log2(positive)).sum()))) < 1e-14
+
+
+def test_stacked_kernels_match_a_loop_of_single_calls():
+    rng = np.random.default_rng(7)
+    dims = (2, 3)
+    stack = _valid_stack(12, 6, seed=8).reshape(3, 4, 6, 6)
+    other = _valid_stack(12, 6, seed=9).reshape(3, 4, 6, 6)
+    flat, flat_other = stack.reshape(12, 6, 6), other.reshape(12, 6, 6)
+    for keep in ([0], [1], [0, 1], []):
+        reduced = partial_trace(stack, dims, keep).reshape(12, -1)
+        for k in range(12):
+            single = partial_trace(flat[k], dims, keep).reshape(-1)
+            assert np.max(np.abs(reduced[k] - single)) < 1e-14
+    norms = trace_norm(stack - other).reshape(12)
+    entropies = von_neumann_entropy(stack).reshape(12)
+    unchecked = von_neumann_entropy(stack, validate=False).reshape(12)
+    spectra = density_spectrum(stack).reshape(12, 6)
+    for k in range(12):
+        assert abs(norms[k] - trace_norm(flat[k] - flat_other[k])) < 1e-14
+        assert abs(entropies[k] - von_neumann_entropy(flat[k])) < 1e-14
+        assert abs(unchecked[k] - von_neumann_entropy(flat[k], validate=False)) < 1e-14
+        assert abs(entropy_of_spectrum(spectra)[k] - entropy_of_spectrum(spectra[k])) < 1e-14
+    assert type(trace_norm(flat[0])) is float
+    assert trace_norm(np.zeros((3, 0, 0))).shape == (3,)
+    assert entropy_of_spectrum(rng.dirichlet(np.ones(4), size=(2, 5))).shape == (2, 5)
