@@ -129,7 +129,6 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     def measure(rho, sigma, t_mix):
         rho, sigma = _unit_trace(rho), _unit_trace(sigma)
         spectrum = density_spectrum(rho)
-        density_spectrum(sigma)
         other = mix(rho, sigma, t_mix)
         dist = trace_norm(rho - other)
         far = dist >= 1.0 / 3.0
@@ -207,7 +206,6 @@ def check_mixed_overlap_continuity(
 
     def measure(phi, sigma, weight):
         sigma = _unit_trace(sigma)
-        density_spectrum(sigma)
         w = weight[:, None, None]
         pure = _projectors(phi)
         dense = (1.0 - w) * pure + w * sigma

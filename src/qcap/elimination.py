@@ -177,37 +177,33 @@ def _noisy_rotation_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Krau
     herm = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = herm + herm.conj().T
     herm = herm / np.linalg.norm(herm, 2)
-    values, vectors = np.linalg.eigh(angle * herm)
-    drift = (vectors * np.exp(1j * values)) @ vectors.conj().T
     weight = float(rng.uniform(0.25, 0.45))
-    encoder = KrausChannel.from_kraus(
-        [math.sqrt(1.0 - weight) * np.eye(dim), math.sqrt(weight) * drift]
-    )
+
+    def rotation(generator: np.ndarray) -> np.ndarray:  # exp(i generator)
+        values, vectors = np.linalg.eigh(generator)
+        return (vectors * np.exp(1j * values)) @ vectors.conj().T
+
+    def drift_encoder(theta: float) -> KrausChannel:
+        return KrausChannel.from_kraus(
+            [math.sqrt(1.0 - weight) * np.eye(dim), math.sqrt(weight) * rotation(theta * herm)]
+        )
+
     main = random_unitary(dim, rng)
     noise_angle = float(rng.uniform(0.01, 0.03))
     noise_rate = float(rng.uniform(0.001, 0.004))
     kick = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     kick = kick + kick.conj().T
     kick = kick / np.linalg.norm(kick, 2)
-    values, vectors = np.linalg.eigh(noise_angle * kick)
-    wobble = (vectors * np.exp(1j * values)) @ vectors.conj().T
+    wobble = main @ rotation(noise_angle * kick)
     channel = KrausChannel.from_kraus(
-        [
-            math.sqrt(1.0 - noise_rate) * main,
-            math.sqrt(noise_rate) * (main @ wobble),
-        ]
+        [math.sqrt(1.0 - noise_rate) * main, math.sqrt(noise_rate) * wobble]
     )
     decoder = unitary_channel(main.conj().T)
-    scheme = CodingScheme(source, encoder, decoder, 1)
+    scheme = CodingScheme(source, drift_encoder(angle), decoder, 1)
     # shrink the encoder drift until the scheme is comfortably faithful
     while 1.0 - end_to_end_fidelity(scheme, channel).value > 0.009:
         angle *= 0.5
-        values, vectors = np.linalg.eigh(angle * herm)
-        drift = (vectors * np.exp(1j * values)) @ vectors.conj().T
-        encoder = KrausChannel.from_kraus(
-            [math.sqrt(1.0 - weight) * np.eye(dim), math.sqrt(weight) * drift]
-        )
-        scheme = CodingScheme(source, encoder, decoder, 1)
+        scheme = CodingScheme(source, drift_encoder(angle), decoder, 1)
     return scheme, channel
 
 

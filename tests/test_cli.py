@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcap
 from qcap.cli import main
 from qcap.states import DensityMatrix, maximally_mixed, write_density_file
 
@@ -237,3 +243,17 @@ def test_negative_coherent_info_formats_with_sign(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[4].startswith("-0.8")
+
+
+def test_numpy_is_the_only_dependency():
+    src = str(Path(qcap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, qcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(src).parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

@@ -13,8 +13,14 @@ from qcap.continuity import (
     check_mixing_bounds,
     check_pure_overlap_continuity,
 )
-from qcap.linalg import partial_trace, trace_norm, von_neumann_entropy
-from qcap.states import random_density, random_pure_state, random_unitary
+from qcap.linalg import density_spectrum, partial_trace, trace_norm, von_neumann_entropy
+from qcap.states import (
+    _unit_trace,
+    _wishart_gram,
+    random_density,
+    random_pure_state,
+    random_unitary,
+)
 
 
 def test_fannes_check_passes():
@@ -305,3 +311,15 @@ def test_report_fields_are_plain_numbers_and_worst_trial_replays(suite):
     replay = check(trials=report.worst_trial + 1, dim=4, seed=6)
     assert replay.worst_trial == report.worst_trial
     assert abs(replay.max_slack - report.max_slack) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [6, 16])
+def test_drawn_sigma_chunks_are_density_matrices(dim):
+    # fannes (dim 6) and lemma2 (dim 16 = 4 x 4) use sigma without validating it
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ranks = [1 + i % dim for i in range(continuity._CHUNK)]
+        sigma = _unit_trace(np.stack([_wishart_gram(dim, r, rng) for r in ranks]))
+        spectra = density_spectrum(sigma)
+        assert spectra.shape == (continuity._CHUNK, dim)
+        assert np.all(np.count_nonzero(spectra > 1e-12, axis=-1) == ranks)

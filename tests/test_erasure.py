@@ -5,6 +5,7 @@ import pytest
 
 from qcap.channels import apply_channel, erasure_channel, tensor_power
 from qcap.erasure import (
+    _coherent_info_gradient,
     binomial_mean,
     capacity_curve,
     coherent_info_from_decomposition,
@@ -24,6 +25,8 @@ from qcap.states import (
     random_density,
     random_pure_state,
 )
+
+from helpers import random_kraus_channel
 
 
 def _random_block_state(n, rng, rank=None):
@@ -281,3 +284,59 @@ def test_maximize_coherent_info_deterministic_per_seed():
 def test_maximize_coherent_info_validation():
     with pytest.raises(ValueError, match="restart"):
         maximize_coherent_info(erasure_channel(0.2), 1, restarts=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        erasure_channel(0.3),
+        tensor_power(erasure_channel(0.3), 2),
+        random_kraus_channel(3, 4, 3, np.random.default_rng(8)),
+    ],
+    ids=["erasure-1", "erasure-2", "random-kraus"],
+)
+def test_coherent_info_gradient_matches_finite_differences(block):
+    rng = np.random.default_rng(21)
+    d = block.in_dim
+    rho = 0.5 * random_density(d, rank=d, seed=rng).matrix + 0.5 * np.eye(d) / d
+    value, grad = _coherent_info_gradient(block, rho)
+    assert abs(value - coherent_information(DensityMatrix(rho), block).coherent_info) < 1e-10
+    assert abs(value - np.trace(grad @ rho).real) < 1e-10
+    step = 1e-5
+    for _ in range(4):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = x + x.conj().T
+        x -= np.trace(x) / d * np.eye(d)
+        x /= np.linalg.norm(x)
+        up = coherent_information(DensityMatrix(rho + step * x), block).coherent_info
+        down = coherent_information(DensityMatrix(rho - step * x), block).coherent_info
+        assert abs((up - down) / (2 * step) - np.trace(grad @ x).real) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
+    chan = erasure_channel(p)
+    rho, best = maximize_coherent_info(chan, n, restarts=2, seed=n, include_flat_start=False)
+    target = 1.0 - 2.0 * p
+    assert target - 1e-6 <= best <= target + 1e-9
+    value, grad = _coherent_info_gradient(tensor_power(chan, n), rho.matrix)
+    assert np.linalg.eigvalsh(grad)[-1] - value <= 1e-6  # the Frank-Wolfe gap
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p, target", [(0.0, 1.0), (0.5, 0.0), (0.9, 0.0), (1.0, 0.0)])
+def test_maximize_edge_probabilities_reach_closed_form(n, p, target):
+    # p > 1/2 is antidegradable, so Ic <= 0 there and a pure input attains 0
+    _, best = maximize_coherent_info(
+        erasure_channel(p), n, restarts=3, seed=0, include_flat_start=False
+    )
+    assert abs(best - target) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [0.6, 0.9, 1.0])
+def test_maximize_flat_start_alone_leaves_the_minimum(n, p):
+    # for p > 1/2 the flat state has a zero Frank-Wolfe gap but is the minimum, -(2p - 1)
+    _, best = maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=0)
+    assert abs(best) <= 1e-6
