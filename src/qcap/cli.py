@@ -138,7 +138,7 @@ def _cmd_theorem_demo(args) -> int:
     violations = 0
     for index, (scheme, channel) in enumerate(random_demo_schemes(args.trials, args.seed)):
         inst = eliminate_encoder(scheme, channel)
-        if not inst.flagged and not inst.fidelity_ok:
+        if not inst.fidelity_ok:
             violations += 1
         if not inst.entropy_ok:
             violations += 1

@@ -106,6 +106,16 @@ def _marginal_entropies(dense: np.ndarray, dim: int) -> np.ndarray:
     return von_neumann_entropy(marginals, validate=False)
 
 
+def _pure_marginal_entropy(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Entropy of either marginal of stacked pure states on dim x dim.
+
+    Both marginals of a pure state have the squared singular values of its
+    dim x dim coefficient table as their nonzero spectrum.
+    """
+    table = vectors.reshape(vectors.shape[:-1] + (dim, dim))
+    return entropy_of_spectrum(np.linalg.svd(table, compute_uv=False) ** 2)
+
+
 def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     """Entropy difference against trace distance for nearby mixed states.
 
@@ -172,9 +182,10 @@ def check_pure_overlap_continuity(
         norm = np.sqrt(_dot(raw.real, raw.real) + _dot(raw.imag, raw.imag))
         chi = raw / norm[:, None]
         other = np.sqrt(1.0 - eps)[:, None] * psi + np.sqrt(eps)[:, None] * chi
-        s = _marginal_entropies(_projectors(np.stack([psi, other], axis=1)), dim)
-        bound = 2.0 * np.sqrt(eps) * math.log2(dim) + 1.0
-        return np.abs(s[:, 0] - s[:, 1]) - bound[:, None], 0, eps
+        s = _pure_marginal_entropy(np.stack([psi, other], axis=1), dim)
+        drift = np.abs(s[:, 0] - s[:, 1]) - (2.0 * np.sqrt(eps) * math.log2(dim) + 1.0)
+        # left and right marginals share one spectrum: both inequalities, one slack
+        return np.column_stack([drift, drift]), 0, eps
 
     return _run(trials, dim, seed, draw, measure)
 
@@ -211,11 +222,10 @@ def check_mixed_overlap_continuity(
         dense = (1.0 - w) * pure + w * sigma
         eps = 1.0 - _dot(phi.conj(), (dense @ phi[..., None])[..., 0]).real
         eps = np.clip(eps, 0.0, eps_max)
-        s_phi, s_rho = np.moveaxis(
-            _marginal_entropies(np.stack([pure, dense], axis=1), dim), 1, 0
-        )
+        s_phi = _pure_marginal_entropy(phi, dim)
+        s_rho = _marginal_entropies(dense, dim)
         base = 2.0 * np.sqrt(2.0 * eps)
-        sides = np.abs(s_rho - s_phi) - (base * log_dim + 2.0)[:, None]
+        sides = np.abs(s_rho - s_phi[:, None]) - (base * log_dim + 2.0)[:, None]
         cross = np.abs(s_rho[:, 0] - s_rho[:, 1]) - (2.0 * base * log_dim + 4.0)
         top = np.linalg.eigvalsh(dense)[:, -1]
         misses = int(np.count_nonzero(top < 1.0 - eps - FP_TOL))

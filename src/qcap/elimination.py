@@ -6,10 +6,12 @@ branch of the encoder) and a tail map appended after the decoder so that
 sending rho_prime straight into the channel achieves fidelity at least
 1 - 2 eps, while the entropy of rho_prime stays close to the source's.
 
-The tail construction leans on a purification step whose reference-side
-marginal only approximately matches; each instance records that mismatch
-as ``marginal_gap`` and is flagged when it exceeds the tolerance instead
-of being silently trusted.
+The tail map comes from the isometry relating the branch purification to
+an exact purification of the decoded output's reference marginal, so
+the two reference marginals agree to rounding.  Each instance still
+records their trace-norm mismatch as ``marginal_gap`` and is flagged if
+it exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
+instance, flagged or not.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .channels import (
 )
 from .functionals import end_to_end_fidelity, entanglement_fidelity
 from .states import (
+    MARGINAL_GAP_TOL,
     DensityMatrix,
     PureState,
     _as_rng,
@@ -41,7 +44,6 @@ from .states import (
 )
 
 FIDELITY_WINDOW = 1.0 / 72.0
-MARGINAL_FLAG_TOL = 1e-6
 FIDELITY_SLACK = 1e-7
 
 
@@ -49,8 +51,10 @@ FIDELITY_SLACK = 1e-7
 class EliminationInstance:
     """One executed encoder elimination with its audit numbers.
 
-    ``eps_out <= 2 eps_in + slack`` is guaranteed only when ``flagged`` is
-    False; the entropy gap bound holds regardless.
+    ``fidelity_ok`` checks ``eps_out <= 2 eps_in + slack`` and
+    ``entropy_ok`` the entropy gap bound; both are meant to hold on every
+    instance.  ``flagged`` marks a ``marginal_gap`` above
+    ``MARGINAL_GAP_TOL``, which the exact purification should never give.
     """
 
     scheme: CodingScheme
@@ -148,7 +152,7 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
         entropy_bound=entropy_bound,
         marginal_gap=gap,
         purification_overlap=overlap,
-        flagged=gap > MARGINAL_FLAG_TOL,
+        flagged=gap > MARGINAL_GAP_TOL,
     )
 
 

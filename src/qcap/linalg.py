@@ -13,7 +13,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
-_TIE_TOL = 1e-12
 _LOG2 = math.log(2.0)
 
 
@@ -48,25 +47,12 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0.0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
 def eig_hermitian(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, sorted descending.
 
-    Ties (eigenvalues within 1e-12 of each other) are ordered by the
-    lexicographic (real, imaginary) value of the first eigenvector
-    component after a deterministic phase fix, so repeated runs on the
-    same input give identical output.
+    Eigenvectors carry the phases ``numpy.linalg.eigh`` gives them, and
+    the order inside a degenerate eigenvalue cluster is eigh's: callers
+    must not depend on either.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -77,23 +63,7 @@ def eig_hermitian(matrix: np.ndarray) -> Spectrum:
             f"matrix is not Hermitian: max |M - M^dag| entry is {defect:.3e}"
         )
     values, vectors = np.linalg.eigh(m)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    vectors = _fix_phases(vectors)
-    # reorder inside degenerate clusters for a deterministic tie-break
-    start = 0
-    n = values.size
-    while start < n:
-        stop = start + 1
-        while stop < n and values[start] - values[stop] <= _TIE_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = vectors[:, start:stop]
-            keys = [(block[0, j].real, block[0, j].imag) for j in range(block.shape[1])]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            vectors[:, start:stop] = block[:, order]
-        start = stop
-    return Spectrum(np.real(values.copy()), vectors)
+    return Spectrum(values[::-1].copy(), vectors[:, ::-1])
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

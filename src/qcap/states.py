@@ -158,15 +158,17 @@ def purify(rho: DensityMatrix, ref_label: str = "ref") -> PureState:
 def max_overlap_purification(
     rho: DensityMatrix, aux_label: str = "aux"
 ) -> tuple[PureState, float]:
-    """Purification of a bipartite state aligned with its top eigenvector.
+    """Purification of Tr_B rho whose aux-0 branch is rho's top eigenvector.
 
     For ``rho`` on factors (A, B) with largest eigenvalue l_max and top
     eigenvector phi, returns the pure state on (A, B, C), dim C = dim A + 1,
 
-        sqrt(l_max) |phi>|0_C> + sqrt(1 - l_max) sum_i sqrt(mu_i) |i_A>|0_B>|i_C>
+        sqrt(l_max) |phi>|0_C> + sum_i sqrt(t_i) |t_i>_A |0_B> |i_C>
 
-    where (mu_i, |i_A>) is the spectrum of the A marginal of ``rho``.  Its
-    overlap with rho x |0_C><0_C| equals l_max^2 exactly.
+    where (t_i, |t_i>) is the spectrum of the residual A marginal
+    tau = Tr_B rho - l_max Tr_B |phi><phi|, positive semidefinite because
+    rho >= l_max |phi><phi|.  Its A marginal equals Tr_B rho to rounding,
+    and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.
     """
     if len(rho.dims) != 2:
         raise ValueError(
@@ -175,18 +177,14 @@ def max_overlap_purification(
     da, db = rho.dims
     spec = eig_hermitian(rho.matrix)
     l_max = float(spec.values[0])
-    phi = spec.vectors[:, 0].reshape(da, db)
-    marg = rho.reduced([rho.labels[0]])
-    mu = eig_hermitian(marg.matrix)
-    dc = da + 1
-    table = np.zeros((da, db, dc), dtype=complex)
-    table[:, :, 0] = math.sqrt(max(l_max, 0.0)) * phi
-    tail = math.sqrt(max(1.0 - l_max, 0.0))
-    weights = np.sqrt(np.clip(mu.values, 0.0, None))
-    for i in range(da):
-        table[:, 0, i + 1] += tail * weights[i] * mu.vectors[:, i]
+    head = math.sqrt(max(l_max, 0.0)) * spec.vectors[:, 0].reshape(da, db)
+    tau = partial_trace(rho.matrix, rho.dims, [0]) - head @ head.conj().T
+    values, vectors = np.linalg.eigh(tau)
+    table = np.zeros((da, db, da + 1), dtype=complex)
+    table[:, :, 0] = head
+    table[:, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))
     aux = _fresh_label(aux_label, rho.labels)
-    state = PureState(table.reshape(-1), (da, db, dc), rho.labels + (aux,))
+    state = PureState(table.reshape(-1), (da, db, da + 1), rho.labels + (aux,))
     return state, l_max
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -142,6 +143,18 @@ def test_theorem_demo_reports_instances(capsys):
         entropy_gap = float(cols[3])
         entropy_bound = float(cols[4])
         assert entropy_gap <= entropy_bound + 1e-9
+
+
+def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
+    real = qcap.cli.eliminate_encoder
+
+    def tripled(scheme, channel):
+        inst = real(scheme, channel)
+        return dataclasses.replace(inst, eps_out=3 * inst.eps_out)
+
+    monkeypatch.setattr(qcap.cli, "eliminate_encoder", tripled)
+    code, _, _ = run_cli(capsys, ["theorem-demo", "--trials", "30"])
+    assert code == 2
 
 
 def test_lemma_check_runs_each_suite(capsys):

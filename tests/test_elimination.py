@@ -59,12 +59,19 @@ def test_noisy_rotation_family_obeys_doubling():
     assert instance.eps_out <= 2.0 * instance.eps_in + FIDELITY_SLACK
 
 
-def test_erasure_recovery_family_gets_flagged():
-    scheme, channel = random_demo_schemes(3, seed=10)[2]
-    instance = eliminate_encoder(scheme, channel)
-    assert instance.flagged
-    assert instance.marginal_gap > 1e-6
-    assert instance.entropy_ok
+def test_erasure_recovery_family_is_exact_and_near_doubling():
+    # the one family whose eps_out/eps_in comes near 2: every instance must
+    # be exact, unflagged and within the doubling bound
+    for seed in (0, 1, 2):
+        ratios = []
+        for scheme, channel in random_demo_schemes(300, seed)[2::3]:
+            instance = eliminate_encoder(scheme, channel)
+            assert not instance.flagged
+            assert instance.marginal_gap < 1e-12
+            assert instance.fidelity_ok
+            assert instance.entropy_ok
+            ratios.append(instance.eps_out / instance.eps_in)
+        assert max(ratios) > 1.9
 
 
 def test_batch_of_demo_schemes_meets_contract():

@@ -145,6 +145,23 @@ def test_max_overlap_purification_marginal_gap_shrinks_with_purity():
     assert gaps[2] < 5e-3
 
 
+def test_max_overlap_purification_keeps_first_marginal():
+    bell = np.outer(bell_vector(), bell_vector().conj())
+    states = [
+        DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2), ("a", "b"))
+        for eps in (0.2, 0.02, 0.002)
+    ]
+    rng = np.random.default_rng(17)
+    for i in range(10):
+        raw = random_density(4, rank=1 + i % 4, seed=rng)
+        states.append(DensityMatrix(raw.matrix, (2, 2), ("a", "b")))
+    states.append(DensityMatrix(random_density(6, rank=6, seed=rng).matrix, (3, 2), ("a", "b")))
+    for rho in states:
+        state, _ = max_overlap_purification(rho)
+        gap = trace_norm(state.reduced(["a"]).matrix - rho.reduced(["a"]).matrix)
+        assert gap < 1e-12
+
+
 def test_max_overlap_purification_needs_two_factors():
     with pytest.raises(ValueError, match="two factors"):
         max_overlap_purification(maximally_mixed(4))
