@@ -40,6 +40,7 @@ from .erasure import (
     iplus_iminus_split,
     maximize_coherent_info,
     output_entropy_from_decomposition,
+    subset_entropies,
     verify_iplus_bound,
 )
 from .functionals import (

@@ -3,7 +3,9 @@
 For n parallel erasure uses the receiver sees each subset of the input
 qubits with a binomial weight, so output entropy and coherent information
 reduce to sums over the 2^n marginal entropies of the input state.  Masks
-encode retained sets: bit j set means qubit j reached the receiver.
+encode retained sets: bit j set means qubit j reached the receiver.  The
+entropy table is p-free: it is traced top-down once per state (once per
+``capacity_curve``), and each p weights it with one binomial vector.
 """
 from __future__ import annotations
 
@@ -19,16 +21,16 @@ from .states import DensityMatrix, maximally_mixed
 PAIR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErasureDecomposition:
-    """Marginal entropy table of an n-qubit state, indexed by retained mask."""
+    """One erasure probability p and the (shared, read-only) table of :func:`subset_entropies`."""
 
     block_size: int
     p: float
-    subset_entropies: tuple[float, ...]
+    subset_entropies: np.ndarray
 
     def entropy(self, mask: int) -> float:
-        return self.subset_entropies[mask]
+        return float(self.subset_entropies[mask])
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,51 @@ def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
     return block_size
 
 
-def erasure_decomposition(rho: DensityMatrix, p: float, block_size: int) -> ErasureDecomposition:
-    """Compute every retained-subset marginal entropy once, for reuse."""
+def _require_probability(p: float, what: str = "erasure probability") -> float:
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p!r} outside [0, 1]")
+        raise ValueError(f"{what} {p!r} outside [0, 1]")
+    return float(p)
+
+
+def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
+    """Read-only table of every retained-set marginal entropy in bits, indexed by mask.
+
+    The full mask takes the state's stored spectrum.  Every other marginal is
+    traced from a parent holding one more qubit, depth first, so only one
+    marginal per size is alive at a time: a child drops a qubit below the one
+    its parent dropped, which reaches each mask once.
+    """
     n = _require_qubits(rho, block_size)
-    dims = (2,) * n
-    table = []
-    for mask in range(1 << n):
-        keep = [j for j in range(n) if mask >> j & 1]
-        sub = partial_trace(rho.matrix, dims, keep)
-        table.append(von_neumann_entropy(sub, validate=False))
-    return ErasureDecomposition(n, float(p), tuple(table))
+    table = np.empty(1 << n)
+    table[-1] = rho.entropy()
+
+    def descend(matrix: np.ndarray, qubits: list[int], mask: int, below: int) -> None:
+        dims = (2,) * len(qubits)
+        for pos, j in enumerate(qubits[:below]):
+            sub = partial_trace(matrix, dims, [k for k in range(len(qubits)) if k != pos])
+            child = mask & ~(1 << j)
+            table[child] = von_neumann_entropy(sub, validate=False)
+            descend(sub, qubits[:pos] + qubits[pos + 1:], child, pos)
+
+    descend(rho.matrix, list(range(n)), (1 << n) - 1, n)
+    table.flags.writeable = False
+    return table
 
 
-def _weight(decomp: ErasureDecomposition, mask: int) -> float:
-    kept = mask.bit_count()
-    return decomp.p ** (decomp.block_size - kept) * (1.0 - decomp.p) ** kept
+def erasure_decomposition(rho: DensityMatrix, p: float, block_size: int) -> ErasureDecomposition:
+    """Pair the state's retained-set entropy table with the erasure probability p."""
+    p = _require_probability(p)
+    return ErasureDecomposition(block_size, p, subset_entropies(rho, block_size))
+
+
+def _kept(n: int) -> np.ndarray:
+    return np.array([mask.bit_count() for mask in range(1 << n)])
+
+
+def _weights(n: int, p: float) -> np.ndarray:
+    """Binomial weight p^(n-|i|) (1-p)^|i| of each retained mask i."""
+    kept = _kept(n)
+    return p ** (n - kept) * (1.0 - p) ** kept
 
 
 def erasure_coherent_info_block(rho: DensityMatrix, p: float, block_size: int) -> float:
@@ -88,18 +118,12 @@ def erasure_coherent_info_block(rho: DensityMatrix, p: float, block_size: int) -
     Equals sum over retained masks i of
     p^(n-|i|) (1-p)^|i| (S(rho_i) - S(rho_complement(i))) in bits.
     """
-    decomp = erasure_decomposition(rho, p, block_size)
-    return coherent_info_from_decomposition(decomp)
+    return coherent_info_from_decomposition(erasure_decomposition(rho, p, block_size))
 
 
 def coherent_info_from_decomposition(decomp: ErasureDecomposition) -> float:
-    full = (1 << decomp.block_size) - 1
-    total = 0.0
-    for mask in range(full + 1):
-        total += _weight(decomp, mask) * (
-            decomp.entropy(mask) - decomp.entropy(full ^ mask)
-        )
-    return total
+    s = decomp.subset_entropies  # the complement of mask i is index 2^n-1-i
+    return float(_weights(decomp.block_size, decomp.p) @ (s - s[::-1]))
 
 
 def erasure_output_entropy_block(rho: DensityMatrix, p: float, block_size: int) -> float:
@@ -108,32 +132,16 @@ def erasure_output_entropy_block(rho: DensityMatrix, p: float, block_size: int) 
 
 
 def output_entropy_from_decomposition(decomp: ErasureDecomposition) -> float:
-    total = 0.0
-    mix = 0.0
-    for mask in range(1 << decomp.block_size):
-        w = _weight(decomp, mask)
-        total += w * decomp.entropy(mask)
-        if w > 0.0:
-            mix -= w * math.log2(w)
-    return total + mix
+    w = _weights(decomp.block_size, decomp.p)
+    return float(w @ decomp.subset_entropies + entropy_of_spectrum(w))
 
 
 def iplus_iminus_split(decomp: ErasureDecomposition) -> tuple[float, float]:
     """Split the coherent information by erased count k <= n//2 versus above."""
-    n = decomp.block_size
-    full = (1 << n) - 1
-    plus = 0.0
-    minus = 0.0
-    for mask in range(full + 1):
-        erased = n - mask.bit_count()
-        term = _weight(decomp, mask) * (
-            decomp.entropy(mask) - decomp.entropy(full ^ mask)
-        )
-        if erased <= n // 2:
-            plus += term
-        else:
-            minus += term
-    return plus, minus
+    n, s = decomp.block_size, decomp.subset_entropies
+    terms = _weights(n, decomp.p) * (s - s[::-1])
+    low = n - _kept(n) <= n // 2
+    return float(terms[low].sum()), float(terms[~low].sum())
 
 
 def _submasks_of_size(mask: int, size: int):
@@ -154,7 +162,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
     Aggregating over the binomial weights bounds I+ by
     sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
     """
-    n = decomp.block_size
+    n, p = decomp.block_size, decomp.p
     full = (1 << n) - 1
     pairs = 0
     violations = 0
@@ -175,11 +183,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
                 violations += 1
     plus, _ = iplus_iminus_split(decomp)
     aggregate = sum(
-        math.comb(n, k)
-        * decomp.p**k
-        * (1.0 - decomp.p) ** (n - k)
-        * (n - 2 * k)
-        for k in range(n // 2 + 1)
+        math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * (n - 2 * k) for k in range(n // 2 + 1)
     )
     aggregate_ok = plus <= aggregate + PAIR_TOL
     return IplusBoundReport(
@@ -197,8 +201,7 @@ def binomial_mean(n: int, p: float) -> float:
     """Mean of Binomial(n, p); tests compare against the explicit sum."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
+    _require_probability(p, "probability")
     return n * p
 
 
@@ -206,8 +209,7 @@ def half_sum_fraction(n: int, p: float) -> float:
     """(1/n) sum_{k<=n//2} C(n,k) p^k (1-p)^(n-k) k, which tends to p for p < 1/2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
+    _require_probability(p, "probability")
     total = 0.0
     for k in range(n // 2 + 1):
         total += math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * k
@@ -220,14 +222,12 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     The flat n-qubit input gives exactly n(1-2p) for n erasure uses, so
     ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).
     """
-    flat = maximally_mixed(2**block_size)
+    grid = [_require_probability(float(p)) for p in p_values]
+    table = subset_entropies(maximally_mixed(2**block_size), block_size)
     points = []
-    for p in p_values:
-        p = float(p)
-        ic = erasure_coherent_info_block(flat, p, block_size) / block_size
-        points.append(
-            CapacityPoint(p, block_size, ic, max(1.0 - 2.0 * p, 0.0))
-        )
+    for p in grid:
+        ic = coherent_info_from_decomposition(ErasureDecomposition(block_size, p, table))
+        points.append(CapacityPoint(p, block_size, ic / block_size, max(1.0 - 2.0 * p, 0.0)))
     return points
 
 

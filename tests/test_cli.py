@@ -80,6 +80,25 @@ def test_coherent_info_random_state_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "n, seed, row",
+    [
+        ("8", "7", "0.300000000,8,12.556834482,9.448467880,3.108366602"),
+        ("6", "5", "0.300000000,6,9.332942384,7.079879392,2.253062992"),
+    ],
+)
+def test_coherent_info_random_state_golden_rows(capsys, n, seed, row):
+    # rows of per-mask traces of the full matrix; the parent-to-child table
+    # must print the same bytes
+    code, out, err = run_cli(
+        capsys,
+        ["coherent-info", "--p", "0.3", "--n", n, "--state", "random", "--seed", seed],
+    )
+    assert code == 0
+    assert err == ""
+    assert out == f"p,N,S_out,S_env,Ic\n{row}\n"
+
+
 def test_coherent_info_state_file_roundtrip(capsys, tmp_path):
     path = tmp_path / "flat.txt"
     write_density_file(str(path), maximally_mixed(2))

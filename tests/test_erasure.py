@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcap import erasure
 from qcap.channels import apply_channel, erasure_channel, tensor_power
 from qcap.erasure import (
     _coherent_info_gradient,
@@ -15,10 +16,11 @@ from qcap.erasure import (
     half_sum_fraction,
     iplus_iminus_split,
     maximize_coherent_info,
+    subset_entropies,
     verify_iplus_bound,
 )
 from qcap.functionals import coherent_information, entropy_exchange
-from qcap.linalg import binary_entropy, tensor_product
+from qcap.linalg import binary_entropy, partial_trace, tensor_product, von_neumann_entropy
 from qcap.states import (
     DensityMatrix,
     maximally_mixed,
@@ -63,6 +65,77 @@ def test_decomposition_validation():
         erasure_decomposition(rho, 0.2, 0)
     with pytest.raises(ValueError, match="does not match"):
         erasure_decomposition(rho, 0.2, 3)
+
+
+def _table_states(n, rng):
+    yield _random_block_state(n, rng)
+    yield _random_block_state(n, rng)
+    yield DensityMatrix(random_pure_state(2**n, seed=rng).density().matrix, (2,) * n)
+    product = np.ones((1, 1))
+    for _ in range(n):
+        product = tensor_product(product, random_density(2, rank=2, seed=rng).matrix)
+    yield DensityMatrix(product, (2,) * n)
+
+
+def test_subset_entropies_match_marginals_of_the_full_matrix():
+    rng = np.random.default_rng(37)
+    for n in range(1, 7):
+        for rho in _table_states(n, rng):
+            table = subset_entropies(rho, n)
+            assert table.shape == (2**n,)
+            for mask in range(2**n):
+                keep = [j for j in range(n) if mask >> j & 1]
+                marginal = partial_trace(rho.matrix, (2,) * n, keep)
+                assert abs(table[mask] - von_neumann_entropy(marginal, validate=False)) < 1e-12
+
+
+def test_subset_entropies_table_is_read_only():
+    table = subset_entropies(maximally_mixed(8, (2, 2, 2)), 3)
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    decomp = erasure_decomposition(maximally_mixed(4, (2, 2)), 0.3, 2)
+    with pytest.raises(ValueError):
+        decomp.subset_entropies[1] = 0.0
+
+
+def test_subset_entropies_solve_each_proper_marginal_once(monkeypatch):
+    rho = _random_block_state(4, np.random.default_rng(43))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix):
+        solves.append(matrix.shape[-1])
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    subset_entropies(rho, 4)
+    # the full mask reads the stored spectrum; each other mask is solved once
+    assert sorted(solves) == sorted(2 ** bin(mask).count("1") for mask in range(15))
+
+
+def test_capacity_curve_builds_one_table(monkeypatch):
+    built = []
+
+    def counted(rho, block_size):
+        built.append(block_size)
+        return subset_entropies(rho, block_size)
+
+    monkeypatch.setattr(erasure, "subset_entropies", counted)
+    points = capacity_curve(np.linspace(0.0, 1.0, 21), 3)
+    assert len(points) == 21
+    assert built == [3]
+
+
+@pytest.mark.parametrize("p", [1.3, float("nan")])
+def test_probability_checked_before_any_table(monkeypatch, p):
+    def refuse(rho, block_size):
+        raise AssertionError("table built for an invalid p")
+
+    monkeypatch.setattr(erasure, "subset_entropies", refuse)
+    with pytest.raises(ValueError, match="outside"):
+        erasure_decomposition(maximally_mixed(4, (2, 2)), p, 2)
+    with pytest.raises(ValueError, match="outside"):
+        capacity_curve([0.2, p], 2)
 
 
 def test_block_coherent_info_single_use_oracle():
@@ -154,6 +227,29 @@ def test_iplus_iminus_split_reconstructs_total():
         plus, minus = iplus_iminus_split(decomp)
         total = coherent_info_from_decomposition(decomp)
         assert abs(plus + minus - total) < 1e-10
+
+
+def test_iplus_iminus_split_matches_explicit_mask_loop():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4, 5):
+        rho = _random_block_state(n, rng)
+        p = float(rng.uniform())
+        decomp = erasure_decomposition(rho, p, n)
+        full = (1 << n) - 1
+        plus = 0.0
+        minus = 0.0
+        for mask in range(full + 1):
+            kept = mask.bit_count()
+            term = p ** (n - kept) * (1.0 - p) ** kept * (
+                decomp.entropy(mask) - decomp.entropy(full ^ mask)
+            )
+            if n - kept <= n // 2:
+                plus += term
+            else:
+                minus += term
+        got_plus, got_minus = iplus_iminus_split(decomp)
+        assert abs(got_plus - plus) < 1e-12
+        assert abs(got_minus - minus) < 1e-12
 
 
 def test_iplus_iminus_split_lossless_has_no_minus_part():
