@@ -1,14 +1,11 @@
 """Kraus-form quantum channels and the operations that combine them."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .linalg import tensor_product
 from .states import DensityMatrix, PureState
 
 COMPLETENESS_TOL = 1e-9
@@ -18,53 +15,64 @@ BRANCH_CUTOFF = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators.
+    """Completely positive trace-preserving map held as one Kraus stack.
 
-    Every operator is an out_dim x in_dim matrix and the list satisfies
-    sum_k A_k^dag A_k = I within 1e-9.
+    ``kraus`` is a read-only C-ordered complex array of shape (num_kraus,
+    out_dim, in_dim), built from any sequence of equal-shape matrices, with
+    sum_k A_k^dag A_k = I within 1e-9.  Every action of the channel is the
+    one map sum_k A_k X A_k^dag on a stack: the output uses ``kraus``, the
+    environment the complementary stack ``kraus.transpose(1, 0, 2)``, and an
+    adjoint map the conjugate transpose of its operators.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     in_dim: int
     out_dim: int
 
     def __post_init__(self):
-        ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
-        if not ops:
+        if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = (self.out_dim, self.in_dim)
-        for k, a in enumerate(ops):
-            if a.shape != shape:
-                raise ValueError(
-                    f"Kraus operator {k} has shape {a.shape}, expected {shape}"
-                )
-        total = sum(a.conj().T @ a for a in ops)
+        try:
+            ops = np.ascontiguousarray(self.kraus, dtype=complex)
+        except ValueError:  # operators of unequal shapes
+            ops = None
+        if ops is None or ops.shape[1:] != shape:
+            k = next(k for k, a in enumerate(self.kraus) if np.shape(a) != shape)
+            raise ValueError(
+                f"Kraus operator {k} has shape {np.shape(self.kraus[k])}, expected {shape}"
+            )
+        finite = np.isfinite(ops).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"Kraus operator {int(np.argmin(finite))} has a non-finite entry")
+        # sum A^dag A from the Gram matrix of the real view, with no conjugate copy of the stack:
+        # its columns interleave Re and Im of each input level
+        flat = ops.reshape(-1, self.in_dim).view(float)
+        gram = (flat.T @ flat).reshape(self.in_dim, 2, self.in_dim, 2)
+        total = gram[:, 0, :, 0] + gram[:, 1, :, 1] + 1j * (gram[:, 0, :, 1] - gram[:, 1, :, 0])
         defect = float(np.max(np.abs(total - np.eye(self.in_dim))))
         if defect > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus operators violate completeness: max |sum A^dag A - I| "
                 f"entry is {defect:.3e}"
             )
+        ops = ops.view()  # read-only without touching the caller's array
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @classmethod
     def from_kraus(cls, operators) -> "KrausChannel":
-        ops = [np.asarray(a, dtype=complex) for a in operators]
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        return cls(tuple(ops), in_dim, out_dim)
+        ops = operators if isinstance(operators, np.ndarray) else list(operators)
+        out_dim, in_dim = np.shape(ops[0]) if len(ops) else (0, 0)
+        return cls(ops, in_dim, out_dim)
 
     @property
     def num_kraus(self) -> int:
-        return len(self.kraus)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.kraus)
+        return self.kraus.shape[0]
 
 
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),), dim, dim)
+    return KrausChannel(np.eye(dim, dtype=complex)[None], dim, dim)
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -81,18 +89,32 @@ def erasure_channel(p: float) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p!r} outside [0, 1]")
-    keep = np.zeros((3, 2), dtype=complex)
-    keep[0, 0] = keep[1, 1] = math.sqrt(1.0 - p)
-    lose0 = np.zeros((3, 2), dtype=complex)
-    lose0[2, 0] = math.sqrt(p)
-    lose1 = np.zeros((3, 2), dtype=complex)
-    lose1[2, 1] = math.sqrt(p)
-    return KrausChannel((keep, lose0, lose1), 2, 3)
+    ops = np.zeros((3, 3, 2), dtype=complex)
+    ops[0, 0, 0] = ops[0, 1, 1] = math.sqrt(1.0 - p)
+    ops[1, 2, 0] = ops[2, 2, 1] = math.sqrt(p)
+    return KrausChannel(ops, 2, 3)
 
 
-def _apply_matrix(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
-    a = channel.stacked()
-    return np.einsum("kij,jl,kml->im", a, matrix, a.conj(), optimize=True)
+def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -> np.ndarray:
+    """sum_k A_k X A_k^dag for a (k, out, in) stack acting on factor ``idx`` of X.
+
+    ``dims`` are the factor dimensions of X, by default one factor.  One
+    batched product applies every operator to the row factor; one matrix
+    product then contracts the Kraus index and the column factor against
+    conj(A).  The other factors keep their places.
+    """
+    k, out, inn = kraus.shape
+    dims = dims or (inn,)
+    left, right = math.prod(dims[:idx]), math.prod(dims[idx + 1 :])
+    # blocks X[l, :, r, l', :, r'] as (in, in') matrices, indexed (l, r, l', r')
+    x = matrix.reshape(left, inn, right, left, inn, right).transpose(0, 2, 3, 5, 1, 4)
+    # (l, r, l', r', out, k, in'): each (k, in) slice of the (out, k, in) view times a block
+    rows = kraus.transpose(1, 0, 2) @ x[..., None, :, :]
+    # contract (k, in') against conj(A): conjugating rows and the product spares a copy of the stack
+    np.conjugate(rows, out=rows)
+    both = np.conjugate(rows.reshape(-1, k * inn) @ kraus.transpose(0, 2, 1).reshape(k * inn, out))
+    both = both.reshape(left, right, left, right, out, out).transpose(0, 4, 1, 2, 5, 3)
+    return both.reshape(left * out * right, -1)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -101,12 +123,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
         )
-    return DensityMatrix(_apply_matrix(channel, rho.matrix), (channel.out_dim,), ("out",))
-
-
-def _on_factor(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``op`` (out x in) into one axis of ``tensor``, other axes in place."""
-    return np.moveaxis(np.tensordot(op, tensor, axes=(1, axis)), 0, axis)
+    return DensityMatrix(_conjugate(channel.kraus, rho.matrix), (channel.out_dim,), ("out",))
 
 
 def _locate_factor(channel: KrausChannel, state, factor: str) -> tuple[int, tuple[int, ...]]:
@@ -123,15 +140,15 @@ def _locate_factor(channel: KrausChannel, state, factor: str) -> tuple[int, tupl
 def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: str) -> DensityMatrix:
     """Apply the channel to one labeled factor, leaving the others alone."""
     idx, new_dims = _locate_factor(channel, rho, factor)
-    n = len(rho.dims)
-    table = rho.matrix.reshape(rho.dims + rho.dims)
-    out = sum(_on_factor(a.conj(), _on_factor(a, table, idx), n + idx) for a in channel.kraus)
-    dim = math.prod(new_dims)
-    return DensityMatrix(out.reshape(dim, dim), new_dims, rho.labels)
+    out = _conjugate(channel.kraus, rho.matrix, rho.dims, idx)
+    return DensityMatrix(out, new_dims, rho.labels)
 
 
 def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
-    """n-fold tensor product channel with all Kraus products enumerated."""
+    """n-fold tensor product channel with all Kraus products enumerated.
+
+    Operator (k_1, ..., k_n), first index slowest, is A_k1 x ... x A_kn.
+    """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
     count = channel.num_kraus**n
@@ -142,41 +159,36 @@ def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
         )
     if n == 1:
         return channel
-    ops = [
-        reduce(tensor_product, combo)
-        for combo in itertools.product(channel.kraus, repeat=n)
-    ]
-    return KrausChannel(tuple(ops), channel.in_dim**n, channel.out_dim**n)
+    a = ops = channel.kraus
+    for _ in range(n - 1):
+        shape = np.multiply(ops.shape, a.shape)
+        ops = (ops[:, None, :, None, :, None] * a[:, None, :, None]).reshape(shape)
+    return KrausChannel(ops, channel.in_dim**n, channel.out_dim**n)
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """Composition outer(inner(.)) with the product Kraus family."""
+    """Composition outer(inner(.)); operator i * inner.num_kraus + j is B_i A_j."""
     if inner.out_dim != outer.in_dim:
         raise ValueError(
             f"cannot compose: inner output dimension {inner.out_dim} does not "
             f"match outer input dimension {outer.in_dim}"
         )
-    ops = tuple(b @ a for b in outer.kraus for a in inner.kraus)
-    return KrausChannel(ops, inner.in_dim, outer.out_dim)
-
-
-def _environment_matrix(channel: KrausChannel, matrix: np.ndarray) -> np.ndarray:
-    a = channel.stacked()
-    moved = a @ matrix
-    return np.einsum("kij,lij->kl", moved, a.conj(), optimize=True)
+    ops = outer.kraus[:, None] @ inner.kraus[None]
+    return KrausChannel(ops.reshape(-1, outer.out_dim, inner.in_dim), inner.in_dim, outer.out_dim)
 
 
 def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Environment marginal W with W_kl = Tr(A_k rho A_l^dag).
 
     This is the state the channel leaks to its environment in a Stinespring
-    dilation with one environment level per Kraus operator.
+    dilation with one environment level per Kraus operator: the output of the
+    complementary channel, whose stack swaps the Kraus and output axes.
     """
     if rho.dim != channel.in_dim:
         raise ValueError(
             f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
         )
-    w = _environment_matrix(channel, rho.matrix)
+    w = _conjugate(channel.kraus.transpose(1, 0, 2), rho.matrix)
     return DensityMatrix(w, (channel.num_kraus,), ("env",))
 
 
@@ -191,10 +203,10 @@ def measure_environment_branches(
     mixture of branch projectors reconstructs the channel output.
     """
     idx, new_dims = _locate_factor(channel, state, factor)
-    table = state.vector.reshape(state.dims)
+    moved = np.tensordot(channel.kraus, state.vector.reshape(state.dims), axes=(2, idx))
+    vectors = np.moveaxis(moved, 1, idx + 1).reshape(channel.num_kraus, -1)
     branches = []
-    for a in channel.kraus:
-        v = _on_factor(a, table, idx).reshape(-1)
+    for v in vectors:
         prob = float(np.vdot(v, v).real)
         if prob > BRANCH_CUTOFF:
             branches.append((prob, PureState(v / math.sqrt(prob), new_dims, state.labels)))

@@ -134,9 +134,7 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     psi_zero = _append_zero(psi, aux_dim, "aux")
     u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
-    tail = KrausChannel.from_kraus(
-        [np.ascontiguousarray(reshaped[:, j, :, 0]) for j in range(aux_dim)]
-    )
+    tail = KrausChannel.from_kraus(reshaped[:, :, :, 0].transpose(1, 0, 2))
 
     eps_out = 1.0 - entanglement_fidelity(rho_prime, compose(tail, decode_block)).value
     entropy_gap = abs(source.entropy() - rho_prime.entropy())
@@ -219,7 +217,7 @@ def _erasure_recovery_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Kr
     recover_kept = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
     recover_lost = np.array([[0, 0, 1], [0, 0, 0]], dtype=complex)
     decoder = compose(
-        unitary_channel(np.asarray(encoder.kraus[0]).conj().T),
+        unitary_channel(encoder.kraus[0].conj().T),
         KrausChannel.from_kraus([recover_kept, recover_lost]),
     )
     source = random_density(2, rank=2, seed=rng)

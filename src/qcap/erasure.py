@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, tensor_power, _apply_matrix, _environment_matrix
+from .channels import KrausChannel, _conjugate, tensor_power
 from .linalg import entropy_of_spectrum, partial_trace, von_neumann_entropy
 from .states import DensityMatrix, maximally_mixed
 
@@ -247,14 +247,15 @@ def _neg_log2(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _coherent_info_gradient(block: KrausChannel, matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Ic in bits of ``matrix`` through ``block`` and its gradient G, with Ic = Tr(G rho).
 
-    G = N^dag(-log2 N(rho)) - N_c^dag(-log2 N_c(rho)) = sum_l A_l^dag T_l,
-    T_l = L_out A_l - sum_k (L_env)_lk A_k, where N_c(rho)_kl = Tr(A_k rho A_l^dag).
+    G = N^dag(-log2 N(rho)) - N_c^dag(-log2 N_c(rho)): the complementary channel
+    N_c has the Kraus stack with its first two axes swapped, and each adjoint map
+    the conjugate transpose of its operators.
     """
-    a = block.stacked()
-    s_out, out_log = _neg_log2(_apply_matrix(block, matrix))
-    s_env, env_log = _neg_log2(_environment_matrix(block, matrix))
-    mixed = out_log @ a - np.tensordot(env_log, a, axes=(1, 0))
-    grad = a.reshape(-1, block.in_dim).conj().T @ mixed.reshape(-1, block.in_dim)
+    out, env = block.kraus, block.kraus.transpose(1, 0, 2)
+    s_out, out_log = _neg_log2(_conjugate(out, matrix))
+    s_env, env_log = _neg_log2(_conjugate(env, matrix))
+    grad = _conjugate(out.conj().swapaxes(1, 2), out_log)
+    grad -= _conjugate(env.conj().swapaxes(1, 2), env_log)
     return s_out - s_env, 0.5 * (grad + grad.conj().T)
 
 

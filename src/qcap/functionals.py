@@ -45,34 +45,19 @@ class CoherentInfoReport:
 
 
 def _kraus_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    total = 0.0
-    for a in channel.kraus:
-        amp = np.trace(a @ rho.matrix)
-        total += float(abs(amp) ** 2)
+    amps = np.trace(channel.kraus @ rho.matrix, axis1=1, axis2=2)
+    total = float(np.sum(np.abs(amps) ** 2))
     return min(max(total, 0.0), 1.0)
 
 
-def _pad_columns(table: np.ndarray, width: int) -> np.ndarray:
-    if table.shape[1] == width:
-        return table
-    out = np.zeros((table.shape[0], width), dtype=complex)
-    out[:, : table.shape[1]] = table
-    return out
-
-
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    flat = rho.flattened("sys")
-    eta = purify(flat, ref_label="ref")
+    eta = purify(rho.flattened("sys"), ref_label="ref")
     out = apply_to_subsystem(channel, eta.density(), "sys")
-    d_ref = rho.dim
-    width = max(channel.in_dim, channel.out_dim)
-    eta_table = _pad_columns(eta.vector.reshape(d_ref, channel.in_dim), width)
-    out_mat = out.matrix.reshape(d_ref, channel.out_dim, d_ref, channel.out_dim)
-    padded = np.zeros((d_ref, width, d_ref, width), dtype=complex)
-    padded[:, : channel.out_dim, :, : channel.out_dim] = out_mat
-    flat_eta = eta_table.reshape(-1)
-    flat_out = padded.reshape(d_ref * width, d_ref * width)
-    value = float(np.vdot(flat_eta, flat_out @ flat_eta).real)
+    # first-levels convention: only the levels input and output share can overlap
+    d, m = rho.dim, min(channel.in_dim, channel.out_dim)
+    shared = eta.vector.reshape(d, channel.in_dim)[:, :m].reshape(-1)
+    block = out.matrix.reshape(d, channel.out_dim, d, channel.out_dim)[:, :m, :, :m]
+    value = float(np.vdot(shared, block.reshape(d * m, d * m) @ shared).real)
     return min(max(value, 0.0), 1.0)
 
 

@@ -127,7 +127,7 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
 def density_spectrum(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return its eigenvalues, clamped at zero.
 
-    The input must be Hermitian within 1e-9, have unit trace within 1e-9,
+    The input must be finite, Hermitian within 1e-9, have unit trace within 1e-9,
     and eigenvalues above -1e-10; the eigenvalues come from one solve of the
     Hermitian part, ascending, with small negative ones set to zero.
 
@@ -135,6 +135,12 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     call; an error names the first failing member by its stack index.
     """
     m = np.asarray(rho, dtype=complex)
+    bad = ~np.isfinite(m)
+    failed = _first_failure(bad.any(axis=(-2, -1)))
+    if failed:
+        where, note = failed
+        i, j = np.argwhere(bad[where])[0]
+        raise ValueError(f"density matrix has a non-finite entry at row {i}, column {j}{note}")
     adjoint = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
     failed = _first_failure(defect > HERMITICITY_TOL)
@@ -212,6 +218,8 @@ def bw_overlap(lambdas1: Iterable[float], lambdas2: Iterable[float]) -> float:
     if p.shape != q.shape:
         raise ValueError(f"spectra have different lengths {p.size} and {q.size}")
     for name, vec in (("first", p), ("second", q)):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} spectrum has a non-finite entry")
         if vec.size and float(vec.min()) < EIGENVALUE_FLOOR:
             raise ValueError(
                 f"{name} spectrum has negative entry {float(vec.min()):.3e}"

@@ -117,6 +117,9 @@ class PureState(_Factors):
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         dims, labels = _check_factors(v.size, self.dims, self.labels)
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise ValueError(f"pure state has a non-finite entry at index {np.argmin(finite)}")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > TRACE_TOL:
             raise ValueError(f"pure state norm {norm:.12g} deviates from 1")

@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,28 @@ def test_kraus_channel_validation():
         KrausChannel.from_kraus([])
     with pytest.raises(ValueError, match="shape"):
         KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)), 2, 2)
+
+
+def test_kraus_channel_rejects_non_finite_operator():
+    ops = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    ops[1] = ops[1] * np.nan
+    with pytest.raises(ValueError, match="Kraus operator 1 has a non-finite entry"):
+        KrausChannel.from_kraus(ops)
+    with pytest.raises(ValueError, match="Kraus operator 0 has a non-finite entry"):
+        KrausChannel.from_kraus([[[np.nan, 0], [0, 1]]])
+
+
+def test_kraus_is_one_read_only_stack():
+    rng = np.random.default_rng(3)
+    chan = random_kraus_channel(2, 3, 4, rng)
+    assert isinstance(chan.kraus, np.ndarray)
+    assert chan.kraus.shape == (4, 3, 2)
+    assert chan.num_kraus == 4
+    with pytest.raises(ValueError, match="read-only"):
+        chan.kraus[0, 0, 0] = 1.0
+    mine = np.array(chan.kraus)
+    KrausChannel.from_kraus(mine)
+    assert mine.flags.writeable
 
 
 def test_from_kraus_infers_dimensions():
@@ -134,6 +159,15 @@ def test_tensor_power_matches_sequential_application():
     assert np.max(np.abs(via_power.matrix - step2.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_power_stack_order_matches_explicit_kron(n):
+    chan = random_kraus_channel(2, 3, 4, np.random.default_rng(37))
+    expected = [reduce(np.kron, combo) for combo in itertools.product(chan.kraus, repeat=n)]
+    power = tensor_power(chan, n)
+    assert power.kraus.shape == (4**n, 3**n, 2**n)
+    assert np.array_equal(power.kraus, np.stack(expected))
+
+
 def test_tensor_power_trivial_and_guard():
     chan = erasure_channel(0.2)
     assert tensor_power(chan, 1) is chan
@@ -164,6 +198,16 @@ def test_compose_matches_sequential_action():
     assert np.max(np.abs(combined.matrix - stepwise.matrix)) < 1e-10
 
 
+def test_compose_stack_is_outer_major():
+    rng = np.random.default_rng(43)
+    inner = random_kraus_channel(2, 3, 4, rng)
+    outer = random_kraus_channel(3, 5, 2, rng)
+    both = compose(outer, inner)
+    assert both.kraus.shape == (8, 5, 2)
+    for i, j in itertools.product(range(2), range(4)):
+        assert np.array_equal(both.kraus[i * inner.num_kraus + j], outer.kraus[i] @ inner.kraus[j])
+
+
 def test_compose_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="cannot compose"):
         compose(erasure_channel(0.1), erasure_channel(0.1))
@@ -184,6 +228,18 @@ def test_environment_state_erasure_oracle():
     assert np.max(np.abs(w.matrix - np.diag([0.75, 0.125, 0.125]))) < 1e-12
     expected = 0.75 * np.log2(1 / 0.75) + 2 * 0.125 * np.log2(8.0)
     assert abs(w.entropy() - expected) < 1e-12
+
+
+def test_environment_state_matches_explicit_traces():
+    rng = np.random.default_rng(47)
+    chan = random_kraus_channel(3, 2, 4, rng)
+    rho = random_density(3, rank=3, seed=rng)
+    expected = np.array(
+        [[np.trace(a @ rho.matrix @ b.conj().T) for b in chan.kraus] for a in chan.kraus]
+    )
+    w = environment_state(chan, rho)
+    assert w.dims == (4,)
+    assert np.max(np.abs(w.matrix - expected)) < 1e-12
 
 
 def test_environment_entropy_invariant_under_kraus_rotation():
@@ -249,9 +305,9 @@ def test_measure_environment_branches_reconstruct_output():
 
 
 @pytest.mark.parametrize(
-    "factor, in_dim, out_dim, num_kraus", [("a", 2, 3, 2), ("b", 3, 2, 3)]
+    "factor, in_dim, out_dim, num_kraus", [("a", 2, 3, 2), ("b", 3, 2, 3), ("c", 2, 4, 3)]
 )
-def test_factor_kernel_on_first_and_middle_factor(factor, in_dim, out_dim, num_kraus):
+def test_factor_kernel_on_each_factor(factor, in_dim, out_dim, num_kraus):
     rng = np.random.default_rng(41)
     dims, labels = (2, 3, 2), ("a", "b", "c")
     chan = random_kraus_channel(in_dim, out_dim, num_kraus, rng)

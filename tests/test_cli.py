@@ -120,6 +120,17 @@ def test_coherent_info_state_file_dimension_mismatch(capsys, tmp_path):
     assert "dimension" in err
 
 
+def test_coherent_info_state_file_with_nan_exits_1(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("dims 2\nnan 0 0 0\n0 0 0.5 0\n")
+    code, out, err = run_cli(
+        capsys, ["coherent-info", "--p", "0.25", "--n", "1", "--state-file", str(path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "qcap: error: density matrix has a non-finite entry at row 0, column 0\n"
+
+
 def test_coherent_info_missing_state_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

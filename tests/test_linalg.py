@@ -231,6 +231,10 @@ def test_bw_overlap_dominates_fidelity_on_sorted_spectra():
 def test_bw_overlap_rejects_bad_input():
     with pytest.raises(ValueError):
         bw_overlap(np.array([0.5, 0.5]), np.array([1.0]))
+    with pytest.raises(ValueError, match="first spectrum has a non-finite entry"):
+        bw_overlap([np.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="second spectrum has a non-finite entry"):
+        bw_overlap([0.5, 0.5], [np.inf, 0.0])
 
 
 def _valid_stack(count, dim, seed):
@@ -251,8 +255,12 @@ def _valid_stack(count, dim, seed):
             np.diag([1.0 + 1e-9, -1e-9]),
             r"density matrix has negative eigenvalue -1\.000e-09 below the floor -1e-10",
         ),
+        (
+            np.array([[0.5, 0.0], [np.nan, 0.5]]),
+            r"density matrix has a non-finite entry at row 1, column 0",
+        ),
     ],
-    ids=["non-hermitian", "trace", "negative-eigenvalue"],
+    ids=["non-hermitian", "trace", "negative-eigenvalue", "non-finite"],
 )
 def test_density_spectrum_names_the_bad_stack_member(single, message):
     with pytest.raises(ValueError, match=message + "$"):

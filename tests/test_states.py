@@ -65,6 +65,15 @@ def test_reduced_keeps_original_factor_order():
     assert np.max(np.abs(only.matrix - r2.matrix)) < 1e-12
 
 
+def test_states_reject_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite entry at row 0, column 0"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite entry at row 0, column 0"):
+        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="pure state has a non-finite entry at index 0"):
+        PureState(np.array([np.nan, 1.0]))
+
+
 def test_pure_state_validation_and_density():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0, 1.0], dtype=complex))
