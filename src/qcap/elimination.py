@@ -23,6 +23,7 @@ import numpy as np
 from .channels import (
     CodingScheme,
     KrausChannel,
+    _conjugate,
     apply_to_subsystem,
     compose,
     erasure_channel,
@@ -90,12 +91,13 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     """Run the constructive elimination of the scheme's encoder.
 
     Steps: purify the source, split the encoder into pure branches by
-    measuring its environment, keep the branch with the best conditional
-    fidelity (at least the overall one, by averaging), take rho_prime as
-    that branch's channel input, and build the tail map from the isometry
-    relating the branch purification to the max-overlap purification of
-    the decoded output.  Requires the source dimension not to exceed the
-    channel-block input so the relating isometry exists.
+    measuring its environment, score each branch's conditional fidelity by
+    one adjoint map of the decode block and decode only the best (at least
+    the overall one, by averaging), take rho_prime from that branch's density,
+    and build the tail map from the isometry relating the branch purification
+    to the max-overlap purification of the decoded output.  Requires the
+    source dimension not to exceed the channel-block input so the relating
+    isometry exists.
     """
     eps_in = 1.0 - end_to_end_fidelity(scheme, channel).value
     if eps_in >= FIDELITY_WINDOW:
@@ -115,16 +117,16 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     phi = purify(source, ref_label="ref")
     decode_block = compose(scheme.decoder, block)
     branches = measure_environment_branches(scheme.encoder, phi, "sys")
-    best_index = -1
-    best_fid = -math.inf
-    psi = rho_out = None
-    for index, (_, branch) in enumerate(branches):
-        decoded = apply_to_subsystem(decode_block, branch.density(), "sys")
-        fid = float(np.vdot(phi.vector, decoded.matrix @ phi.vector).real)
-        if fid > best_fid:
-            best_index, best_fid, psi, rho_out = index, fid, branch, decoded
-
-    rho_prime = psi.reduced(["sys"])
+    # branch b scores <phi|(I x D)(|b><b|)|phi> = <b|Y|b>, Y = (I x D^dag)(|phi><phi|)
+    adjoint = decode_block.kraus.conj().swapaxes(1, 2)
+    y = _conjugate(adjoint, np.outer(phi.vector, phi.vector.conj()), (d_src, d_src), 1)
+    vectors = np.array([branch.vector for _, branch in branches])
+    scores = np.einsum("bi,ij,bj->b", vectors.conj(), y, vectors).real
+    best_index = int(np.argmax(scores))
+    psi = branches[best_index][1]
+    chosen = psi.density()
+    rho_out = apply_to_subsystem(decode_block, chosen, "sys")
+    rho_prime = chosen.reduced(["sys"])
     big_psi, _ = max_overlap_purification(rho_out, aux_label="aux")
     aux_dim = d_src + 1
     # <big_psi| rho_out x |0><0| |big_psi> needs only the aux-0 slice

@@ -272,7 +272,7 @@ def maximize_coherent_info(
     from H = 0 (unless ``include_flat_start`` is off) or a seeded Gaussian Hermitian H.
     It stops at a Frank-Wolfe gap lambda_max(G) - Tr(G rho) below 1e-9 bits, which
     certifies a maximum only where Ic is concave (erasure with p <= 1/2), or at 500
-    steps.  The pure top eigenvector of G is then tried as well.
+    steps.  The pure input |0...0> competes too, at Ic = 0 like every pure input.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -283,7 +283,7 @@ def maximize_coherent_info(
     while len(starts) < restarts:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         starts.append(0.5 * (g + g.conj().T))
-    found = []
+    found = [(0.0, np.diag(np.eye(d)[0]))]  # the pure input |0...0>
     for h in starts:
         for _ in range(ASCENT_CAP):
             values, vectors = np.linalg.eigh(h)
@@ -293,8 +293,6 @@ def maximize_coherent_info(
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
             h = h + ASCENT_STEP * grad
-        top = np.linalg.eigh(grad)[1][:, -1:]
-        vertex = top @ top.conj().T
-        found += [(value, rho), (_coherent_info_gradient(block, vertex)[0], vertex)]
+        found.append((value, rho))
     best_val, best_rho = max(found, key=lambda item: item[0])
     return DensityMatrix(best_rho), best_val / block_size

@@ -1,6 +1,7 @@
 """Typed density matrices, pure states, purifications, and state generators."""
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,7 +67,7 @@ class DensityMatrix(_Factors):
     """Unit-trace positive semidefinite matrix with labeled tensor factors.
 
     Construction validates the matrix and keeps its clamped eigenvalues,
-    ascending, in ``eigenvalues``; :meth:`entropy` reads them.
+    ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -80,6 +81,8 @@ class DensityMatrix(_Factors):
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dims, labels = _check_factors(m.shape[0], self.dims, self.labels)
         object.__setattr__(self, "eigenvalues", density_spectrum(m))
+        m = m.view()  # read-only without touching the caller's array
+        m.flags.writeable = self.eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
@@ -102,8 +105,10 @@ class DensityMatrix(_Factors):
         return entropy_of_spectrum(self.eigenvalues)
 
     def flattened(self, label: str = "sys") -> "DensityMatrix":
-        """Same matrix viewed as a single tensor factor."""
-        return DensityMatrix(self.matrix, (self.dim,), (label,))
+        """Same validated matrix and spectrum relabeled as one tensor factor, with no new solve."""
+        flat = copy.copy(self)
+        vars(flat).update(dims=(self.dim,), labels=(str(label),))
+        return flat
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from qcap.channels import (
     measure_environment_branches,
     tensor_power,
 )
+from qcap import elimination
 from qcap.elimination import (
     FIDELITY_SLACK,
     eliminate_encoder,
@@ -167,6 +168,47 @@ def test_selected_branch_is_first_argmax():
     # averaging: the best conditional fidelity is at least the overall one
     assert fids[best] >= 1.0 - instance.eps_in - 1e-10
     assert instance.purification_overlap >= (1.0 - instance.eps_in) ** 2 - 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
+    # three validations per instance: the kept branch, its decoded output, rho_prime
+    schemes = random_demo_schemes(30, seed)
+    solves, decodes = [], []
+    eigvalsh, decode = np.linalg.eigvalsh, elimination.apply_to_subsystem
+
+    def counted_solve(matrix):
+        solves.append(matrix.shape[-1])
+        return eigvalsh(matrix)
+
+    def counted_decode(*args):
+        decodes.append(args[-1])
+        return decode(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
+    monkeypatch.setattr(elimination, "apply_to_subsystem", counted_decode)
+    for scheme, channel in schemes:
+        solves.clear()
+        decodes.clear()
+        eliminate_encoder(scheme, channel)
+        assert (len(solves), decodes) == (3, ["sys"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kept_branch_has_the_best_decoded_fidelity(seed):
+    for scheme, channel in random_demo_schemes(30, seed):
+        inst = eliminate_encoder(scheme, channel)
+        phi = purify(scheme.source.flattened("sys"), "ref")
+        decode_block = compose(scheme.decoder, tensor_power(channel, scheme.block_size))
+        fids = []
+        for _, psi in measure_environment_branches(scheme.encoder, phi, "sys"):
+            out = apply_to_subsystem(decode_block, psi.density(), "sys")
+            fids.append(float(np.vdot(phi.vector, out.matrix @ phi.vector).real))
+        # split-isometry branches both decode to fidelity 1 up to rounding, so
+        # the kept index is pinned only up to ties
+        kept = fids[inst.branch_index]
+        assert kept >= max(fids) - 1e-12
+        assert kept >= 1.0 - inst.eps_in - 1e-10
 
 
 def test_eliminate_encoder_rejects_poor_schemes():

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qcap.channels import compose, erasure_channel, tensor_power
 from qcap.erasure import erasure_coherent_info_block
 from qcap.functionals import coherent_information, entanglement_fidelity
-from qcap.states import random_density
+from qcap.states import random_density, random_pure_state
 
 from helpers import random_kraus_channel
 
@@ -72,3 +72,16 @@ def test_erasure_subset_sum_matches_brute_force(seed, n, p):
     rho = _state(np.random.default_rng(seed), 2**n)
     brute = coherent_information(rho, tensor_power(erasure_channel(p), n)).coherent_info
     assert abs(erasure_coherent_info_block(rho, p, n) - brute) < 1e-8
+
+
+@PROPERTY
+@given(SEEDS, st.lists(st.integers(1, 5), min_size=3, max_size=3, unique=True))
+@example(0, [3, 2, 5])
+def test_coherent_information_of_pure_input_vanishes(seed, shape):
+    # the output and the environment of a pure input purify each other
+    in_dim, out_dim, num_kraus = shape
+    assume(out_dim * num_kraus >= in_dim)
+    rng = np.random.default_rng(seed)
+    chan = random_kraus_channel(in_dim, out_dim, num_kraus, rng)
+    psi = random_pure_state(in_dim, rng)
+    assert abs(coherent_information(psi.density(), chan).coherent_info) < 1e-10

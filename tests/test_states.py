@@ -65,6 +65,40 @@ def test_reduced_keeps_original_factor_order():
     assert np.max(np.abs(only.matrix - r2.matrix)) < 1e-12
 
 
+def test_density_matrix_arrays_are_read_only_views():
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityMatrix(m)
+    for array in (rho.matrix, rho.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.9
+    assert abs(rho.entropy() - 1.0) < 1e-12
+    # a view, not a copy: the caller's array is shared and stays writeable
+    assert np.shares_memory(rho.matrix, m)
+    m[1, 1] = 0.5
+
+
+def test_flattened_relabels_without_solving(monkeypatch):
+    pair = DensityMatrix(random_density(4, rank=3, seed=8).matrix, (2, 2), ("a", "b"))
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            solves.append(args[0].shape)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    flat = pair.flattened("sys")
+    assert solves == []
+    assert flat.eigenvalues is pair.eigenvalues
+    assert flat.matrix is pair.matrix
+    assert (flat.dims, flat.labels) == ((4,), ("sys",))
+    assert (pair.dims, pair.labels) == ((2, 2), ("a", "b"))
+    for array in (flat.matrix, flat.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_states_reject_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite entry at row 0, column 0"):
         DensityMatrix(np.full((2, 2), np.nan))
