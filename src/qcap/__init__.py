@@ -54,12 +54,9 @@ from .functionals import (
     entropy_exchange,
 )
 from .linalg import (
-    Spectrum,
     binary_entropy,
     bw_overlap,
-    eig_hermitian,
     partial_trace,
-    tensor_product,
     trace_norm,
     uhlmann_fidelity,
     von_neumann_entropy,

@@ -18,39 +18,43 @@ class KrausChannel:
     """Completely positive trace-preserving map held as one Kraus stack.
 
     ``kraus`` is a read-only C-ordered complex array of shape (num_kraus,
-    out_dim, in_dim), built from any sequence of equal-shape matrices, with
-    sum_k A_k^dag A_k = I within 1e-9.  Every action of the channel is the
-    one map sum_k A_k X A_k^dag on a stack: the output uses ``kraus``, the
-    environment the complementary stack ``kraus.transpose(1, 0, 2)``, and an
-    adjoint map the conjugate transpose of its operators.
+    out_dim, in_dim), built from any sequence of equal-shape matrices or a
+    (k, out, in) array, with sum_k A_k^dag A_k = I within 1e-9.  The stack is
+    the only field: ``in_dim``, ``out_dim`` and ``num_kraus`` are read from its
+    shape.  Every action of the channel is the one map sum_k A_k X A_k^dag on a
+    stack: the output uses ``kraus``, the environment the complementary stack
+    ``kraus.transpose(1, 0, 2)``, and an adjoint map the conjugate transpose of
+    its operators.
     """
 
     kraus: np.ndarray
-    in_dim: int
-    out_dim: int
 
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = (self.out_dim, self.in_dim)
+        shape = np.shape(self.kraus[0])
+        if len(shape) != 2:
+            raise ValueError(
+                f"Kraus operators must be matrices, but entry 0 has shape {shape}; "
+                f"wrap a single operator A as [A]"
+            )
         try:
             ops = np.ascontiguousarray(self.kraus, dtype=complex)
         except ValueError:  # operators of unequal shapes
-            ops = None
-        if ops is None or ops.shape[1:] != shape:
             k = next(k for k, a in enumerate(self.kraus) if np.shape(a) != shape)
             raise ValueError(
                 f"Kraus operator {k} has shape {np.shape(self.kraus[k])}, expected {shape}"
-            )
+            ) from None
         finite = np.isfinite(ops).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Kraus operator {int(np.argmin(finite))} has a non-finite entry")
         # sum A^dag A from the Gram matrix of the real view, with no conjugate copy of the stack:
         # its columns interleave Re and Im of each input level
-        flat = ops.reshape(-1, self.in_dim).view(float)
-        gram = (flat.T @ flat).reshape(self.in_dim, 2, self.in_dim, 2)
+        in_dim = shape[1]
+        flat = ops.reshape(-1, in_dim).view(float)
+        gram = (flat.T @ flat).reshape(in_dim, 2, in_dim, 2)
         total = gram[:, 0, :, 0] + gram[:, 1, :, 1] + 1j * (gram[:, 0, :, 1] - gram[:, 1, :, 0])
-        defect = float(np.max(np.abs(total - np.eye(self.in_dim))))
+        defect = float(np.max(np.abs(total - np.eye(in_dim))))
         if defect > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus operators violate completeness: max |sum A^dag A - I| "
@@ -60,23 +64,25 @@ class KrausChannel:
         ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
-    @classmethod
-    def from_kraus(cls, operators) -> "KrausChannel":
-        ops = operators if isinstance(operators, np.ndarray) else list(operators)
-        out_dim, in_dim = np.shape(ops[0]) if len(ops) else (0, 0)
-        return cls(ops, in_dim, out_dim)
-
     @property
     def num_kraus(self) -> int:
         return self.kraus.shape[0]
 
+    @property
+    def out_dim(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def in_dim(self) -> int:
+        return self.kraus.shape[2]
+
 
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel(np.eye(dim, dtype=complex)[None], dim, dim)
+    return KrausChannel(np.eye(dim, dtype=complex)[None])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return KrausChannel.from_kraus([u])
+    return KrausChannel([u])
 
 
 def erasure_channel(p: float) -> KrausChannel:
@@ -92,7 +98,7 @@ def erasure_channel(p: float) -> KrausChannel:
     ops = np.zeros((3, 3, 2), dtype=complex)
     ops[0, 0, 0] = ops[0, 1, 1] = math.sqrt(1.0 - p)
     ops[1, 2, 0] = ops[2, 2, 1] = math.sqrt(p)
-    return KrausChannel(ops, 2, 3)
+    return KrausChannel(ops)
 
 
 def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -> np.ndarray:
@@ -163,7 +169,7 @@ def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
     for _ in range(n - 1):
         shape = np.multiply(ops.shape, a.shape)
         ops = (ops[:, None, :, None, :, None] * a[:, None, :, None]).reshape(shape)
-    return KrausChannel(ops, channel.in_dim**n, channel.out_dim**n)
+    return KrausChannel(ops)
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -174,7 +180,7 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
             f"match outer input dimension {outer.in_dim}"
         )
     ops = outer.kraus[:, None] @ inner.kraus[None]
-    return KrausChannel(ops.reshape(-1, outer.out_dim, inner.in_dim), inner.in_dim, outer.out_dim)
+    return KrausChannel(ops.reshape(-1, outer.out_dim, inner.in_dim))
 
 
 def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

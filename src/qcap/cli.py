@@ -122,6 +122,7 @@ def _cmd_coherent_info(args) -> int:
 
 
 def _cmd_maximize(args) -> int:
+    _check_block_size(args.n)
     _, best = maximize_coherent_info(
         erasure_channel(args.p), args.n, restarts=args.restarts, seed=args.seed
     )

@@ -52,10 +52,11 @@ FIDELITY_SLACK = 1e-7
 class EliminationInstance:
     """One executed encoder elimination with its audit numbers.
 
-    ``fidelity_ok`` checks ``eps_out <= 2 eps_in + slack`` and
-    ``entropy_ok`` the entropy gap bound; both are meant to hold on every
-    instance.  ``flagged`` marks a ``marginal_gap`` above
-    ``MARGINAL_GAP_TOL``, which the exact purification should never give.
+    The verdicts are read from the numbers they judge: ``fidelity_ok``
+    checks ``eps_out <= 2 eps_in + slack`` and ``entropy_ok`` the entropy gap
+    bound, both meant to hold on every instance; ``flagged`` marks a
+    ``marginal_gap`` above ``MARGINAL_GAP_TOL``, which the exact purification
+    should never give.
     """
 
     scheme: CodingScheme
@@ -68,7 +69,10 @@ class EliminationInstance:
     entropy_bound: float
     marginal_gap: float
     purification_overlap: float
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        return self.marginal_gap > MARGINAL_GAP_TOL
 
     @property
     def fidelity_ok(self) -> bool:
@@ -136,7 +140,7 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     psi_zero = _append_zero(psi, aux_dim, "aux")
     u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
-    tail = KrausChannel.from_kraus(reshaped[:, :, :, 0].transpose(1, 0, 2))
+    tail = KrausChannel(reshaped[:, :, :, 0].transpose(1, 0, 2))
 
     eps_out = 1.0 - entanglement_fidelity(rho_prime, compose(tail, decode_block)).value
     entropy_gap = abs(source.entropy() - rho_prime.entropy())
@@ -152,7 +156,6 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
         entropy_bound=entropy_bound,
         marginal_gap=gap,
         purification_overlap=overlap,
-        flagged=gap > MARGINAL_GAP_TOL,
     )
 
 
@@ -161,12 +164,10 @@ def _split_isometry_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Krau
     basis = random_unitary(4, rng)
     first, second = basis[:, :2], basis[:, 2:]
     weight = float(rng.uniform(0.2, 0.8))
-    encoder = KrausChannel.from_kraus(
-        [math.sqrt(weight) * first, math.sqrt(1.0 - weight) * second]
-    )
+    encoder = KrausChannel([math.sqrt(weight) * first, math.sqrt(1.0 - weight) * second])
     rotation = random_unitary(4, rng)
     channel = unitary_channel(rotation)
-    decoder = KrausChannel.from_kraus(
+    decoder = KrausChannel(
         [first.conj().T @ rotation.conj().T, second.conj().T @ rotation.conj().T]
     )
     source = random_density(2, rank=2, seed=rng)
@@ -188,7 +189,7 @@ def _noisy_rotation_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Krau
         return (vectors * np.exp(1j * values)) @ vectors.conj().T
 
     def drift_encoder(theta: float) -> KrausChannel:
-        return KrausChannel.from_kraus(
+        return KrausChannel(
             [math.sqrt(1.0 - weight) * np.eye(dim), math.sqrt(weight) * rotation(theta * herm)]
         )
 
@@ -199,9 +200,7 @@ def _noisy_rotation_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Krau
     kick = kick + kick.conj().T
     kick = kick / np.linalg.norm(kick, 2)
     wobble = main @ rotation(noise_angle * kick)
-    channel = KrausChannel.from_kraus(
-        [math.sqrt(1.0 - noise_rate) * main, math.sqrt(noise_rate) * wobble]
-    )
+    channel = KrausChannel([math.sqrt(1.0 - noise_rate) * main, math.sqrt(noise_rate) * wobble])
     decoder = unitary_channel(main.conj().T)
     scheme = CodingScheme(source, drift_encoder(angle), decoder, 1)
     # shrink the encoder drift until the scheme is comfortably faithful
@@ -220,7 +219,7 @@ def _erasure_recovery_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Kr
     recover_lost = np.array([[0, 0, 1], [0, 0, 0]], dtype=complex)
     decoder = compose(
         unitary_channel(encoder.kraus[0].conj().T),
-        KrausChannel.from_kraus([recover_kept, recover_lost]),
+        KrausChannel([recover_kept, recover_lost]),
     )
     source = random_density(2, rank=2, seed=rng)
     return CodingScheme(source, encoder, decoder, 1), channel

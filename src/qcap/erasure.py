@@ -23,11 +23,25 @@ PAIR_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ErasureDecomposition:
-    """One erasure probability p and the (shared, read-only) table of :func:`subset_entropies`."""
+    """One erasure probability p and the (shared, read-only) table of :func:`subset_entropies`.
 
-    block_size: int
+    The table has one entry per retained mask, so ``block_size`` is read from
+    its length 2^n.  A p outside [0, 1] or a table whose length is not a power
+    of two of at least 2 is refused.
+    """
+
     p: float
     subset_entropies: np.ndarray
+
+    def __post_init__(self):
+        _require_probability(self.p)
+        size = len(self.subset_entropies)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"retained-set table has {size} entries, expected 2^n with n >= 1")
+
+    @property
+    def block_size(self) -> int:
+        return len(self.subset_entropies).bit_length() - 1
 
     def entropy(self, mask: int) -> float:
         return float(self.subset_entropies[mask])
@@ -43,15 +57,21 @@ class CapacityPoint:
 
 @dataclass(frozen=True)
 class IplusBoundReport:
-    """Outcome of the retained-set subadditivity check on the I+ part."""
+    """Outcome of the retained-set subadditivity check on the I+ part.
+
+    ``aggregate_ok`` is read from ``iplus`` and ``aggregate_bound``.
+    """
 
     iplus: float
     aggregate_bound: float
-    aggregate_ok: bool
     pairs_checked: int
     pair_violations: int
     max_pair_slack: float
     witness: tuple[int, int] | None
+
+    @property
+    def aggregate_ok(self) -> bool:
+        return self.iplus <= self.aggregate_bound + PAIR_TOL
 
 
 def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
@@ -99,7 +119,7 @@ def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
 def erasure_decomposition(rho: DensityMatrix, p: float, block_size: int) -> ErasureDecomposition:
     """Pair the state's retained-set entropy table with the erasure probability p."""
     p = _require_probability(p)
-    return ErasureDecomposition(block_size, p, subset_entropies(rho, block_size))
+    return ErasureDecomposition(p, subset_entropies(rho, block_size))
 
 
 def _kept(n: int) -> np.ndarray:
@@ -185,11 +205,9 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
     aggregate = sum(
         math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * (n - 2 * k) for k in range(n // 2 + 1)
     )
-    aggregate_ok = plus <= aggregate + PAIR_TOL
     return IplusBoundReport(
         iplus=plus,
         aggregate_bound=float(aggregate),
-        aggregate_ok=aggregate_ok,
         pairs_checked=pairs,
         pair_violations=violations,
         max_pair_slack=float(max_slack),
@@ -226,7 +244,7 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     table = subset_entropies(maximally_mixed(2**block_size), block_size)
     points = []
     for p in grid:
-        ic = coherent_info_from_decomposition(ErasureDecomposition(block_size, p, table))
+        ic = coherent_info_from_decomposition(ErasureDecomposition(p, table))
         points.append(CapacityPoint(p, block_size, ic / block_size, max(1.0 - 2.0 * p, 0.0)))
     return points
 

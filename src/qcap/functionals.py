@@ -32,7 +32,6 @@ class FidelityReport:
 
     value: float
     method: str
-    cross_check: float | None = None
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,13 @@ def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
 
 
 def entanglement_fidelity(
-    rho: DensityMatrix,
-    channel: KrausChannel,
-    method: str = KRAUS_METHOD,
-    cross_check: bool = False,
+    rho: DensityMatrix, channel: KrausChannel, method: str = KRAUS_METHOD
 ) -> FidelityReport:
     """How well the channel preserves entanglement with a reference.
 
     The Kraus route evaluates sum_k |Tr(rho A_k)|^2; the purification route
     purifies rho, sends the system half through the channel, and takes the
-    overlap with the original purification.  Both agree to 1e-10 and the
-    report carries the second value when ``cross_check`` is set.
+    overlap with the original purification.  Both agree to 1e-10.
     """
     if rho.dim != channel.in_dim:
         raise ValueError(
@@ -80,13 +75,8 @@ def entanglement_fidelity(
         )
     if method not in (KRAUS_METHOD, PURIFICATION_METHOD):
         raise ValueError(f"unknown entanglement fidelity method {method!r}")
-    if method == KRAUS_METHOD:
-        value = _kraus_fidelity(rho, channel)
-        other = _purification_fidelity(rho, channel) if cross_check else None
-    else:
-        value = _purification_fidelity(rho, channel)
-        other = _kraus_fidelity(rho, channel) if cross_check else None
-    return FidelityReport(value, method, other)
+    fidelity = _kraus_fidelity if method == KRAUS_METHOD else _purification_fidelity
+    return FidelityReport(fidelity(rho, channel), method)
 
 
 def entropy_exchange(rho: DensityMatrix, channel: KrausChannel) -> float:
@@ -101,9 +91,7 @@ def coherent_information(rho: DensityMatrix, channel: KrausChannel) -> CoherentI
     return CoherentInfoReport(s_out, s_env, s_out - s_env)
 
 
-def end_to_end_fidelity(
-    scheme: CodingScheme, channel: KrausChannel, cross_check: bool = False
-) -> FidelityReport:
+def end_to_end_fidelity(scheme: CodingScheme, channel: KrausChannel) -> FidelityReport:
     """Entanglement fidelity of decoder o channel^block o encoder on the source."""
     block = tensor_power(channel, scheme.block_size)
     if scheme.encoder.out_dim != block.in_dim:
@@ -122,4 +110,4 @@ def end_to_end_fidelity(
             f"{scheme.decoder.out_dim}, source lives in {scheme.source.dim}"
         )
     total = compose(scheme.decoder, compose(block, scheme.encoder))
-    return entanglement_fidelity(scheme.source, total, cross_check=cross_check)
+    return entanglement_fidelity(scheme.source, total)

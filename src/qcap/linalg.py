@@ -6,7 +6,7 @@ arrays; the typed wrappers live in :mod:`qcap.states`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -14,13 +14,6 @@ HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
 _LOG2 = math.log(2.0)
-
-
-class Spectrum(NamedTuple):
-    """Eigenvalues in descending order and matching eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
@@ -39,36 +32,6 @@ def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:
         return None
     where = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
     return where, f" at stack index {where[0] if bad.ndim == 1 else where}"
-
-
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation of ``matrix`` from its own adjoint."""
-    m = np.asarray(matrix)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def eig_hermitian(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, sorted descending.
-
-    Eigenvectors carry the phases ``numpy.linalg.eigh`` gives them, and
-    the order inside a degenerate eigenvalue cluster is eigh's: callers
-    must not depend on either.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| entry is {defect:.3e}"
-        )
-    values, vectors = np.linalg.eigh(m)
-    return Spectrum(values[::-1].copy(), vectors[:, ::-1])
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major index convention i*dim_b + j."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -198,12 +161,18 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def uhlmann_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
 
-    For a pure first argument this reduces to <psi|rho2|psi>.
+    Both arguments must pass :func:`density_spectrum`.  For a pure first
+    argument this reduces to <psi|rho2|psi>.
     """
     a = np.asarray(rho1, dtype=complex)
     b = np.asarray(rho2, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    for name, m in (("first", a), ("second", b)):
+        try:
+            density_spectrum(m)
+        except ValueError as exc:
+            raise ValueError(f"{name} argument: {exc}") from None
     root = _psd_sqrt(0.5 * (a + a.conj().T))
     inner = root @ (0.5 * (b + b.conj().T)) @ root
     values = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)

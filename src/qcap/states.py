@@ -12,7 +12,6 @@ import numpy as np
 from .linalg import (
     TRACE_TOL,
     density_spectrum,
-    eig_hermitian,
     entropy_of_spectrum,
     partial_trace,
     trace_norm,
@@ -154,11 +153,11 @@ def purify(rho: DensityMatrix, ref_label: str = "ref") -> PureState:
     The reference factor has the same total dimension as ``rho`` and tracing
     it out returns ``rho`` exactly.
     """
-    spec = eig_hermitian(rho.matrix)
-    amps = np.sqrt(np.clip(spec.values, 0.0, None))
+    values, vectors = np.linalg.eigh(rho.matrix)
+    amps = np.sqrt(np.clip(values[::-1], 0.0, None))
     d = rho.dim
-    # row a of the (ref, system) table is sqrt(l_a) v_a
-    table = amps[:, None] * spec.vectors.T
+    # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
+    table = amps[:, None] * vectors[:, ::-1].T
     ref = _fresh_label(ref_label, rho.labels)
     return PureState(table.reshape(-1), (d,) + rho.dims, (ref,) + rho.labels)
 
@@ -183,9 +182,9 @@ def max_overlap_purification(
             f"expected a state with exactly two factors, got {len(rho.dims)}"
         )
     da, db = rho.dims
-    spec = eig_hermitian(rho.matrix)
-    l_max = float(spec.values[0])
-    head = math.sqrt(max(l_max, 0.0)) * spec.vectors[:, 0].reshape(da, db)
+    values, vectors = np.linalg.eigh(rho.matrix)
+    l_max = float(values[-1])
+    head = math.sqrt(max(l_max, 0.0)) * vectors[:, -1].reshape(da, db)
     tau = partial_trace(rho.matrix, rho.dims, [0]) - head @ head.conj().T
     values, vectors = np.linalg.eigh(tau)
     table = np.zeros((da, db, da + 1), dtype=complex)

@@ -20,7 +20,7 @@ def random_kraus_channel(in_dim, out_dim, num_kraus, rng) -> KrausChannel:
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.real(np.diagonal(r)))
     ops = [q[k * out_dim : (k + 1) * out_dim] for k in range(num_kraus)]
-    return KrausChannel.from_kraus(ops)
+    return KrausChannel(ops)
 
 
 def bell_vector() -> np.ndarray:

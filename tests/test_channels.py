@@ -17,7 +17,7 @@ from qcap.channels import (
     tensor_power,
     unitary_channel,
 )
-from qcap.linalg import binary_entropy, tensor_product, von_neumann_entropy
+from qcap.linalg import binary_entropy, von_neumann_entropy
 from qcap.states import (
     DensityMatrix,
     PureState,
@@ -33,20 +33,20 @@ from helpers import bell_vector, random_kraus_channel
 def test_kraus_channel_validation():
     half = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(ValueError, match="completeness"):
-        KrausChannel.from_kraus([half])
+        KrausChannel([half])
     with pytest.raises(ValueError, match="at least one"):
-        KrausChannel.from_kraus([])
+        KrausChannel([])
     with pytest.raises(ValueError, match="shape"):
-        KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)), 2, 2)
+        KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)))
 
 
 def test_kraus_channel_rejects_non_finite_operator():
     ops = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
     ops[1] = ops[1] * np.nan
     with pytest.raises(ValueError, match="Kraus operator 1 has a non-finite entry"):
-        KrausChannel.from_kraus(ops)
+        KrausChannel(ops)
     with pytest.raises(ValueError, match="Kraus operator 0 has a non-finite entry"):
-        KrausChannel.from_kraus([[[np.nan, 0], [0, 1]]])
+        KrausChannel([[[np.nan, 0], [0, 1]]])
 
 
 def test_kraus_is_one_read_only_stack():
@@ -58,18 +58,32 @@ def test_kraus_is_one_read_only_stack():
     with pytest.raises(ValueError, match="read-only"):
         chan.kraus[0, 0, 0] = 1.0
     mine = np.array(chan.kraus)
-    KrausChannel.from_kraus(mine)
+    KrausChannel(mine)
     assert mine.flags.writeable
 
 
-def test_from_kraus_infers_dimensions():
+def test_kraus_channel_reads_dimensions_from_stack():
     ops = [np.zeros((3, 2), dtype=complex) for _ in range(2)]
     ops[0][0, 0] = ops[0][1, 1] = 1.0
     ops[1][2, 0] = 0.0
-    chan = KrausChannel.from_kraus(ops[:1])
+    chan = KrausChannel(ops[:1])
     assert chan.in_dim == 2
     assert chan.out_dim == 3
     assert chan.num_kraus == 1
+    # an array with in != out != k, every dimension read from its shape
+    stack = random_kraus_channel(2, 3, 4, np.random.default_rng(5)).kraus
+    chan = KrausChannel(np.array(stack))
+    assert (chan.num_kraus, chan.out_dim, chan.in_dim) == (4, 3, 2)
+    assert KrausChannel(list(stack)).kraus.shape == (4, 3, 2)
+
+
+def test_kraus_channel_shape_messages():
+    lone = r"must be matrices, but entry 0 has shape \(2,\); wrap a single operator A as \[A\]"
+    with pytest.raises(ValueError, match=lone):
+        KrausChannel(np.eye(2))
+    unequal = [np.eye(2), np.eye(2), np.zeros((3, 2))]
+    with pytest.raises(ValueError, match=r"Kraus operator 2 has shape \(3, 2\), expected \(2, 2\)"):
+        KrausChannel(unequal)
 
 
 def test_identity_and_unitary_channels():
@@ -123,11 +137,11 @@ def test_apply_to_subsystem_erasure_on_bell_half():
     assert out.dims == (2, 3)
     embed = np.zeros((3, 2), dtype=complex)
     embed[0, 0] = embed[1, 1] = 1.0
-    lift = tensor_product(np.eye(2, dtype=complex), embed)
+    lift = np.kron(np.eye(2, dtype=complex), embed)
     kept = lift @ psi.density().matrix @ lift.conj().T
     flag = np.zeros((3, 3), dtype=complex)
     flag[2, 2] = 1.0
-    lost = tensor_product(np.eye(2, dtype=complex) / 2.0, flag)
+    lost = np.kron(np.eye(2, dtype=complex) / 2.0, flag)
     expected = (1.0 - p) * kept + p * lost
     assert np.max(np.abs(out.matrix - expected)) < 1e-12
 
@@ -250,7 +264,7 @@ def test_environment_entropy_invariant_under_kraus_rotation():
     mixed_ops = [
         sum(v[j, k] * chan.kraus[k] for k in range(3)) for j in range(5)
     ]
-    other = KrausChannel.from_kraus(mixed_ops)
+    other = KrausChannel(mixed_ops)
     rho = random_density(2, rank=2, seed=rng)
     s1 = environment_state(chan, rho).entropy()
     s2 = environment_state(other, rho).entropy()
@@ -277,7 +291,7 @@ def test_measure_environment_branches_unitary_single_branch():
     assert len(branches) == 1
     prob, state = branches[0]
     assert abs(prob - 1.0) < 1e-12
-    expected = tensor_product(np.eye(2, dtype=complex), u) @ psi.vector
+    expected = np.kron(np.eye(2, dtype=complex), u) @ psi.vector
     phase = np.vdot(state.vector, expected)
     assert abs(abs(phase) - 1.0) < 1e-10
 
@@ -314,7 +328,7 @@ def test_factor_kernel_on_each_factor(factor, in_dim, out_dim, num_kraus):
     idx = labels.index(factor)
     left = np.eye(int(np.prod(dims[:idx])), dtype=complex)
     right = np.eye(int(np.prod(dims[idx + 1 :])), dtype=complex)
-    lifted = [tensor_product(tensor_product(left, a), right) for a in chan.kraus]
+    lifted = [np.kron(np.kron(left, a), right) for a in chan.kraus]
     new_dims = dims[:idx] + (out_dim,) + dims[idx + 1 :]
 
     rho = DensityMatrix(random_density(12, rank=12, seed=rng).matrix, dims, labels)

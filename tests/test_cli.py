@@ -60,7 +60,11 @@ def test_coherent_info_eight_uses_matches_flat_closed_form(capsys):
 
 
 def test_block_size_outside_range_is_refused(capsys):
-    for command in (["coherent-info", "--p", "0.25"], ["capacity-curve"]):
+    for command in (
+        ["coherent-info", "--p", "0.25"],
+        ["capacity-curve"],
+        ["maximize-ci", "--p", "0.25"],
+    ):
         for n in ("11", "0", "-1"):
             code, out, err = run_cli(capsys, command + ["--n", n])
             assert code == 1

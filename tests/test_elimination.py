@@ -23,7 +23,13 @@ from qcap.functionals import (
     end_to_end_fidelity,
     entanglement_fidelity,
 )
-from qcap.states import DensityMatrix, maximally_mixed, purify, random_density
+from qcap.states import (
+    MARGINAL_GAP_TOL,
+    DensityMatrix,
+    maximally_mixed,
+    purify,
+    random_density,
+)
 
 
 def test_trivial_scheme_eliminates_cleanly():
@@ -39,6 +45,13 @@ def test_trivial_scheme_eliminates_cleanly():
     assert instance.entropy_ok
     assert instance.rho_prime.dim == 2
     assert np.max(np.abs(instance.rho_prime.matrix - source.matrix)) < 1e-9
+
+
+def test_flagged_follows_marginal_gap():
+    scheme = CodingScheme(maximally_mixed(2), identity_channel(2), identity_channel(2), 1)
+    instance = eliminate_encoder(scheme, identity_channel(2))
+    assert not dataclasses.replace(instance, marginal_gap=MARGINAL_GAP_TOL).flagged
+    assert dataclasses.replace(instance, marginal_gap=2.0 * MARGINAL_GAP_TOL).flagged
 
 
 def test_split_isometry_family_is_exact():
@@ -218,7 +231,7 @@ def test_eliminate_encoder_rejects_poor_schemes():
     dephase = [np.eye(2, dtype=complex) / math.sqrt(2.0), z / math.sqrt(2.0)]
     from qcap.channels import KrausChannel
 
-    noisy = KrausChannel.from_kraus(dephase)
+    noisy = KrausChannel(dephase)
     scheme = CodingScheme(source, identity_channel(2), noisy, 1)
     with pytest.raises(ValueError, match="validity window"):
         eliminate_encoder(scheme, identity_channel(2))
@@ -237,10 +250,10 @@ def test_eliminate_encoder_rejects_oversized_source():
     drop[0, 0] = drop[1, 1] = 1.0
     rest = np.zeros((2, 3), dtype=complex)
     rest[0, 2] = 1.0
-    encoder = KrausChannel.from_kraus([drop, rest])
+    encoder = KrausChannel([drop, rest])
     lift = np.zeros((3, 2), dtype=complex)
     lift[0, 0] = lift[1, 1] = 1.0
-    decoder = KrausChannel.from_kraus([lift])
+    decoder = KrausChannel([lift])
     scheme = CodingScheme(source, encoder, decoder, 1)
     with pytest.raises(ValueError, match="exceeds the channel input"):
         eliminate_encoder(scheme, identity_channel(2))

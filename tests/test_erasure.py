@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from qcap import erasure
 from qcap.channels import apply_channel, erasure_channel, tensor_power
 from qcap.erasure import (
+    PAIR_TOL,
+    ErasureDecomposition,
     _coherent_info_gradient,
     binomial_mean,
     capacity_curve,
@@ -20,7 +23,7 @@ from qcap.erasure import (
     verify_iplus_bound,
 )
 from qcap.functionals import coherent_information, entropy_exchange
-from qcap.linalg import binary_entropy, partial_trace, tensor_product, von_neumann_entropy
+from qcap.linalg import binary_entropy, partial_trace, von_neumann_entropy
 from qcap.states import (
     DensityMatrix,
     maximally_mixed,
@@ -73,7 +76,7 @@ def _table_states(n, rng):
     yield DensityMatrix(random_pure_state(2**n, seed=rng).density().matrix, (2,) * n)
     product = np.ones((1, 1))
     for _ in range(n):
-        product = tensor_product(product, random_density(2, rank=2, seed=rng).matrix)
+        product = np.kron(product, random_density(2, rank=2, seed=rng).matrix)
     yield DensityMatrix(product, (2,) * n)
 
 
@@ -136,6 +139,25 @@ def test_probability_checked_before_any_table(monkeypatch, p):
         erasure_decomposition(maximally_mixed(4, (2, 2)), p, 2)
     with pytest.raises(ValueError, match="outside"):
         capacity_curve([0.2, p], 2)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_decomposition_refuses_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="erasure probability .* outside"):
+        ErasureDecomposition(p, np.zeros(4))
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_decomposition_refuses_table_of_non_power_of_two_length(size):
+    with pytest.raises(ValueError, match=f"table has {size} entries, expected 2\\^n"):
+        ErasureDecomposition(0.25, np.zeros(size))
+
+
+def test_decomposition_reads_block_size_from_table():
+    decomp = erasure_decomposition(maximally_mixed(8, (2, 2, 2)), 0.25, 3)
+    assert decomp.block_size == 3
+    assert ErasureDecomposition(0.25, decomp.subset_entropies).block_size == 3
+    assert ErasureDecomposition(0.5, np.zeros(2)).block_size == 1
 
 
 def test_block_coherent_info_single_use_oracle():
@@ -292,7 +314,7 @@ def test_verify_iplus_bound_pure_product_slack():
     rng = np.random.default_rng(29)
     parts = [random_density(2, rank=1, seed=rng).matrix for _ in range(3)]
     joint = DensityMatrix(
-        tensor_product(tensor_product(parts[0], parts[1]), parts[2]), (2, 2, 2)
+        np.kron(np.kron(parts[0], parts[1]), parts[2]), (2, 2, 2)
     )
     decomp = erasure_decomposition(joint, 0.2, 3)
     report = verify_iplus_bound(decomp)
@@ -304,6 +326,14 @@ def test_verify_iplus_bound_pure_product_slack():
     # each of the three two-element masks
     assert report.pairs_checked == 7
     assert report.aggregate_ok
+
+
+def test_aggregate_ok_follows_iplus():
+    flat = maximally_mixed(8, (2, 2, 2))
+    report = verify_iplus_bound(erasure_decomposition(flat, 0.3, 3))
+    cap = report.aggregate_bound + PAIR_TOL
+    assert dataclasses.replace(report, iplus=cap).aggregate_ok
+    assert not dataclasses.replace(report, iplus=cap + 1e-6).aggregate_ok
 
 
 def test_binomial_mean_matches_explicit_sum():

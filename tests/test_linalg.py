@@ -7,10 +7,8 @@ from qcap.linalg import (
     binary_entropy,
     bw_overlap,
     density_spectrum,
-    eig_hermitian,
     entropy_of_spectrum,
     partial_trace,
-    tensor_product,
     trace_norm,
     uhlmann_fidelity,
     von_neumann_entropy,
@@ -18,55 +16,6 @@ from qcap.linalg import (
 from qcap.states import random_density, random_pure_state, random_unitary
 
 from helpers import bell_vector
-
-
-def test_eig_hermitian_identity():
-    spec = eig_hermitian(np.eye(2, dtype=complex))
-    assert np.allclose(spec.values, [1.0, 1.0])
-    assert np.allclose(spec.vectors @ spec.vectors.conj().T, np.eye(2))
-
-
-def test_eig_hermitian_diagonal_two_level():
-    spec = eig_hermitian(np.diag([0.75, 0.25]).astype(complex))
-    assert np.allclose(spec.values, [0.75, 0.25])
-    assert abs(abs(spec.vectors[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(spec.vectors[1, 1]) - 1.0) < 1e-12
-
-
-def test_eig_hermitian_reconstructs_random_matrices():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        rho = random_density(4, rank=4, seed=rng).matrix
-        spec = eig_hermitian(rho)
-        rebuilt = (spec.vectors * spec.values) @ spec.vectors.conj().T
-        assert np.max(np.abs(rebuilt - rho)) < 1e-8
-        assert np.all(np.diff(spec.values) <= 1e-12)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(m)
-
-
-def test_tensor_product_identities():
-    assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    a = np.diag([1.0, 2.0]).astype(complex)
-    b = np.diag([3.0, 5.0]).astype(complex)
-    assert np.allclose(tensor_product(a, b), np.diag([3.0, 5.0, 6.0, 10.0]))
-
-
-def test_tensor_product_mixed_product_rule():
-    rng = np.random.default_rng(5)
-    shape = (3, 3)
-    mats = [
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for _ in range(4)
-    ]
-    a, b, c, d = mats
-    lhs = tensor_product(a, b) @ tensor_product(c, d)
-    rhs = tensor_product(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_partial_trace_bell_marginals():
@@ -80,7 +29,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(3)
     r1 = random_density(2, rank=2, seed=rng).matrix
     r2 = random_density(3, rank=3, seed=rng).matrix
-    joint = tensor_product(r1, r2)
+    joint = np.kron(r1, r2)
     assert np.max(np.abs(partial_trace(joint, (2, 3), [0]) - r1)) < 1e-12
     assert np.max(np.abs(partial_trace(joint, (2, 3), [1]) - r2)) < 1e-12
 
@@ -205,6 +154,22 @@ def test_uhlmann_fidelity_pure_state_reduction():
 def test_uhlmann_fidelity_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         uhlmann_fidelity(np.eye(2) / 2.0, np.eye(3) / 3.0)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+    ],
+)
+def test_uhlmann_fidelity_rejects_non_density_input(bad, reason):
+    flat = np.eye(2) / 2.0
+    with pytest.raises(ValueError, match=f"first argument: density matrix .*{reason}"):
+        uhlmann_fidelity(bad, flat)
+    with pytest.raises(ValueError, match=f"second argument: density matrix .*{reason}"):
+        uhlmann_fidelity(flat, bad)
 
 
 def test_bw_overlap_values():

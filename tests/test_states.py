@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcap.linalg import binary_entropy, tensor_product, trace_norm, uhlmann_fidelity
+from qcap.linalg import binary_entropy, trace_norm, uhlmann_fidelity
 from qcap.states import (
     DensityMatrix,
     PureState,
@@ -55,7 +55,7 @@ def test_reduced_keeps_original_factor_order():
     r1 = random_density(2, rank=2, seed=rng)
     r2 = random_density(3, rank=3, seed=rng)
     joint = DensityMatrix(
-        tensor_product(r1.matrix, r2.matrix), (2, 3), ("left", "right")
+        np.kron(r1.matrix, r2.matrix), (2, 3), ("left", "right")
     )
     red = joint.reduced(["right", "left"])
     assert red.labels == ("left", "right")
