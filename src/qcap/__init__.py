@@ -72,7 +72,6 @@ from .states import (
     random_pure_state,
     random_unitary,
     read_density_file,
-    relate_purifications,
     write_density_file,
 )
 

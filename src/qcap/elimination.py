@@ -33,7 +33,6 @@ from .channels import (
 )
 from .functionals import end_to_end_fidelity, entanglement_fidelity
 from .states import (
-    MARGINAL_GAP_TOL,
     DensityMatrix,
     PureState,
     _as_rng,
@@ -46,6 +45,7 @@ from .states import (
 
 FIDELITY_WINDOW = 1.0 / 72.0
 FIDELITY_SLACK = 1e-7
+MARGINAL_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class EliminationInstance:
     entropy_gap: float
     entropy_bound: float
     marginal_gap: float
-    purification_overlap: float
 
     @property
     def flagged(self) -> bool:
@@ -117,8 +116,8 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
             f"{block.in_dim}; the tail construction needs an isometry upward"
         )
 
-    source = scheme.source.flattened("sys")
-    phi = purify(source, ref_label="ref")
+    source = scheme.source.flattened()
+    phi = purify(source)
     decode_block = compose(scheme.decoder, block)
     branches = measure_environment_branches(scheme.encoder, phi, "sys")
     # branch b scores <phi|(I x D)(|b><b|)|phi> = <b|Y|b>, Y = (I x D^dag)(|phi><phi|)
@@ -131,12 +130,8 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     chosen = psi.density()
     rho_out = apply_to_subsystem(decode_block, chosen, "sys")
     rho_prime = chosen.reduced(["sys"])
-    big_psi, _ = max_overlap_purification(rho_out, aux_label="aux")
+    big_psi, _ = max_overlap_purification(rho_out)
     aux_dim = d_src + 1
-    # <big_psi| rho_out x |0><0| |big_psi> needs only the aux-0 slice
-    b0 = big_psi.vector.reshape(-1, aux_dim)[:, 0]
-    overlap = float(np.vdot(b0, rho_out.matrix @ b0).real)
-
     psi_zero = _append_zero(psi, aux_dim, "aux")
     u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
@@ -155,7 +150,6 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
         entropy_gap=entropy_gap,
         entropy_bound=entropy_bound,
         marginal_gap=gap,
-        purification_overlap=overlap,
     )
 
 

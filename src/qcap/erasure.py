@@ -26,8 +26,8 @@ class ErasureDecomposition:
     """One erasure probability p and the (shared, read-only) table of :func:`subset_entropies`.
 
     The table has one entry per retained mask, so ``block_size`` is read from
-    its length 2^n.  A p outside [0, 1] or a table whose length is not a power
-    of two of at least 2 is refused.
+    its length 2^n.  A p outside [0, 1], a table that is not 1-D of length 2^n
+    with n >= 1, and a non-finite or negative entropy are refused.
     """
 
     p: float
@@ -35,9 +35,17 @@ class ErasureDecomposition:
 
     def __post_init__(self):
         _require_probability(self.p)
-        size = len(self.subset_entropies)
+        table = np.asarray(self.subset_entropies)
+        if table.ndim != 1:
+            raise ValueError(f"retained-set table has shape {table.shape}, expected one dimension")
+        size = len(table)
         if size < 2 or size & (size - 1):
             raise ValueError(f"retained-set table has {size} entries, expected 2^n with n >= 1")
+        bad = np.flatnonzero(~(np.isfinite(table) & (table >= 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"retained-set mask {bad[0]} holds {float(table[bad[0]])}, not a finite entropy >= 0"
+            )
 
     @property
     def block_size(self) -> int:

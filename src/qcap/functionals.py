@@ -50,7 +50,7 @@ def _kraus_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
 
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    eta = purify(rho.flattened("sys"), ref_label="ref")
+    eta = purify(rho.flattened())
     out = apply_to_subsystem(channel, eta.density(), "sys")
     # first-levels convention: only the levels input and output share can overlap
     d, m = rho.dim, min(channel.in_dim, channel.out_dim)

@@ -17,8 +17,6 @@ from .linalg import (
     trace_norm,
 )
 
-MARGINAL_GAP_TOL = 1e-8
-
 
 def _auto_labels(count: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(count))
@@ -103,10 +101,10 @@ class DensityMatrix(_Factors):
     def entropy(self) -> float:
         return entropy_of_spectrum(self.eigenvalues)
 
-    def flattened(self, label: str = "sys") -> "DensityMatrix":
-        """Same validated matrix and spectrum relabeled as one tensor factor, with no new solve."""
+    def flattened(self) -> "DensityMatrix":
+        """Same validated matrix and spectrum relabeled as one factor "sys", with no new solve."""
         flat = copy.copy(self)
-        vars(flat).update(dims=(self.dim,), labels=(str(label),))
+        vars(flat).update(dims=(self.dim,), labels=("sys",))
         return flat
 
 
@@ -147,28 +145,26 @@ def maximally_mixed(dim: int, dims=None, labels=None) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims, labels)
 
 
-def purify(rho: DensityMatrix, ref_label: str = "ref") -> PureState:
+def purify(rho: DensityMatrix) -> PureState:
     """Canonical purification sum_a sqrt(l_a) |a>|v_a> on reference x system.
 
-    The reference factor has the same total dimension as ``rho`` and tracing
-    it out returns ``rho`` exactly.
+    The reference factor "ref" ("ref1", ... if taken) comes first, has the
+    same total dimension as ``rho``, and tracing it out returns ``rho`` exactly.
     """
     values, vectors = np.linalg.eigh(rho.matrix)
     amps = np.sqrt(np.clip(values[::-1], 0.0, None))
     d = rho.dim
     # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
     table = amps[:, None] * vectors[:, ::-1].T
-    ref = _fresh_label(ref_label, rho.labels)
+    ref = _fresh_label("ref", rho.labels)
     return PureState(table.reshape(-1), (d,) + rho.dims, (ref,) + rho.labels)
 
 
-def max_overlap_purification(
-    rho: DensityMatrix, aux_label: str = "aux"
-) -> tuple[PureState, float]:
+def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
     """Purification of Tr_B rho whose aux-0 branch is rho's top eigenvector.
 
-    For ``rho`` on factors (A, B) with largest eigenvalue l_max and top
-    eigenvector phi, returns the pure state on (A, B, C), dim C = dim A + 1,
+    For ``rho`` on factors (A, B) with largest eigenvalue l_max and top eigenvector
+    phi, returns the pure state on (A, B, C = "aux"), dim C = dim A + 1,
 
         sqrt(l_max) |phi>|0_C> + sum_i sqrt(t_i) |t_i>_A |0_B> |i_C>
 
@@ -190,7 +186,7 @@ def max_overlap_purification(
     table = np.zeros((da, db, da + 1), dtype=complex)
     table[:, :, 0] = head
     table[:, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))
-    aux = _fresh_label(aux_label, rho.labels)
+    aux = _fresh_label("aux", rho.labels)
     state = PureState(table.reshape(-1), (da, db, da + 1), rho.labels + (aux,))
     return state, l_max
 
@@ -235,37 +231,6 @@ def _uhlmann_isometry(
     gap = trace_norm(v1 @ v1.conj().T - v2 @ v2.conj().T)
     w, _, vh = np.linalg.svd(v2.conj().T @ v1, full_matrices=False)
     return (w @ vh).conj(), float(gap)
-
-
-def relate_purifications(state1: PureState, state2: PureState, shared: str) -> np.ndarray:
-    """Isometry U on the complement of ``shared`` with (I x U) state1 = state2.
-
-    Requires the reduced states on the shared factor to agree within
-    ``MARGINAL_GAP_TOL`` (1e-8) in trace norm.  When the complements have
-    equal dimension U is unitary; when the second is larger U is an
-    isometry (U^dag U = I).  U is the Uhlmann polar factor, so
-    <state2|(I x U)|state1> is real and nonnegative.
-    """
-    u, gap = _uhlmann_isometry(state1, state2, shared)
-    if gap > MARGINAL_GAP_TOL:
-        raise ValueError(
-            f"reduced states on {shared!r} differ by trace-norm gap {gap:.3e}, "
-            f"above the tolerance {MARGINAL_GAP_TOL:.0e}"
-        )
-    return u
-
-
-def apply_to_complement(state: PureState, shared: str, u: np.ndarray) -> PureState:
-    """Apply an isometry to every factor except ``shared``."""
-    idx = state.factor_index(shared)
-    table = _factor_first(state, shared)
-    out = table @ np.asarray(u, dtype=complex).T
-    ds = state.dims[idx]
-    rest = out.shape[1]
-    new_dims = (ds, rest)
-    moved = out.reshape(new_dims)
-    comp_label = "+".join(s for s in state.labels if s != shared)
-    return PureState(moved.reshape(-1), new_dims, (shared, comp_label))
 
 
 def _as_rng(seed) -> np.random.Generator:

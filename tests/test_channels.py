@@ -208,7 +208,7 @@ def test_compose_matches_sequential_action():
     outer = random_kraus_channel(3, 2, 2, rng)
     rho = random_density(2, rank=2, seed=rng)
     combined = apply_channel(compose(outer, inner), rho)
-    stepwise = apply_channel(outer, apply_channel(inner, rho).flattened("x"))
+    stepwise = apply_channel(outer, apply_channel(inner, rho).flattened())
     assert np.max(np.abs(combined.matrix - stepwise.matrix)) < 1e-10
 
 

@@ -15,6 +15,7 @@ from qcap.channels import (
 from qcap import elimination
 from qcap.elimination import (
     FIDELITY_SLACK,
+    MARGINAL_GAP_TOL,
     eliminate_encoder,
     random_demo_schemes,
 )
@@ -24,8 +25,8 @@ from qcap.functionals import (
     entanglement_fidelity,
 )
 from qcap.states import (
-    MARGINAL_GAP_TOL,
     DensityMatrix,
+    max_overlap_purification,
     maximally_mixed,
     purify,
     random_density,
@@ -61,7 +62,6 @@ def test_split_isometry_family_is_exact():
     assert instance.eps_out < 1e-7
     assert instance.marginal_gap < 1e-8
     assert not instance.flagged
-    assert instance.purification_overlap > 1.0 - 1e-8
 
 
 def test_noisy_rotation_family_obeys_doubling():
@@ -167,20 +167,21 @@ def test_selected_branch_is_first_argmax():
     scheme, channel = random_demo_schemes(2, seed=33)[1]
     instance = eliminate_encoder(scheme, channel)
 
-    source = scheme.source.flattened("sys")
-    phi = purify(source, "ref")
+    source = scheme.source.flattened()
+    phi = purify(source)
     block = tensor_power(channel, scheme.block_size)
     decode_block = compose(scheme.decoder, block)
     branches = measure_environment_branches(scheme.encoder, phi, "sys")
-    fids = []
+    outs, fids = [], []
     for _, psi in branches:
-        out = apply_to_subsystem(decode_block, psi.density(), "sys")
-        fids.append(float(np.real(phi.vector.conj() @ out.matrix @ phi.vector)))
+        outs.append(apply_to_subsystem(decode_block, psi.density(), "sys"))
+        fids.append(float(np.real(phi.vector.conj() @ outs[-1].matrix @ phi.vector)))
     best = max(range(len(fids)), key=lambda i: (fids[i], -i))
     assert instance.branch_index == best
     # averaging: the best conditional fidelity is at least the overall one
     assert fids[best] >= 1.0 - instance.eps_in - 1e-10
-    assert instance.purification_overlap >= (1.0 - instance.eps_in) ** 2 - 1e-9
+    _, l_max = max_overlap_purification(outs[best])
+    assert l_max**2 >= (1.0 - instance.eps_in) ** 2 - 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -211,7 +212,7 @@ def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
 def test_kept_branch_has_the_best_decoded_fidelity(seed):
     for scheme, channel in random_demo_schemes(30, seed):
         inst = eliminate_encoder(scheme, channel)
-        phi = purify(scheme.source.flattened("sys"), "ref")
+        phi = purify(scheme.source.flattened())
         decode_block = compose(scheme.decoder, tensor_power(channel, scheme.block_size))
         fids = []
         for _, psi in measure_environment_branches(scheme.encoder, phi, "sys"):

@@ -153,6 +153,21 @@ def test_decomposition_refuses_table_of_non_power_of_two_length(size):
         ErasureDecomposition(0.25, np.zeros(size))
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.zeros((4, 4)), r"table has shape \(4, 4\), expected one dimension"),
+        (np.full(4, np.nan), "mask 0 holds nan, not a finite entropy"),
+        (np.array([0.0, 1.0, -3.0, 1.0]), "mask 2 holds -3.0, not a finite entropy"),
+        (np.array([0.0, np.inf, 1.0, 1.0]), "mask 1 holds inf, not a finite entropy"),
+    ],
+    ids=["matrix", "nan", "negative", "inf"],
+)
+def test_decomposition_refuses_table_that_is_not_entropies(table, message):
+    with pytest.raises(ValueError, match=message):
+        ErasureDecomposition(0.25, table)
+
+
 def test_decomposition_reads_block_size_from_table():
     decomp = erasure_decomposition(maximally_mixed(8, (2, 2, 2)), 0.25, 3)
     assert decomp.block_size == 3

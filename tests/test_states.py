@@ -6,7 +6,6 @@ from qcap.states import (
     DensityMatrix,
     PureState,
     _uhlmann_isometry,
-    apply_to_complement,
     high_entropy_counterexample,
     max_overlap_purification,
     maximally_mixed,
@@ -15,11 +14,15 @@ from qcap.states import (
     random_pure_state,
     random_unitary,
     read_density_file,
-    relate_purifications,
     write_density_file,
 )
 
 from helpers import bell_vector
+
+
+def on_complement(psi, u):
+    """Vector of (I x u) psi for a state whose first factor is the shared one."""
+    return (psi.vector.reshape(psi.dims[0], -1) @ u.T).reshape(-1)
 
 
 def test_density_matrix_validation():
@@ -43,7 +46,7 @@ def test_density_matrix_factors_and_entropy():
     assert rho.labels == ("q0", "q1")
     assert rho.factor_index("q1") == 1
     assert abs(rho.entropy() - 2.0) < 1e-12
-    flat = rho.flattened("sys")
+    flat = rho.flattened()
     assert flat.dims == (4,)
     assert flat.labels == ("sys",)
     with pytest.raises(ValueError, match="not found"):
@@ -88,7 +91,7 @@ def test_flattened_relabels_without_solving(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    flat = pair.flattened("sys")
+    flat = pair.flattened()
     assert solves == []
     assert flat.eigenvalues is pair.eigenvalues
     assert flat.matrix is pair.matrix
@@ -162,14 +165,15 @@ def test_max_overlap_purification_noisy_bell():
 
 def test_max_overlap_purification_random_states():
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        raw = random_density(4, rank=int(rng.integers(1, 5)), seed=rng)
-        rho = DensityMatrix(raw.matrix, (2, 2), ("a", "b"))
+    for dims in [(2, 2)] * 10 + [(3, 2), (2, 3)]:
+        d = dims[0] * dims[1]
+        raw = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+        rho = DensityMatrix(raw.matrix, dims, ("a", "b"))
         state, l_max = max_overlap_purification(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert abs(l_max - top) < 1e-10
         assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-12
-        proj = np.kron(rho.matrix, np.diag([1.0, 0.0, 0.0]))
+        proj = np.kron(rho.matrix, np.diag(np.eye(dims[0] + 1)[0]))
         overlap = float(np.real(state.vector.conj() @ proj @ state.vector))
         assert abs(overlap - l_max**2) < 1e-10
 
@@ -213,7 +217,8 @@ def test_max_overlap_purification_needs_two_factors():
 def test_relate_purifications_identity_case():
     rho = random_density(3, rank=3, seed=21)
     pur = purify(rho)
-    u = relate_purifications(pur, pur, "ref")
+    u, gap = _uhlmann_isometry(pur, pur, "ref")
+    assert gap < 1e-8
     assert np.max(np.abs(u - np.eye(3))) < 1e-8
 
 
@@ -222,7 +227,8 @@ def test_relate_purifications_bell_pair_gives_bit_flip():
     psi1 = PureState(bell_vector(), (2, 2), ("a", "b"))
     flipped = np.kron(np.eye(2), sx) @ bell_vector()
     psi2 = PureState(flipped, (2, 2), ("a", "b"))
-    u = relate_purifications(psi1, psi2, "a")
+    u, gap = _uhlmann_isometry(psi1, psi2, "a")
+    assert gap < 1e-8
     assert np.max(np.abs(u - sx)) < 1e-8
 
 
@@ -232,11 +238,11 @@ def test_relate_purifications_random_same_marginal():
         rho = random_density(3, rank=3, seed=rng)
         psi1 = purify(rho)
         w = random_unitary(3, seed=rng)
-        psi2 = apply_to_complement(psi1, "ref", w)
-        u = relate_purifications(psi1, psi2, "ref")
+        psi2 = PureState(on_complement(psi1, w), psi1.dims, psi1.labels)
+        u, gap = _uhlmann_isometry(psi1, psi2, "ref")
+        assert gap < 1e-8
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
-        moved = apply_to_complement(psi1, "ref", u)
-        assert np.linalg.norm(moved.vector - psi2.vector) < 1e-7
+        assert np.linalg.norm(on_complement(psi1, u) - psi2.vector) < 1e-7
 
 
 def test_relate_purifications_isometry_case():
@@ -245,19 +251,27 @@ def test_relate_purifications_isometry_case():
     psi1 = purify(rho)
     big = random_unitary(5, seed=rng)
     v = big[:, :3]
-    psi2 = apply_to_complement(psi1, "ref", v)
-    u = relate_purifications(psi1, psi2, "ref")
+    psi2 = PureState(on_complement(psi1, v), (3, 5), ("ref", "sys"))
+    u, gap = _uhlmann_isometry(psi1, psi2, "ref")
+    assert gap < 1e-8
     assert u.shape == (5, 3)
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
-    moved = apply_to_complement(psi1, "ref", u)
-    assert np.linalg.norm(moved.vector - psi2.vector) < 1e-7
+    assert np.linalg.norm(on_complement(psi1, u) - psi2.vector) < 1e-7
 
 
-def test_relate_purifications_rejects_marginal_mismatch():
+def test_uhlmann_isometry_reports_marginal_mismatch():
+    # the isometry is returned whatever the gap; the caller judges the gap
     psi1 = purify(random_density(3, rank=3, seed=1))
     psi2 = purify(random_density(3, rank=3, seed=2))
-    with pytest.raises(ValueError, match="trace-norm gap"):
-        relate_purifications(psi1, psi2, "ref")
+    _, gap = _uhlmann_isometry(psi1, psi2, "ref")
+    assert gap > 1e-3
+
+
+def test_uhlmann_isometry_rejects_shared_dimension_mismatch():
+    psi1 = purify(random_density(3, rank=3, seed=3))
+    psi2 = purify(random_density(2, rank=2, seed=4))
+    with pytest.raises(ValueError, match="'ref' has dimension 3 in one state and 2 in the other"):
+        _uhlmann_isometry(psi1, psi2, "ref")
 
 
 def test_relate_purifications_rejects_shrinking_complement():
@@ -268,7 +282,7 @@ def test_relate_purifications_rejects_shrinking_complement():
         random_pure_state(6, seed=rng).vector, (3, 2), ("ref", "sys")
     )
     with pytest.raises(ValueError, match="complement dimension"):
-        relate_purifications(psi1, small, "ref")
+        _uhlmann_isometry(psi1, small, "ref")
 
 
 def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
@@ -282,7 +296,7 @@ def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
         u, gap = _uhlmann_isometry(a, b, "ref")
         assert gap > 1e-3
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
-        overlap = np.vdot(b.vector, apply_to_complement(a, "ref", u).vector)
+        overlap = np.vdot(b.vector, on_complement(a, u))
         fid = uhlmann_fidelity(a.reduced(["ref"]).matrix, b.reduced(["ref"]).matrix)
         assert abs(abs(overlap) ** 2 - fid) < 1e-10
 
@@ -379,6 +393,6 @@ def test_trace_norm_zero_for_equal_marginals_sanity():
     rho = random_density(3, rank=3, seed=55)
     psi = purify(rho)
     sigma = psi.reduced(["ref"])
-    mirror = purify(sigma, ref_label="mirror")
+    mirror = purify(sigma)
     back = mirror.reduced(["ref"])
     assert trace_norm(back.matrix - sigma.matrix) < 1e-10
