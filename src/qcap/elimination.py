@@ -82,11 +82,11 @@ class EliminationInstance:
         return self.entropy_gap <= self.entropy_bound
 
 
-def _append_zero(state: PureState, aux_dim: int, label: str) -> PureState:
+def _append_zero(state: PureState, aux_dim: int) -> PureState:
     zero = np.zeros(aux_dim, dtype=complex)
     zero[0] = 1.0
     return PureState(
-        np.kron(state.vector, zero), state.dims + (aux_dim,), state.labels + (label,)
+        np.kron(state.vector, zero), state.dims + (aux_dim,), state.labels + ("aux",)
     )
 
 
@@ -132,7 +132,7 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     rho_prime = chosen.reduced(["sys"])
     big_psi, _ = max_overlap_purification(rho_out)
     aux_dim = d_src + 1
-    psi_zero = _append_zero(psi, aux_dim, "aux")
+    psi_zero = _append_zero(psi, aux_dim)
     u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
     tail = KrausChannel(reshaped[:, :, :, 0].transpose(1, 0, 2))

@@ -1,11 +1,10 @@
 """Retained-set analysis of the qubit erasure channel.
 
-For n parallel erasure uses the receiver sees each subset of the input
-qubits with a binomial weight, so output entropy and coherent information
-reduce to sums over the 2^n marginal entropies of the input state.  Masks
-encode retained sets: bit j set means qubit j reached the receiver.  The
-entropy table is p-free: it is traced top-down once per state (once per
-``capacity_curve``), and each p weights it with one binomial vector.
+For n parallel erasure uses the receiver sees each subset of the input qubits with a
+binomial weight, so output entropy and coherent information reduce to sums over the 2^n
+marginals of the input state (mask bit j set: qubit j reached the receiver).  One depth-first
+walk traces them: the p-free entropy table keeps their entropies, which one binomial vector
+per p weights, and the erasure-only input search lifts their -log2 into the gradient of Ic.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _conjugate, tensor_power
+from .channels import KrausChannel, erasure_channel
 from .linalg import entropy_of_spectrum, partial_trace, von_neumann_entropy
 from .states import DensityMatrix, maximally_mixed
 
@@ -99,27 +98,27 @@ def _require_probability(p: float, what: str = "erasure probability") -> float:
     return float(p)
 
 
-def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
-    """Read-only table of every retained-set marginal entropy in bits, indexed by mask.
+def _marginals(matrix: np.ndarray, qubits: list[int], below: int | None = None):
+    """Yield (mask, marginal) for each proper subset of ``qubits``, the factors of ``matrix``.
 
-    The full mask takes the state's stored spectrum.  Every other marginal is
-    traced from a parent holding one more qubit, depth first, so only one
-    marginal per size is alive at a time: a child drops a qubit below the one
-    its parent dropped, which reaches each mask once.
+    Depth first, each traced from a parent with one more qubit: a child drops a qubit below
+    the one its parent dropped, so each mask comes once and one marginal per size is alive.
     """
+    dims = (2,) * len(qubits)
+    for pos in range(len(qubits) if below is None else below):
+        sub = partial_trace(matrix, dims, [k for k in range(len(qubits)) if k != pos])
+        rest = qubits[:pos] + qubits[pos + 1:]
+        yield sum(1 << j for j in rest), sub
+        yield from _marginals(sub, rest, pos)
+
+
+def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
+    """Read-only table of every retained-set marginal entropy in bits, indexed by mask."""
     n = _require_qubits(rho, block_size)
     table = np.empty(1 << n)
-    table[-1] = rho.entropy()
-
-    def descend(matrix: np.ndarray, qubits: list[int], mask: int, below: int) -> None:
-        dims = (2,) * len(qubits)
-        for pos, j in enumerate(qubits[:below]):
-            sub = partial_trace(matrix, dims, [k for k in range(len(qubits)) if k != pos])
-            child = mask & ~(1 << j)
-            table[child] = von_neumann_entropy(sub, validate=False)
-            descend(sub, qubits[:pos] + qubits[pos + 1:], child, pos)
-
-    descend(rho.matrix, list(range(n)), (1 << n) - 1, n)
+    table[-1] = rho.entropy()  # the full mask: the state's stored spectrum
+    for mask, sub in _marginals(rho.matrix, list(range(n))):
+        table[mask] = von_neumann_entropy(sub, validate=False)
     table.flags.writeable = False
     return table
 
@@ -257,8 +256,7 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     return points
 
 
-# -Ic is 1-smooth relative to -S in nats (data processing), so H steps by 1/L = 1 nat.
-ASCENT_STEP = math.log(2.0)
+SEARCH_BLOCK_LIMIT = 6
 ASCENT_TOL = 1e-9
 ASCENT_CAP = 500
 
@@ -270,55 +268,67 @@ def _neg_log2(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return entropy_of_spectrum(values), (vectors * logs) @ vectors.conj().T
 
 
-def _coherent_info_gradient(block: KrausChannel, matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ic in bits of ``matrix`` through ``block`` and its gradient G, with Ic = Tr(G rho).
+def _lift(matrix: np.ndarray, mask: int, n: int) -> np.ndarray:
+    """Adjoint of partial_trace: ``matrix`` on the qubits of ``mask``, the identity on the rest."""
+    kept = [j for j in range(n) if mask >> j & 1]
+    eyes = [x for j in range(n) if not mask >> j & 1 for x in (np.eye(2), [j, j + n])]
+    tensor = matrix.reshape((2,) * 2 * len(kept))
+    return np.einsum(tensor, kept + [j + n for j in kept], *eyes, range(2 * n)).reshape(1 << n, -1)
 
-    G = N^dag(-log2 N(rho)) - N_c^dag(-log2 N_c(rho)): the complementary channel
-    N_c has the Kraus stack with its first two axes swapped, and each adjoint map
-    the conjugate transpose of its operators.
+
+def _coherent_info_gradient(matrix: np.ndarray, p: float, n: int) -> tuple[float, np.ndarray]:
+    """Ic in bits of ``matrix`` through n erasure uses and its gradient G, with Ic = Tr(G rho).
+
+    Over masks A, Ic = sum c(A) S(rho_A) and G = sum c(A) (-log2 rho_A) (x) I_Abar with
+    c(A) = w(A) - w(Abar); each entropy's -1/ln 2 derivative term cancels, as sum c(A) = 0.
     """
-    out, env = block.kraus, block.kraus.transpose(1, 0, 2)
-    s_out, out_log = _neg_log2(_conjugate(out, matrix))
-    s_env, env_log = _neg_log2(_conjugate(env, matrix))
-    grad = _conjugate(out.conj().swapaxes(1, 2), out_log)
-    grad -= _conjugate(env.conj().swapaxes(1, 2), env_log)
-    return s_out - s_env, 0.5 * (grad + grad.conj().T)
+    w = _weights(n, p)
+    signed = w - w[::-1]
+    value, grad = _neg_log2(matrix)
+    value, grad = signed[-1] * value, signed[-1] * grad
+    for mask, sub in _marginals(matrix, list(range(n))):
+        entropy, neg_log = _neg_log2(sub)
+        value += signed[mask] * entropy
+        grad += signed[mask] * _lift(neg_log, mask, n)
+    return float(value), 0.5 * (grad + grad.conj().T)
 
 
 def maximize_coherent_info(
-    channel: KrausChannel,
-    block_size: int,
-    restarts: int,
-    seed,
-    include_flat_start: bool = True,
+    channel: KrausChannel, block_size: int, restarts: int, seed
 ) -> tuple[DensityMatrix, float]:
-    """Search input states for the best coherent information per use.
+    """Best Ic per use over inputs of block_size <= 6 uses of ``channel = erasure_channel(p)``.
 
-    Each restart is a mirror gradient ascent, rho = exp(H)/Tr exp(H) and H <- H + G,
-    from H = 0 (unless ``include_flat_start`` is off) or a seeded Gaussian Hermitian H.
-    It stops at a Frank-Wolfe gap lambda_max(G) - Tr(G rho) below 1e-9 bits, which
-    certifies a maximum only where Ic is concave (erasure with p <= 1/2), or at 500
-    steps.  The pure input |0...0> competes too, at Ic = 0 like every pure input.
+    Each restart is a mirror ascent from a seeded Gaussian Hermitian H, rho = exp(H)/Tr exp(H),
+    by H <- H + (ln 2 / L) G.  L = L_n(p), the sum of the positive c(A), makes -Ic smooth
+    relative to -S (Lu, Freund and Nesterov 2018), so each step raises Ic.  It stops at a
+    Frank-Wolfe gap lambda_max(G) - Ic below 1e-9 bits, a certificate where Ic is concave
+    (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    block = tensor_power(channel, block_size)
-    d = block.in_dim
+    if not 1 <= block_size <= SEARCH_BLOCK_LIMIT:
+        raise ValueError(f"block size {block_size} is outside the searched 1..{SEARCH_BLOCK_LIMIT}")
+    ops = channel.kraus  # p read back from erasure_channel(p)'s stack, exact at 0, 1/2 and 1
+    kept, erased = np.abs(ops[[0, 1], [0, 2], 0]) ** 2 if ops.shape == (3, 3, 2) else (0.0, 0.0)
+    p = float(erased / (kept + erased)) if kept + erased > 0.0 else -1.0
+    if not 0.0 <= p <= 1.0 or not np.allclose(ops, erasure_channel(p).kraus, rtol=0.0, atol=1e-12):
+        raise ValueError(f"only erasure_channel(p) is searched; this {ops.shape} stack is not one")
+    w = _weights(block_size, p)
+    smooth = float(np.clip(w - w[::-1], 0.0, None).sum())  # L_n(p)
+    d = 2**block_size
     rng = np.random.default_rng(seed)
-    starts = [np.zeros((d, d), dtype=complex)] if include_flat_start else []
-    while len(starts) < restarts:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        starts.append(0.5 * (g + g.conj().T))
     found = [(0.0, np.diag(np.eye(d)[0]))]  # the pure input |0...0>
-    for h in starts:
+    for _ in range(restarts):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = 0.5 * (g + g.conj().T)
         for _ in range(ASCENT_CAP):
             values, vectors = np.linalg.eigh(h)
             weights = np.exp(values - values[-1])
             rho = (vectors * (weights / weights.sum())) @ vectors.conj().T
-            value, grad = _coherent_info_gradient(block, rho)
+            value, grad = _coherent_info_gradient(rho, p, block_size)
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
-            h = h + ASCENT_STEP * grad
+            h = h + math.log(2.0) / smooth * grad  # L = 0 only at p = 1/2, where G = 0
         found.append((value, rho))
     best_val, best_rho = max(found, key=lambda item: item[0])
     return DensityMatrix(best_rho), best_val / block_size

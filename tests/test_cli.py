@@ -161,6 +161,33 @@ def test_maximize_ci_row_and_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "p, n, best",
+    [
+        (p, n, best)
+        for p, best in (("0.1", "0.800000000"), ("0.49", "0.020000000"), ("0.5", "0.000000000"),
+                        ("0.9", "0.000000000"))
+        for n in ("1", "2", "3")
+    ],
+)
+def test_maximize_ci_pinned_rows(capsys, p, n, best):
+    argv = ["maximize-ci", "--p", p, "--n", n, "--restarts", "20", "--seed", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == f"p,N,best_ic_per_use,restarts,seed\n{float(p):.9f},{n},{best},20,0\n"
+
+
+def test_maximize_ci_refuses_blocks_above_six_before_searching(capsys, monkeypatch):
+    def no_ascent(*args):
+        raise AssertionError("the ascent started")
+
+    monkeypatch.setattr(qcap.erasure, "_coherent_info_gradient", no_ascent)
+    for n in ("7", "10"):
+        code, out, err = run_cli(capsys, ["maximize-ci", "--p", "0.25", "--n", n])
+        assert (code, out) == (1, "")
+        assert err == f"qcap: error: block size {n} is outside the searched 1..6\n"
+
+
 def test_theorem_demo_reports_instances(capsys):
     code, out, _ = run_cli(capsys, ["theorem-demo", "--trials", "6", "--seed", "3"])
     assert code == 0

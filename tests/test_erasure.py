@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcap import erasure
-from qcap.channels import apply_channel, erasure_channel, tensor_power
+from qcap.channels import apply_channel, compose, erasure_channel, tensor_power, unitary_channel
 from qcap.erasure import (
     PAIR_TOL,
     ErasureDecomposition,
@@ -407,9 +407,7 @@ def test_maximize_coherent_info_reaches_erasure_optimum():
 
 def test_maximize_coherent_info_random_starts_only():
     chan = erasure_channel(0.25)
-    _, best = maximize_coherent_info(
-        chan, 1, restarts=6, seed=1, include_flat_start=False
-    )
+    _, best = maximize_coherent_info(chan, 1, restarts=6, seed=1)
     assert best <= 0.5 + 1e-6
     assert best >= 0.5 - 1e-2
 
@@ -428,19 +426,31 @@ def test_maximize_coherent_info_validation():
 
 
 @pytest.mark.parametrize(
-    "block",
+    "channel, block_size, message",
     [
-        erasure_channel(0.3),
-        tensor_power(erasure_channel(0.3), 2),
-        random_kraus_channel(3, 4, 3, np.random.default_rng(8)),
+        # a random channel with the erasure stack's (3, 3, 2) shape
+        (random_kraus_channel(2, 3, 3, np.random.default_rng(8)), 1, "erasure_channel"),
+        (tensor_power(erasure_channel(0.3), 2), 1, "erasure_channel"),
+        # erasure, then the phase gate on the kept qubit: p reads back as 0.3, the stack differs
+        (compose(unitary_channel(np.diag([1.0, 1.0j, 1.0])), erasure_channel(0.3)), 1, "erasure_channel"),
+        (erasure_channel(0.3), 7, "1..6"),
+        (erasure_channel(0.3), 0, "1..6"),
     ],
-    ids=["erasure-1", "erasure-2", "random-kraus"],
+    ids=["random-kraus", "tensor-power", "erasure-then-phase", "block-7", "block-0"],
 )
-def test_coherent_info_gradient_matches_finite_differences(block):
+def test_maximize_refuses_what_it_does_not_search(channel, block_size, message):
+    with pytest.raises(ValueError, match=message):
+        maximize_coherent_info(channel, block_size, restarts=1, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["erasure-1", "erasure-2", "erasure-3"])
+def test_coherent_info_gradient_matches_finite_differences(n):
+    # full-rank states only: on a singular rho_A the gradient is not defined, and the ascent
+    # visits only exp(H)/Tr exp(H)
     rng = np.random.default_rng(21)
-    d = block.in_dim
+    d, block = 2**n, tensor_power(erasure_channel(0.3), n)
     rho = 0.5 * random_density(d, rank=d, seed=rng).matrix + 0.5 * np.eye(d) / d
-    value, grad = _coherent_info_gradient(block, rho)
+    value, grad = _coherent_info_gradient(rho, 0.3, n)
     assert abs(value - coherent_information(DensityMatrix(rho), block).coherent_info) < 1e-10
     assert abs(value - np.trace(grad @ rho).real) < 1e-10
     step = 1e-5
@@ -458,10 +468,10 @@ def test_coherent_info_gradient_matches_finite_differences(block):
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
 def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
     chan = erasure_channel(p)
-    rho, best = maximize_coherent_info(chan, n, restarts=2, seed=n, include_flat_start=False)
+    rho, best = maximize_coherent_info(chan, n, restarts=2, seed=n)
     target = 1.0 - 2.0 * p
     assert target - 1e-6 <= best <= target + 1e-9
-    value, grad = _coherent_info_gradient(tensor_power(chan, n), rho.matrix)
+    value, grad = _coherent_info_gradient(rho.matrix, p, n)
     assert np.linalg.eigvalsh(grad)[-1] - value <= 1e-6  # the Frank-Wolfe gap
 
 
@@ -469,15 +479,46 @@ def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
 @pytest.mark.parametrize("p, target", [(0.0, 1.0), (0.5, 0.0), (0.9, 0.0), (1.0, 0.0)])
 def test_maximize_edge_probabilities_reach_closed_form(n, p, target):
     # p > 1/2 is antidegradable, so Ic <= 0 there and a pure input attains 0
-    _, best = maximize_coherent_info(
-        erasure_channel(p), n, restarts=3, seed=0, include_flat_start=False
-    )
+    _, best = maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=0)
     assert abs(best - target) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p", [0.6, 0.9, 1.0])
-def test_maximize_flat_start_alone_leaves_the_minimum(n, p):
-    # for p > 1/2 the flat state has a zero Frank-Wolfe gap but is the minimum, -(2p - 1)
+def test_maximize_one_restart_above_half_returns_zero(n, p):
+    # for p > 1/2 every pure input attains the maximum 0, and the flat state is the minimum
     _, best = maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=0)
     assert abs(best) <= 1e-6
+
+
+def _recording_gradient(monkeypatch):
+    values = []
+
+    def recording(matrix, p, n):
+        value, grad = _coherent_info_gradient(matrix, p, n)
+        values.append(value)
+        return value, grad
+
+    monkeypatch.setattr(erasure, "_coherent_info_gradient", recording)
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.49, 0.7])
+def test_every_ascent_step_raises_coherent_info(monkeypatch, n, p):
+    # -Ic is L_n(p)-smooth relative to -S, so the mirror step ln 2 / L never lowers Ic
+    values = _recording_gradient(monkeypatch)
+    for seed in range(3):
+        values.clear()
+        maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=seed)
+        assert len(values) >= 2
+        assert np.diff(values).min() >= -1e-12
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.49])
+def test_one_use_restart_converges_in_one_step(monkeypatch, p):
+    # at n = 1, Ic = (1 - 2p) S(rho) and L = 1 - 2p: one step lands on the flat state
+    values = _recording_gradient(monkeypatch)
+    _, best = maximize_coherent_info(erasure_channel(p), 1, restarts=20, seed=0)
+    assert len(values) == 2 * 20
+    assert abs(best - (1.0 - 2.0 * p)) <= 1e-12
