@@ -6,12 +6,13 @@ observed slack (signed distance past the bound, negative when safe) and
 the trial that set it.  All entropies are in bits.
 
 Every check runs in chunks of ``_CHUNK`` trials, each in two phases.  A
-Python loop first makes one trial's random draws after another, in a fixed
-call order, so a seed gives the same instances whatever the chunking.  The
-chunk's draws are then stacked, and validation, mixing, partial traces,
-eigensolves and slacks run once on the whole stack through the stack-aware
-kernels of :mod:`qcap.linalg`.  The chunk bounds the memory a check holds
-while keeping per-call overhead small.
+Python loop first makes only the raw generator calls of one trial after
+another, in a fixed call order, so a seed gives the same instances whatever
+the chunking.  The chunk's draws are then stacked, and every matrix and
+unit vector is built on the stack: Wishart Grams, normalization, mixing,
+validation, partial traces, eigensolves and slacks run once on the whole
+chunk through the stack-aware kernels of :mod:`qcap.linalg`.  The chunk
+bounds the memory a check holds while keeping per-call overhead small.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .states import _as_rng, _gaussian_unit_vector, _unit_trace, _wishart_gram
+from .states import _as_rng, _unit_trace
 
 FP_TOL = 1e-9
 PURE_EPS_CAP = 1.0 / 36.0
@@ -59,10 +60,11 @@ class TrialReport:
 def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
     """Draw and measure ``trials`` instances chunk by chunk.
 
-    ``draw(rng)`` makes one trial's draws and returns them as a tuple;
-    ``measure`` takes the chunk's draws stacked field by field and returns
-    the slacks (one row per trial), the count of violated side conditions
-    that have no slack, and the epsilon reached by each trial.
+    ``draw(rng)`` makes one trial's raw generator calls and returns them as
+    a tuple; ``measure`` takes the chunk's draws stacked field by field,
+    builds its matrices, and returns the slacks (one row per trial), the
+    count of violated side conditions that have no slack, and the epsilon
+    reached by each trial.
     """
     rng = _as_rng(seed)
     violations, max_slack, worst, eps_max = 0, -math.inf, 0, 0.0
@@ -97,6 +99,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _normalized(vectors: np.ndarray) -> np.ndarray:
+    """Stacked complex vectors divided by their norms, each rounded as ``np.linalg.norm``'s."""
+    norm = np.sqrt(_dot(vectors.real, vectors.real) + _dot(vectors.imag, vectors.imag))
+    return vectors / norm[..., None]
+
+
+def _gram_factor(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws of ``_wishart_gram(dim, rank, rng)`` in one generator call of the same stream.
+
+    Real and imaginary parts of its dim x rank Gaussian G, padded with zero
+    columns to dim x dim; they leave G G^dag unchanged up to rounding.
+    """
+    raw = np.zeros((2, dim, dim))
+    raw[:, :, :rank] = rng.standard_normal((2, dim, rank))
+    return raw
+
+
+def _wishart_grams(raw: np.ndarray) -> np.ndarray:
+    """Stacked G G^dag, unnormalized, for the G of stacked ``_gram_factor`` draws."""
+    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+    return g @ g.conj().swapaxes(-1, -2)
+
+
 def _marginal_entropies(dense: np.ndarray, dim: int) -> np.ndarray:
     """Entropies of the (left, right) marginals of stacked states on dim x dim."""
     dims = (dim, dim)
@@ -129,15 +154,15 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     log_dim = math.log2(dim)
 
     def draw(rng):
-        rho = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
-        sigma = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+        rho = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
+        sigma = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
         return rho, sigma, rng.uniform(0.0, 0.22)
 
     def mix(rho, sigma, t):
         return (1.0 - t)[:, None, None] * rho + t[:, None, None] * sigma
 
     def measure(rho, sigma, t_mix):
-        rho, sigma = _unit_trace(rho), _unit_trace(sigma)
+        rho, sigma = _unit_trace(_wishart_grams(rho)), _unit_trace(_wishart_grams(sigma))
         spectrum = density_spectrum(rho)
         other = mix(rho, sigma, t_mix)
         dist = trace_norm(rho - other)
@@ -173,14 +198,14 @@ def check_pure_overlap_continuity(
     total_dim = dim * dim
 
     def draw(rng):
-        psi = _gaussian_unit_vector(total_dim, rng)
-        raw = rng.standard_normal(total_dim) + 1j * rng.standard_normal(total_dim)
-        return psi, raw, rng.uniform(0.0, eps_max)
+        # psi's real and imaginary parts, then those of the raw second direction
+        return rng.standard_normal((4, total_dim)), rng.uniform(0.0, eps_max)
 
-    def measure(psi, raw, eps):
+    def measure(normals, eps):
+        psi = _normalized(normals[:, 0] + 1j * normals[:, 1])
+        raw = normals[:, 2] + 1j * normals[:, 3]
         raw -= _dot(psi.conj(), raw)[:, None] * psi
-        norm = np.sqrt(_dot(raw.real, raw.real) + _dot(raw.imag, raw.imag))
-        chi = raw / norm[:, None]
+        chi = _normalized(raw)
         other = np.sqrt(1.0 - eps)[:, None] * psi + np.sqrt(eps)[:, None] * chi
         s = _pure_marginal_entropy(np.stack([psi, other], axis=1), dim)
         drift = np.abs(s[:, 0] - s[:, 1]) - (2.0 * np.sqrt(eps) * math.log2(dim) + 1.0)
@@ -211,12 +236,13 @@ def check_mixed_overlap_continuity(
     log_dim = math.log2(dim)
 
     def draw(rng):
-        phi = _gaussian_unit_vector(total_dim, rng)
-        sigma = _wishart_gram(total_dim, int(rng.integers(1, total_dim + 1)), rng)
+        phi = rng.standard_normal((2, total_dim))
+        sigma = _gram_factor(total_dim, int(rng.integers(1, total_dim + 1)), rng)
         return phi, sigma, rng.uniform(0.0, eps_max)
 
     def measure(phi, sigma, weight):
-        sigma = _unit_trace(sigma)
+        phi = _normalized(phi[:, 0] + 1j * phi[:, 1])
+        sigma = _unit_trace(_wishart_grams(sigma))
         w = weight[:, None, None]
         pure = _projectors(phi)
         dense = (1.0 - w) * pure + w * sigma
@@ -250,14 +276,15 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
         count = int(rng.integers(2, _MAX_PARTS + 1))
         weights = np.zeros(_MAX_PARTS)
         weights[:count] = rng.dirichlet(np.ones(count))
-        parts = np.zeros((_MAX_PARTS, dim, dim), dtype=complex)
+        parts = np.zeros((_MAX_PARTS, 2, dim, dim))
         for i in range(count):
-            parts[i] = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+            parts[i] = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
         return weights, parts, count
 
-    def measure(weights, parts, count):
+    def measure(weights, raw, count):
         drawn = np.arange(_MAX_PARTS) < count[:, None]
-        states = _unit_trace(parts[drawn])
+        states = _unit_trace(_wishart_grams(raw[drawn]))
+        parts = np.zeros(drawn.shape + (dim, dim), dtype=complex)
         parts[drawn] = states
         entropies = np.zeros(drawn.shape)
         entropies[drawn] = entropy_of_spectrum(density_spectrum(states))

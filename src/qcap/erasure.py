@@ -271,9 +271,10 @@ def _neg_log2(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _lift(matrix: np.ndarray, mask: int, n: int) -> np.ndarray:
     """Adjoint of partial_trace: ``matrix`` on the qubits of ``mask``, the identity on the rest."""
     kept = [j for j in range(n) if mask >> j & 1]
-    eyes = [x for j in range(n) if not mask >> j & 1 for x in (np.eye(2), [j, j + n])]
-    tensor = matrix.reshape((2,) * 2 * len(kept))
-    return np.einsum(tensor, kept + [j + n for j in kept], *eyes, range(2 * n)).reshape(1 << n, -1)
+    # matrix (x) I holds the kept qubits first; axes moves every qubit back to its place
+    axes = np.argsort(kept + [j for j in range(n) if not mask >> j & 1])
+    lifted = np.kron(matrix, np.eye(1 << n - len(kept))).reshape((2,) * 2 * n)
+    return lifted.transpose(*axes, *(axes + n)).reshape(1 << n, -1)
 
 
 def _coherent_info_gradient(matrix: np.ndarray, p: float, n: int) -> tuple[float, np.ndarray]:

@@ -15,6 +15,7 @@ from qcap.continuity import (
 )
 from qcap.linalg import density_spectrum, partial_trace, trace_norm, von_neumann_entropy
 from qcap.states import (
+    _gaussian_unit_vector,
     _unit_trace,
     _wishart_gram,
     random_density,
@@ -319,7 +320,94 @@ def test_drawn_sigma_chunks_are_density_matrices(dim):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         ranks = [1 + i % dim for i in range(continuity._CHUNK)]
-        sigma = _unit_trace(np.stack([_wishart_gram(dim, r, rng) for r in ranks]))
+        raw = np.stack([continuity._gram_factor(dim, r, rng) for r in ranks])
+        sigma = _unit_trace(continuity._wishart_grams(raw))
         spectra = density_spectrum(sigma)
         assert spectra.shape == (continuity._CHUNK, dim)
         assert np.all(np.count_nonzero(spectra > 1e-12, axis=-1) == ranks)
+
+
+# The per-trial draws the suites made before they drew raw Gaussians only, each
+# returning its trial's matrices, unit vectors and numbers in draw order, and the
+# same objects built on the stack from the suites' new draws.
+
+
+def _per_trial_fannes(rng, dim):
+    rho = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+    sigma = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+    return rho, sigma, rng.uniform(0.0, 0.22)
+
+
+def _per_trial_pure_overlap(rng, dim):
+    psi = _gaussian_unit_vector(dim * dim, rng)
+    raw = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    return psi, raw, rng.uniform(0.0, PURE_EPS_CAP)
+
+
+def _per_trial_mixed_overlap(rng, dim):
+    phi = _gaussian_unit_vector(dim * dim, rng)
+    sigma = _wishart_gram(dim * dim, int(rng.integers(1, dim * dim + 1)), rng)
+    return phi, sigma, rng.uniform(0.0, MIXED_EPS_CAP)
+
+
+def _per_trial_mixing(rng, dim):
+    count = int(rng.integers(2, 5))
+    weights = np.zeros(4)
+    weights[:count] = rng.dirichlet(np.ones(count))
+    parts = np.zeros((4, dim, dim), dtype=complex)
+    for i in range(count):
+        parts[i] = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+    return weights, parts
+
+
+def _stacked_pure_overlap(normals, eps):
+    psi = continuity._normalized(normals[:, 0] + 1j * normals[:, 1])
+    return psi, normals[:, 2] + 1j * normals[:, 3], eps
+
+
+def _stacked_mixed_overlap(phi, sigma, weight):
+    phi = continuity._normalized(phi[:, 0] + 1j * phi[:, 1])
+    return phi, continuity._wishart_grams(sigma), weight
+
+
+DRAWS = {
+    "fannes": (
+        _per_trial_fannes,
+        lambda rho, sigma, t: (continuity._wishart_grams(rho), continuity._wishart_grams(sigma), t),
+    ),
+    "pure-overlap": (_per_trial_pure_overlap, _stacked_pure_overlap),
+    "mixed-overlap": (_per_trial_mixed_overlap, _stacked_mixed_overlap),
+    "mixing": (
+        _per_trial_mixing,
+        lambda weights, parts, count: (weights, continuity._wishart_grams(parts)),
+    ),
+}
+
+
+def _suite_draw(monkeypatch, suite, dim):
+    """The one-trial draw that the suite hands to ``_run``."""
+    captured = {}
+    monkeypatch.setattr(
+        continuity, "_run", lambda trials, dim, seed, draw, measure: captured.update(draw=draw)
+    )
+    SUITES[suite][0](trials=1, dim=dim, seed=0)
+    return captured["draw"]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("suite", sorted(DRAWS))
+def test_raw_draws_keep_the_per_trial_stream(monkeypatch, suite, dim):
+    # worst_trial replays seed for seed only if the generator calls keep their order
+    per_trial, stacked = DRAWS[suite]
+    draw = _suite_draw(monkeypatch, suite, dim)
+    for seed in (0, 5):
+        for trials in (1, 63, 65):
+            old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            old = [per_trial(old_rng, dim) for _ in range(trials)]
+            new = [draw(new_rng) for _ in range(trials)]
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            built = stacked(*(np.array(field) for field in zip(*new)))
+            for before, after in zip(zip(*old), built):
+                before = np.array(before)
+                assert after.shape == before.shape
+                assert np.abs(after - before).max() <= 1e-13 * np.abs(before).max()

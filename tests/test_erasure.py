@@ -464,6 +464,20 @@ def test_coherent_info_gradient_matches_finite_differences(n):
         assert abs((up - down) / (2 * step) - np.trace(grad @ x).real) < 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_lift_is_adjoint_of_partial_trace(n):
+    # Tr(lift(M) X) = Tr(M X_A) on every proper mask A, the qubit order included
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    for mask in range(1, (1 << n) - 1):
+        kept = [j for j in range(n) if mask >> j & 1]
+        m = rng.standard_normal((2 ** len(kept),) * 2) + 1j * rng.standard_normal((2 ** len(kept),) * 2)
+        lifted = erasure._lift(m, mask, n)
+        assert lifted.shape == (2**n, 2**n)
+        expected = np.trace(m @ partial_trace(x, (2,) * n, kept))
+        assert abs(np.trace(lifted @ x) - expected) <= 1e-12 * np.abs(m).sum() * np.abs(x).sum()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
 def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
