@@ -156,7 +156,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     def draw(rng):
         rho = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
         sigma = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
-        return rho, sigma, rng.uniform(0.0, 0.22)
+        return rho, sigma, 0.22 * rng.random()
 
     def mix(rho, sigma, t):
         return (1.0 - t)[:, None, None] * rho + t[:, None, None] * sigma
@@ -199,7 +199,7 @@ def check_pure_overlap_continuity(
 
     def draw(rng):
         # psi's real and imaginary parts, then those of the raw second direction
-        return rng.standard_normal((4, total_dim)), rng.uniform(0.0, eps_max)
+        return rng.standard_normal((4, total_dim)), eps_max * rng.random()
 
     def measure(normals, eps):
         psi = _normalized(normals[:, 0] + 1j * normals[:, 1])
@@ -238,7 +238,7 @@ def check_mixed_overlap_continuity(
     def draw(rng):
         phi = rng.standard_normal((2, total_dim))
         sigma = _gram_factor(total_dim, int(rng.integers(1, total_dim + 1)), rng)
-        return phi, sigma, rng.uniform(0.0, eps_max)
+        return phi, sigma, eps_max * rng.random()
 
     def measure(phi, sigma, weight):
         phi = _normalized(phi[:, 0] + 1j * phi[:, 1])

@@ -87,17 +87,8 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     return _scalar_or_stack(np.abs((values * logs).sum(-1)))
 
 
-def density_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix and return its eigenvalues, clamped at zero.
-
-    The input must be finite, Hermitian within 1e-9, have unit trace within 1e-9,
-    and eigenvalues above -1e-10; the eigenvalues come from one solve of the
-    Hermitian part, ascending, with small negative ones set to zero.
-
-    Leading axes index a stack of matrices, validated and solved in one
-    call; an error names the first failing member by its stack index.
-    """
-    m = np.asarray(rho, dtype=complex)
+def _check_density(m: np.ndarray) -> np.ndarray:
+    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace; return its adjoint."""
     bad = ~np.isfinite(m)
     failed = _first_failure(bad.any(axis=(-2, -1)))
     if failed:
@@ -117,7 +108,11 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     if failed:
         where, note = failed
         raise ValueError(f"density matrix trace {complex(tr[where]):.12g} deviates from 1{note}")
-    values = np.linalg.eigvalsh(0.5 * (m + adjoint))
+    return adjoint
+
+
+def _floored(values: np.ndarray) -> np.ndarray:
+    """Ascending spectra with small negative eigenvalues set to zero; raise below the floor."""
     lowest = values[..., 0]
     failed = _first_failure(lowest < EIGENVALUE_FLOOR)
     if failed:
@@ -127,6 +122,36 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
             f"below the floor {EIGENVALUE_FLOOR:.0e}{note}"
         )
     return np.clip(values, 0.0, None)
+
+
+def density_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix and return its eigenvalues, clamped at zero.
+
+    The input must be finite, Hermitian within 1e-9, have unit trace within 1e-9,
+    and eigenvalues above -1e-10; the eigenvalues come from one solve of the
+    Hermitian part, ascending, with small negative ones set to zero.
+
+    Leading axes index a stack of matrices, validated and solved in one
+    call; an error names the first failing member by its stack index.
+    """
+    m = np.asarray(rho, dtype=complex)
+    adjoint = _check_density(m)
+    return _floored(np.linalg.eigvalsh(0.5 * (m + adjoint)))
+
+
+def _factor_spectrum(factor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """:func:`density_spectrum` of ``matrix = factor @ factor^dag`` for a d x r factor.
+
+    The checks run on ``matrix``.  When r < d the eigenvalues come from the
+    r x r Gram factor^dag factor, which has the same nonzero spectrum, and
+    d - r zeros go in front; otherwise ``matrix`` itself is solved.
+    """
+    d, r = factor.shape
+    if r >= d:
+        return density_spectrum(matrix)
+    _check_density(matrix)
+    values = _floored(np.linalg.eigvalsh(factor.conj().T @ factor))
+    return np.concatenate([np.zeros(d - r), values])
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .linalg import (
     TRACE_TOL,
+    _factor_spectrum,
     density_spectrum,
     entropy_of_spectrum,
     partial_trace,
@@ -65,6 +66,9 @@ class DensityMatrix(_Factors):
 
     Construction validates the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
+    ``DensityMatrix(matrix)`` takes the eigenvalues from one solve of the d x d
+    matrix; :meth:`from_factor` builds rho = F F^dag from a d x r factor F and,
+    when r < d, solves only the r x r Gram F^dag F.
     """
 
     matrix: np.ndarray
@@ -77,12 +81,29 @@ class DensityMatrix(_Factors):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dims, labels = _check_factors(m.shape[0], self.dims, self.labels)
-        object.__setattr__(self, "eigenvalues", density_spectrum(m))
+        self._store(m, density_spectrum(m), dims, labels)
+
+    @classmethod
+    def from_factor(cls, factor, dims=None, labels=None) -> "DensityMatrix":
+        """The state F F^dag of a d x r factor F, validated as the constructor validates it.
+
+        The checks and their messages are those of the constructor, run on
+        the formed matrix; the eigenvalues come from the smaller of F^dag F
+        and F F^dag, with d - r zeros in front when r < d.
+        """
+        f = np.asarray(factor, dtype=complex)
+        if f.ndim != 2:
+            raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
+        dims, labels = _check_factors(f.shape[0], dims, labels)
+        m = f @ f.conj().T
+        state = object.__new__(cls)
+        state._store(m, _factor_spectrum(f, m), dims, labels)
+        return state
+
+    def _store(self, m, eigenvalues, dims, labels):
         m = m.view()  # read-only without touching the caller's array
-        m.flags.writeable = self.eigenvalues.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+        m.flags.writeable = eigenvalues.flags.writeable = False
+        vars(self).update(matrix=m, eigenvalues=eigenvalues, dims=dims, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -300,11 +321,14 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     w = v.copy()
     w[k] += v[k] / abs(v[k])
     cols = [j for j in range(n + 1) if j != k][:n]
-    others = np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj())
+    # rho = F F^dag with F = [sqrt(1 - eps) psi | sqrt(eps / n) H[:, cols]], of rank n + 1
+    factor = np.empty((d, n + 1), dtype=complex)
+    factor[:, 0] = math.sqrt(1.0 - eps) * v
+    others = factor[:, 1:]
+    np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj(), out=others)
     others[cols, np.arange(n)] += 1.0
-    m = (1.0 - eps) * np.outer(v, v.conj())
-    m += (eps / n) * (others @ others.conj().T)
-    return DensityMatrix(m, psi.dims, psi.labels)
+    others *= math.sqrt(eps / n)
+    return DensityMatrix.from_factor(factor, psi.dims, psi.labels)
 
 
 def write_density_file(path, rho: DensityMatrix) -> None:

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qcap.channels import compose, erasure_channel, tensor_power
 from qcap.erasure import erasure_coherent_info_block
 from qcap.functionals import PURIFICATION_METHOD, coherent_information, entanglement_fidelity
-from qcap.states import random_density, random_pure_state
+from qcap.states import DensityMatrix, random_density, random_pure_state
 
 from helpers import random_kraus_channel
 
@@ -87,3 +87,16 @@ def test_coherent_information_of_pure_input_vanishes(seed, shape):
     chan = random_kraus_channel(in_dim, out_dim, num_kraus, rng)
     psi = random_pure_state(in_dim, rng)
     assert abs(coherent_information(psi.density(), chan).coherent_info) < 1e-10
+
+
+@PROPERTY
+@given(SEEDS, st.integers(1, 16), st.integers(1, 20))
+def test_density_from_factor_matches_the_formed_matrix(seed, d, r):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    f /= np.linalg.norm(f)
+    rho = DensityMatrix.from_factor(f)
+    ref = DensityMatrix(f @ f.conj().T)
+    assert np.array_equal(rho.matrix, ref.matrix)
+    assert np.abs(rho.eigenvalues - ref.eigenvalues).max() < 1e-12
+    assert abs(rho.entropy() - ref.entropy()) < 1e-12

@@ -102,6 +102,90 @@ def test_flattened_relabels_without_solving(monkeypatch):
             array[0] = 0.0
 
 
+def _unit_factor(rng, d, r):
+    f = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return f / np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1)])
+def test_from_factor_agrees_with_the_formed_matrix(d, r):
+    f = _unit_factor(np.random.default_rng(10 * d + r), d, r)
+    rho = DensityMatrix.from_factor(f, labels=("sys",))
+    ref = DensityMatrix(f @ f.conj().T, labels=("sys",))
+    assert np.array_equal(rho.matrix, ref.matrix)
+    assert rho.eigenvalues.shape == (d,)
+    assert np.all(np.diff(rho.eigenvalues) >= 0.0)
+    assert np.abs(rho.eigenvalues - ref.eigenvalues).max() < 1e-12
+    assert abs(rho.entropy() - ref.entropy()) < 1e-12
+    assert (rho.dims, rho.labels) == ((d,), ("sys",))
+
+
+def test_from_factor_solves_the_gram_below_full_rank(monkeypatch):
+    f = _unit_factor(np.random.default_rng(1), 8, 3)
+    solves = []
+    solver = np.linalg.eigvalsh
+
+    def counted(m):
+        solves.append(m.shape)
+        return solver(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    DensityMatrix.from_factor(f, (2, 4))
+    assert solves == [(3, 3)]
+
+
+def test_from_factor_arrays_are_read_only():
+    f = _unit_factor(np.random.default_rng(2), 4, 2)
+    rho = DensityMatrix.from_factor(f)
+    for array in (rho.matrix, rho.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert f.flags.writeable
+
+
+def _message(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_from_factor_rejects_what_the_constructor_rejects():
+    f = _unit_factor(np.random.default_rng(3), 4, 2)
+    nan = f.copy()
+    nan[1, 0] = np.nan
+    inf = f.copy()
+    inf[2, 1] = np.inf
+    for factor, dims, labels, match in [
+        (nan, None, None, "non-finite entry at row 0, column 1"),
+        (inf, None, None, "non-finite entry"),
+        (np.sqrt(2.0) * f, None, None, "density matrix trace 2"),
+        (f, (3,), None, "do not multiply to 4"),
+        (f, (2, 2), ("a",), "1 labels for 2 factors"),
+        (f, (2, 2), ("a", "a"), "unique"),
+    ]:
+        message = _message(lambda: DensityMatrix.from_factor(factor, dims, labels))
+        assert match in message
+        assert message == _message(lambda: DensityMatrix(factor @ factor.conj().T, dims, labels))
+    with pytest.raises(ValueError, match="factor must be a matrix"):
+        DensityMatrix.from_factor(np.ones(4) / 2.0)
+
+
+@pytest.mark.parametrize("shift, raises", [(1e-9, True), (1e-12, False)])
+def test_from_factor_floors_the_gram_spectrum(monkeypatch, shift, raises):
+    # rank one in a rank-two factor: the Gram spectrum is {0, 1}, moved down by the shift
+    f = np.zeros((4, 2), dtype=complex)
+    f[0, 0] = 1.0
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solver(m) - shift)
+    if raises:
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-09 below the floor"):
+            DensityMatrix.from_factor(f)
+    else:
+        values = DensityMatrix.from_factor(f).eigenvalues
+        assert values.tolist() == [0.0, 0.0, 0.0, 1.0 - shift]
+
+
 def test_states_reject_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite entry at row 0, column 0"):
         DensityMatrix(np.full((2, 2), np.nan))
@@ -335,6 +419,14 @@ def test_high_entropy_counterexample_values():
     assert abs(expected - 0.6689955935892812) < 1e-12
     fid = float(np.real(psi4.vector.conj() @ rho.matrix @ psi4.vector))
     assert abs(fid - 0.9) < 1e-10
+
+
+@pytest.mark.parametrize("d, n", [(16, 4), (2048, 1024)])
+def test_high_entropy_counterexample_spectrum(d, n):
+    eps = 0.1
+    rho = high_entropy_counterexample(random_pure_state(d, seed=d), eps, n)
+    expected = np.concatenate([np.zeros(d - n - 1), np.full(n, eps / n), [1.0 - eps]])
+    assert np.abs(rho.eigenvalues - expected).max() < 1e-12
 
 
 def test_high_entropy_counterexample_entropy_grows_without_bound():
