@@ -129,25 +129,25 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
         )
-    return DensityMatrix(_conjugate(channel.kraus, rho.matrix), (channel.out_dim,), ("out",))
+    return DensityMatrix(_conjugate(channel.kraus, rho.matrix), (channel.out_dim,))
 
 
-def _locate_factor(channel: KrausChannel, state, factor: str) -> tuple[int, tuple[int, ...]]:
-    """Index of the labeled input factor and the factor dimensions after the channel."""
-    idx = state.factor_index(factor)
-    if state.dims[idx] != channel.in_dim:
+def _locate_factor(channel: KrausChannel, state, factor: int) -> tuple[int, ...]:
+    """Factor dimensions after the channel acts on input factor ``factor``, a position."""
+    dims = state.dims
+    if not 0 <= factor < len(dims):
+        raise ValueError(f"factor {factor} out of range for {len(dims)} factors")
+    if dims[factor] != channel.in_dim:
         raise ValueError(
-            f"factor {factor!r} has dimension {state.dims[idx]}, channel expects "
-            f"{channel.in_dim}"
+            f"factor {factor} has dimension {dims[factor]}, channel expects {channel.in_dim}"
         )
-    return idx, state.dims[:idx] + (channel.out_dim,) + state.dims[idx + 1 :]
+    return dims[:factor] + (channel.out_dim,) + dims[factor + 1 :]
 
 
-def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: str) -> DensityMatrix:
-    """Apply the channel to one labeled factor, leaving the others alone."""
-    idx, new_dims = _locate_factor(channel, rho, factor)
-    out = _conjugate(channel.kraus, rho.matrix, rho.dims, idx)
-    return DensityMatrix(out, new_dims, rho.labels)
+def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: int) -> DensityMatrix:
+    """Apply the channel to the factor at position ``factor``, leaving the others alone."""
+    new_dims = _locate_factor(channel, rho, factor)
+    return DensityMatrix(_conjugate(channel.kraus, rho.matrix, rho.dims, factor), new_dims)
 
 
 def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
@@ -195,27 +195,28 @@ def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatri
             f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
         )
     w = _conjugate(channel.kraus.transpose(1, 0, 2), rho.matrix)
-    return DensityMatrix(w, (channel.num_kraus,), ("env",))
+    return DensityMatrix(w, (channel.num_kraus,))
 
 
 def measure_environment_branches(
-    channel: KrausChannel, state: PureState, factor: str
+    channel: KrausChannel, state: PureState, factor: int
 ) -> list[tuple[float, PureState]]:
     """Pure branches left by measuring the channel environment.
 
-    Applies each Kraus operator to the labeled factor of a pure input and
-    returns (probability, normalized state) pairs; branches below 1e-12
-    probability are dropped.  Probabilities sum to 1 and the weighted
-    mixture of branch projectors reconstructs the channel output.
+    Applies each Kraus operator to the factor at position ``factor`` of a
+    pure input and returns (probability, normalized state) pairs, with the
+    factors in their places; branches below 1e-12 probability are dropped.
+    Probabilities sum to 1 and the weighted mixture of branch projectors
+    reconstructs the channel output.
     """
-    idx, new_dims = _locate_factor(channel, state, factor)
-    moved = np.tensordot(channel.kraus, state.vector.reshape(state.dims), axes=(2, idx))
-    vectors = np.moveaxis(moved, 1, idx + 1).reshape(channel.num_kraus, -1)
+    new_dims = _locate_factor(channel, state, factor)
+    moved = np.tensordot(channel.kraus, state.vector.reshape(state.dims), axes=(2, factor))
+    vectors = np.moveaxis(moved, 1, factor + 1).reshape(channel.num_kraus, -1)
     branches = []
     for v in vectors:
         prob = float(np.vdot(v, v).real)
         if prob > BRANCH_CUTOFF:
-            branches.append((prob, PureState(v / math.sqrt(prob), new_dims, state.labels)))
+            branches.append((prob, PureState(v / math.sqrt(prob), new_dims)))
     return branches
 
 

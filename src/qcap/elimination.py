@@ -85,9 +85,7 @@ class EliminationInstance:
 def _append_zero(state: PureState, aux_dim: int) -> PureState:
     zero = np.zeros(aux_dim, dtype=complex)
     zero[0] = 1.0
-    return PureState(
-        np.kron(state.vector, zero), state.dims + (aux_dim,), state.labels + ("aux",)
-    )
+    return PureState(np.kron(state.vector, zero), state.dims + (aux_dim,))
 
 
 def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> EliminationInstance:
@@ -116,10 +114,11 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
             f"{block.in_dim}; the tail construction needs an isometry upward"
         )
 
+    # factors by position: the reference 0, the source 1 (then the channel in and out), aux last
     source = scheme.source.flattened()
     phi = purify(source)
     decode_block = compose(scheme.decoder, block)
-    branches = measure_environment_branches(scheme.encoder, phi, "sys")
+    branches = measure_environment_branches(scheme.encoder, phi, 1)
     # branch b scores <phi|(I x D)(|b><b|)|phi> = <b|Y|b>, Y = (I x D^dag)(|phi><phi|)
     adjoint = decode_block.kraus.conj().swapaxes(1, 2)
     y = _conjugate(adjoint, np.outer(phi.vector, phi.vector.conj()), (d_src, d_src), 1)
@@ -128,12 +127,12 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     best_index = int(np.argmax(scores))
     psi = branches[best_index][1]
     chosen = psi.density()
-    rho_out = apply_to_subsystem(decode_block, chosen, "sys")
-    rho_prime = chosen.reduced(["sys"])
+    rho_out = apply_to_subsystem(decode_block, chosen, 1)
+    rho_prime = chosen.reduced([1])
     big_psi, _ = max_overlap_purification(rho_out)
     aux_dim = d_src + 1
     psi_zero = _append_zero(psi, aux_dim)
-    u, gap = _uhlmann_isometry(big_psi, psi_zero, "ref")
+    u, gap = _uhlmann_isometry(big_psi, psi_zero)
     reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
     tail = KrausChannel(reshaped[:, :, :, 0].transpose(1, 0, 2))
 

@@ -51,7 +51,7 @@ def _kraus_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
     eta = purify(rho.flattened())
-    out = apply_to_subsystem(channel, eta.density(), "sys")
+    out = apply_to_subsystem(channel, eta.density(), 1)
     # first-levels convention: only the levels input and output share can overlap
     d, m = rho.dim, min(channel.in_dim, channel.out_dim)
     shared = eta.vector.reshape(d, channel.in_dim)[:, :m].reshape(-1)

@@ -5,6 +5,7 @@ arrays; the typed wrappers live in :mod:`qcap.states`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -13,6 +14,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
+_PANEL_ROWS = 256
 _LOG2 = math.log(2.0)
 
 
@@ -87,16 +89,21 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     return _scalar_or_stack(np.abs((values * logs).sum(-1)))
 
 
-def _check_density(m: np.ndarray) -> np.ndarray:
-    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace; return its adjoint."""
+def _check_density(m: np.ndarray) -> None:
+    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace."""
     bad = ~np.isfinite(m)
     failed = _first_failure(bad.any(axis=(-2, -1)))
     if failed:
         where, note = failed
         i, j = np.argwhere(bad[where])[0]
         raise ValueError(f"density matrix has a non-finite entry at row {i}, column {j}{note}")
-    adjoint = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    # max |m - m^dag| entry over row panels, so no d x d temporary is formed
+    b = _PANEL_ROWS
+    panels = (
+        np.abs(m[..., i : i + b, :] - m[..., :, i : i + b].conj().swapaxes(-1, -2))
+        for i in range(0, max(m.shape[-1], 1), b)
+    )
+    defect = functools.reduce(np.maximum, (p.max(axis=(-2, -1), initial=0.0) for p in panels))
     failed = _first_failure(defect > HERMITICITY_TOL)
     if failed:
         where, note = failed
@@ -108,7 +115,6 @@ def _check_density(m: np.ndarray) -> np.ndarray:
     if failed:
         where, note = failed
         raise ValueError(f"density matrix trace {complex(tr[where]):.12g} deviates from 1{note}")
-    return adjoint
 
 
 def _floored(values: np.ndarray) -> np.ndarray:
@@ -135,8 +141,8 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     call; an error names the first failing member by its stack index.
     """
     m = np.asarray(rho, dtype=complex)
-    adjoint = _check_density(m)
-    return _floored(np.linalg.eigvalsh(0.5 * (m + adjoint)))
+    _check_density(m)
+    return _floored(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))))
 
 
 def _factor_spectrum(factor: np.ndarray, matrix: np.ndarray) -> np.ndarray:

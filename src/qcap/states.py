@@ -19,50 +19,18 @@ from .linalg import (
 )
 
 
-def _auto_labels(count: int) -> tuple[str, ...]:
-    return tuple(f"q{i}" for i in range(count))
-
-
-def _fresh_label(base: str, taken: Sequence[str]) -> str:
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _check_factors(total: int, dims, labels) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def _check_dims(total: int, dims) -> tuple[int, ...]:
     dims = (total,) if dims is None else tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
         raise ValueError(f"factor dimensions {dims} do not multiply to {total}")
-    labels = _auto_labels(len(dims)) if labels is None else tuple(str(s) for s in labels)
-    if len(labels) != len(dims):
-        raise ValueError(f"{len(labels)} labels for {len(dims)} factors")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"factor labels must be unique, got {labels}")
-    return dims, labels
-
-
-class _Factors:
-    """Lookup of a labeled tensor factor, shared by the state types."""
-
-    labels: tuple[str, ...]
-
-    def factor_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"factor {label!r} not found; available factors are {list(self.labels)}"
-            ) from None
+    return dims
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_Factors):
-    """Unit-trace positive semidefinite matrix with labeled tensor factors.
+class DensityMatrix:
+    """Unit-trace positive semidefinite matrix with tensor factors addressed by position.
 
     Construction validates the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
@@ -73,18 +41,17 @@ class DensityMatrix(_Factors):
 
     matrix: np.ndarray
     dims: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dims, labels = _check_factors(m.shape[0], self.dims, self.labels)
-        self._store(m, density_spectrum(m), dims, labels)
+        dims = _check_dims(m.shape[0], self.dims)
+        self._store(m, density_spectrum(m), dims)
 
     @classmethod
-    def from_factor(cls, factor, dims=None, labels=None) -> "DensityMatrix":
+    def from_factor(cls, factor, dims=None) -> "DensityMatrix":
         """The state F F^dag of a d x r factor F, validated as the constructor validates it.
 
         The checks and their messages are those of the constructor, run on
@@ -94,52 +61,46 @@ class DensityMatrix(_Factors):
         f = np.asarray(factor, dtype=complex)
         if f.ndim != 2:
             raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
-        dims, labels = _check_factors(f.shape[0], dims, labels)
+        dims = _check_dims(f.shape[0], dims)
         m = f @ f.conj().T
         state = object.__new__(cls)
-        state._store(m, _factor_spectrum(f, m), dims, labels)
+        state._store(m, _factor_spectrum(f, m), dims)
         return state
 
-    def _store(self, m, eigenvalues, dims, labels):
+    def _store(self, m, eigenvalues, dims):
         m = m.view()  # read-only without touching the caller's array
         m.flags.writeable = eigenvalues.flags.writeable = False
-        vars(self).update(matrix=m, eigenvalues=eigenvalues, dims=dims, labels=labels)
+        vars(self).update(matrix=m, eigenvalues=eigenvalues, dims=dims)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def reduced(self, keep_labels: Sequence[str]) -> "DensityMatrix":
-        """Partial trace keeping only the listed factors, original order."""
-        keep = sorted(self.factor_index(s) for s in keep_labels)
+    def reduced(self, keep: Sequence[int]) -> "DensityMatrix":
+        """Partial trace keeping only the factors at the listed positions, original order."""
         sub = partial_trace(self.matrix, self.dims, keep)
-        return DensityMatrix(
-            sub,
-            tuple(self.dims[k] for k in keep),
-            tuple(self.labels[k] for k in keep),
-        )
+        return DensityMatrix(sub, tuple(self.dims[k] for k in sorted(set(keep))))
 
     def entropy(self) -> float:
         return entropy_of_spectrum(self.eigenvalues)
 
     def flattened(self) -> "DensityMatrix":
-        """Same validated matrix and spectrum relabeled as one factor "sys", with no new solve."""
+        """Same validated matrix and spectrum over the one factor ``(dim,)``, with no new solve."""
         flat = copy.copy(self)
-        vars(flat).update(dims=(self.dim,), labels=("sys",))
+        vars(flat).update(dims=(self.dim,))
         return flat
 
 
 @dataclass(frozen=True, eq=False)
-class PureState(_Factors):
-    """Unit vector with labeled tensor factors."""
+class PureState:
+    """Unit vector with tensor factors addressed by position."""
 
     vector: np.ndarray
     dims: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        dims, labels = _check_factors(v.size, self.dims, self.labels)
+        dims = _check_dims(v.size, self.dims)
         finite = np.isfinite(v)
         if not finite.all():
             raise ValueError(f"pure state has a non-finite entry at index {np.argmin(finite)}")
@@ -148,44 +109,43 @@ class PureState(_Factors):
             raise ValueError(f"pure state norm {norm:.12g} deviates from 1")
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.vector.size
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims, self.labels)
+        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
 
-    def reduced(self, keep_labels: Sequence[str]) -> DensityMatrix:
-        return self.density().reduced(keep_labels)
+    def reduced(self, keep: Sequence[int]) -> DensityMatrix:
+        return self.density().reduced(keep)
 
 
-def maximally_mixed(dim: int, dims=None, labels=None) -> DensityMatrix:
+def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
     """Identity over its dimension, the flat state."""
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims, labels)
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
 
 
 def purify(rho: DensityMatrix) -> PureState:
     """Canonical purification sum_a sqrt(l_a) |a>|v_a> on reference x system.
 
-    The reference factor "ref" ("ref1", ... if taken) comes first, has the
-    same total dimension as ``rho``, and tracing it out returns ``rho`` exactly.
+    The reference is factor 0, ahead of ``rho``'s factors; it has the same
+    total dimension as ``rho``, and tracing it out returns ``rho`` exactly.
     """
     values, vectors = np.linalg.eigh(rho.matrix)
     amps = np.sqrt(np.clip(values[::-1], 0.0, None))
     d = rho.dim
     # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
     table = amps[:, None] * vectors[:, ::-1].T
-    ref = _fresh_label("ref", rho.labels)
-    return PureState(table.reshape(-1), (d,) + rho.dims, (ref,) + rho.labels)
+    return PureState(table.reshape(-1), (d,) + rho.dims)
 
 
 def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
     """Purification of Tr_B rho whose aux-0 branch is rho's top eigenvector.
 
     For ``rho`` on factors (A, B) with largest eigenvalue l_max and top eigenvector
-    phi, returns the pure state on (A, B, C = "aux"), dim C = dim A + 1,
+    phi, returns the pure state on (A, B, C) with the auxiliary factor C
+    appended last, dim C = dim A + 1,
 
         sqrt(l_max) |phi>|0_C> + sum_i sqrt(t_i) |t_i>_A |0_B> |i_C>
 
@@ -207,42 +167,30 @@ def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
     table = np.zeros((da, db, da + 1), dtype=complex)
     table[:, :, 0] = head
     table[:, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))
-    aux = _fresh_label("aux", rho.labels)
-    state = PureState(table.reshape(-1), (da, db, da + 1), rho.labels + (aux,))
+    state = PureState(table.reshape(-1), (da, db, da + 1))
     return state, l_max
 
 
-def _factor_first(state: PureState, label: str) -> np.ndarray:
-    """State table with the named factor as rows, remaining factors flattened."""
-    idx = state.factor_index(label)
-    arr = state.vector.reshape(state.dims)
-    arr = np.moveaxis(arr, idx, 0)
-    return arr.reshape(state.dims[idx], -1)
-
-
-def _uhlmann_isometry(
-    state1: PureState, state2: PureState, shared: str
-) -> tuple[np.ndarray, float]:
+def _uhlmann_isometry(state1: PureState, state2: PureState) -> tuple[np.ndarray, float]:
     """Isometry U on the complement factors maximizing Re <state2|(I x U)|state1>.
 
-    Both states must share the named factor with equal dimension, and the
+    Both states must have a reference factor 0 of equal dimension, and the
     complement of ``state1`` must not exceed that of ``state2``.  U is the
     Uhlmann polar factor: with M = v2^dag v1 the cross-overlap of the two
-    state tables (shared factor as rows) and M = W S V^dag its thin SVD,
+    state tables (reference as rows) and M = W S V^dag its thin SVD,
     U = conj(W V^dag).  The overlap it attains is Tr S, real and
-    nonnegative, and its square is the fidelity of the shared marginals.
-    Returns (U, gap) where gap is the trace-norm mismatch of the shared
+    nonnegative, and its square is the fidelity of the reference marginals.
+    Returns (U, gap) where gap is the trace-norm mismatch of the reference
     marginals; callers decide how much gap they tolerate.
     """
-    i1, i2 = state1.factor_index(shared), state2.factor_index(shared)
-    ds = state1.dims[i1]
-    if state2.dims[i2] != ds:
+    ds = state1.dims[0]
+    if state2.dims[0] != ds:
         raise ValueError(
-            f"shared factor {shared!r} has dimension {ds} in one state "
-            f"and {state2.dims[i2]} in the other"
+            f"reference factor has dimension {ds} in one state "
+            f"and {state2.dims[0]} in the other"
         )
-    v1 = _factor_first(state1, shared)
-    v2 = _factor_first(state2, shared)
+    v1 = state1.vector.reshape(ds, -1)
+    v2 = state2.vector.reshape(ds, -1)
     n1, n2 = v1.shape[1], v2.shape[1]
     if n1 > n2:
         raise ValueError(
@@ -282,8 +230,8 @@ def _gaussian_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure_state(dim: int, seed, dims=None, labels=None) -> PureState:
-    return PureState(_gaussian_unit_vector(dim, _as_rng(seed)), dims, labels)
+def random_pure_state(dim: int, seed, dims=None) -> PureState:
+    return PureState(_gaussian_unit_vector(dim, _as_rng(seed)), dims)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
@@ -328,7 +276,7 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj(), out=others)
     others[cols, np.arange(n)] += 1.0
     others *= math.sqrt(eps / n)
-    return DensityMatrix.from_factor(factor, psi.dims, psi.labels)
+    return DensityMatrix.from_factor(factor, psi.dims)
 
 
 def write_density_file(path, rho: DensityMatrix) -> None:

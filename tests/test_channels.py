@@ -132,8 +132,8 @@ def test_apply_channel_rejects_dimension_mismatch():
 
 def test_apply_to_subsystem_erasure_on_bell_half():
     p = 0.25
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    out = apply_to_subsystem(erasure_channel(p), psi.density(), "b")
+    psi = PureState(bell_vector(), (2, 2))
+    out = apply_to_subsystem(erasure_channel(p), psi.density(), 1)
     assert out.dims == (2, 3)
     embed = np.zeros((3, 2), dtype=complex)
     embed[0, 0] = embed[1, 1] = 1.0
@@ -147,29 +147,30 @@ def test_apply_to_subsystem_erasure_on_bell_half():
 
 
 def test_apply_to_subsystem_full_erasure_decouples():
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    out = apply_to_subsystem(erasure_channel(1.0), psi.density(), "b")
-    red = out.reduced(["a"])
+    psi = PureState(bell_vector(), (2, 2))
+    out = apply_to_subsystem(erasure_channel(1.0), psi.density(), 1)
+    red = out.reduced([0])
     assert np.max(np.abs(red.matrix - np.eye(2) / 2.0)) < 1e-12
-    flag = out.reduced(["b"])
+    flag = out.reduced([1])
     assert abs(flag.matrix[2, 2] - 1.0) < 1e-12
 
 
-def test_apply_to_subsystem_label_and_dimension_errors():
+def test_apply_to_subsystem_position_and_dimension_errors():
     rho = maximally_mixed(4, (2, 2))
-    with pytest.raises(ValueError, match="not found"):
-        apply_to_subsystem(erasure_channel(0.1), rho, "c")
+    for factor in (2, -1):
+        with pytest.raises(ValueError, match=f"^factor {factor} out of range for 2 factors$"):
+            apply_to_subsystem(erasure_channel(0.1), rho, factor)
     rho3 = maximally_mixed(6, (2, 3))
-    with pytest.raises(ValueError, match="channel expects"):
-        apply_to_subsystem(erasure_channel(0.1), rho3, "q1")
+    with pytest.raises(ValueError, match="^factor 1 has dimension 3, channel expects 2$"):
+        apply_to_subsystem(erasure_channel(0.1), rho3, 1)
 
 
 def test_tensor_power_matches_sequential_application():
     chan = erasure_channel(0.3)
     rho = maximally_mixed(4, (2, 2))
     via_power = apply_channel(tensor_power(chan, 2), rho.flattened())
-    step1 = apply_to_subsystem(chan, rho, "q0")
-    step2 = apply_to_subsystem(chan, step1, "q1")
+    step1 = apply_to_subsystem(chan, rho, 0)
+    step2 = apply_to_subsystem(chan, step1, 1)
     assert np.max(np.abs(via_power.matrix - step2.matrix)) < 1e-12
 
 
@@ -244,6 +245,31 @@ def test_environment_state_erasure_oracle():
     assert abs(w.entropy() - expected) < 1e-12
 
 
+def _flag_erasure(q):
+    """Qutrit kept with probability 1 - q, else replaced by the flag level 2."""
+    ops = np.zeros((4, 3, 3), dtype=complex)
+    ops[0] = np.sqrt(1.0 - q) * np.eye(3)
+    ops[1:, 2, :] = np.sqrt(q) * np.eye(3)
+    return KrausChannel(ops)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.49, 0.5])
+def test_erasure_is_degradable(n, p):
+    # for p <= 1/2 the environment, (1 - p) on a flag and p rho on two levels, is
+    # the output erased again with q = (1 - 2p) / (1 - p), levels reindexed [2, 0, 1]
+    q = (1.0 - 2.0 * p) / (1.0 - p)
+    block = tensor_power(erasure_channel(p), n)
+    degraded = compose(tensor_power(_flag_erasure(q), n), block)
+    order = np.arange(3**n).reshape((3,) * n)[np.ix_(*[[2, 0, 1]] * n)].ravel()
+    rng = np.random.default_rng(int(100 * p) + n)
+    for _ in range(5):
+        rho = random_density(2**n, rank=int(rng.integers(1, 2**n + 1)), seed=rng)
+        env = environment_state(block, rho).matrix
+        out = apply_channel(degraded, rho).matrix[np.ix_(order, order)]
+        assert np.abs(env - out).max() < 1e-14
+
+
 def test_environment_state_matches_explicit_traces():
     rng = np.random.default_rng(47)
     chan = random_kraus_channel(3, 2, 4, rng)
@@ -286,8 +312,8 @@ def test_erasure_output_entropy_identity():
 def test_measure_environment_branches_unitary_single_branch():
     rng = np.random.default_rng(23)
     u = random_unitary(2, seed=rng)
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    branches = measure_environment_branches(unitary_channel(u), psi, "b")
+    psi = PureState(bell_vector(), (2, 2))
+    branches = measure_environment_branches(unitary_channel(u), psi, 1)
     assert len(branches) == 1
     prob, state = branches[0]
     assert abs(prob - 1.0) < 1e-12
@@ -298,67 +324,67 @@ def test_measure_environment_branches_unitary_single_branch():
 
 def test_measure_environment_branches_erasure_on_bell():
     p = 0.3
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    branches = measure_environment_branches(erasure_channel(p), psi, "b")
+    psi = PureState(bell_vector(), (2, 2))
+    branches = measure_environment_branches(erasure_channel(p), psi, 1)
     probs = sorted(prob for prob, _ in branches)
     assert np.allclose(probs, [p / 2.0, p / 2.0, 1.0 - p], atol=1e-12)
     assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
     for _, state in branches:
         assert state.dims == (2, 3)
-        assert state.labels == ("a", "b")
 
 
 def test_measure_environment_branches_reconstruct_output():
     rng = np.random.default_rng(29)
     chan = random_kraus_channel(2, 3, 3, rng)
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    branches = measure_environment_branches(chan, psi, "b")
+    psi = PureState(bell_vector(), (2, 2))
+    branches = measure_environment_branches(chan, psi, 1)
     mix = sum(prob * state.density().matrix for prob, state in branches)
-    direct = apply_to_subsystem(chan, psi.density(), "b")
+    direct = apply_to_subsystem(chan, psi.density(), 1)
     assert np.max(np.abs(mix - direct.matrix)) < 1e-10
 
 
 @pytest.mark.parametrize(
-    "factor, in_dim, out_dim, num_kraus", [("a", 2, 3, 2), ("b", 3, 2, 3), ("c", 2, 4, 3)]
+    "idx, in_dim, out_dim, num_kraus",
+    [(0, 2, 3, 2), (1, 3, 2, 3), (2, 2, 4, 3)],
+    ids=["a-2-3-2", "b-3-2-3", "c-2-4-3"],
 )
-def test_factor_kernel_on_each_factor(factor, in_dim, out_dim, num_kraus):
+def test_factor_kernel_on_each_factor(idx, in_dim, out_dim, num_kraus):
     rng = np.random.default_rng(41)
-    dims, labels = (2, 3, 2), ("a", "b", "c")
+    dims = (2, 3, 2)
     chan = random_kraus_channel(in_dim, out_dim, num_kraus, rng)
-    idx = labels.index(factor)
     left = np.eye(int(np.prod(dims[:idx])), dtype=complex)
     right = np.eye(int(np.prod(dims[idx + 1 :])), dtype=complex)
     lifted = [np.kron(np.kron(left, a), right) for a in chan.kraus]
     new_dims = dims[:idx] + (out_dim,) + dims[idx + 1 :]
 
-    rho = DensityMatrix(random_density(12, rank=12, seed=rng).matrix, dims, labels)
+    rho = DensityMatrix(random_density(12, rank=12, seed=rng).matrix, dims)
     expected = sum(op @ rho.matrix @ op.conj().T for op in lifted)
-    out = apply_to_subsystem(chan, rho, factor)
+    out = apply_to_subsystem(chan, rho, idx)
     assert out.dims == new_dims
-    assert out.labels == labels
     assert np.max(np.abs(out.matrix - expected)) < 1e-12
 
-    psi = random_pure_state(12, rng, dims, labels)
+    psi = random_pure_state(12, rng, dims)
     expected = sum(np.outer(op @ psi.vector, (op @ psi.vector).conj()) for op in lifted)
-    branches = measure_environment_branches(chan, psi, factor)
+    branches = measure_environment_branches(chan, psi, idx)
     mix = sum(prob * state.density().matrix for prob, state in branches)
     assert all(state.dims == new_dims for _, state in branches)
     assert np.max(np.abs(mix - expected)) < 1e-12
 
 
 def test_measure_environment_branches_drops_null_branches():
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    branches = measure_environment_branches(erasure_channel(0.0), psi, "b")
+    psi = PureState(bell_vector(), (2, 2))
+    branches = measure_environment_branches(erasure_channel(0.0), psi, 1)
     assert len(branches) == 1
 
 
 def test_measure_environment_branches_errors():
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
-    with pytest.raises(ValueError, match="not found"):
-        measure_environment_branches(erasure_channel(0.1), psi, "c")
-    trit = PureState(np.eye(3, dtype=complex)[0], (3,), ("t",))
-    with pytest.raises(ValueError, match="channel expects"):
-        measure_environment_branches(erasure_channel(0.1), trit, "t")
+    psi = PureState(bell_vector(), (2, 2))
+    for factor in (2, -1):
+        with pytest.raises(ValueError, match=f"^factor {factor} out of range for 2 factors$"):
+            measure_environment_branches(erasure_channel(0.1), psi, factor)
+    trit = PureState(np.eye(3, dtype=complex)[0], (3,))
+    with pytest.raises(ValueError, match="^factor 0 has dimension 3, channel expects 2$"):
+        measure_environment_branches(erasure_channel(0.1), trit, 0)
 
 
 def test_coding_scheme_validation():

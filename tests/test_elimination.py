@@ -171,10 +171,10 @@ def test_selected_branch_is_first_argmax():
     phi = purify(source)
     block = tensor_power(channel, scheme.block_size)
     decode_block = compose(scheme.decoder, block)
-    branches = measure_environment_branches(scheme.encoder, phi, "sys")
+    branches = measure_environment_branches(scheme.encoder, phi, 1)
     outs, fids = [], []
     for _, psi in branches:
-        outs.append(apply_to_subsystem(decode_block, psi.density(), "sys"))
+        outs.append(apply_to_subsystem(decode_block, psi.density(), 1))
         fids.append(float(np.real(phi.vector.conj() @ outs[-1].matrix @ phi.vector)))
     best = max(range(len(fids)), key=lambda i: (fids[i], -i))
     assert instance.branch_index == best
@@ -205,7 +205,7 @@ def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
         solves.clear()
         decodes.clear()
         eliminate_encoder(scheme, channel)
-        assert (len(solves), decodes) == (3, ["sys"])
+        assert (len(solves), decodes) == (3, [1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -215,8 +215,8 @@ def test_kept_branch_has_the_best_decoded_fidelity(seed):
         phi = purify(scheme.source.flattened())
         decode_block = compose(scheme.decoder, tensor_power(channel, scheme.block_size))
         fids = []
-        for _, psi in measure_environment_branches(scheme.encoder, phi, "sys"):
-            out = apply_to_subsystem(decode_block, psi.density(), "sys")
+        for _, psi in measure_environment_branches(scheme.encoder, phi, 1):
+            out = apply_to_subsystem(decode_block, psi.density(), 1)
             fids.append(float(np.vdot(phi.vector, out.matrix @ phi.vector).real))
         # split-isometry branches both decode to fidelity 1 up to rounding, so
         # the kept index is pinned only up to ties

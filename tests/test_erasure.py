@@ -343,6 +343,15 @@ def test_verify_iplus_bound_pure_product_slack():
     assert report.aggregate_ok
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.49])
+def test_verify_iplus_bound_on_optimized_states(n, p):
+    best, _ = maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
+    report = verify_iplus_bound(erasure_decomposition(best, p, n))
+    assert report.pair_violations == 0
+    assert report.aggregate_ok
+
+
 def test_aggregate_ok_follows_iplus():
     flat = maximally_mixed(8, (2, 2, 2))
     report = verify_iplus_bound(erasure_decomposition(flat, 0.3, 3))

@@ -241,6 +241,37 @@ def test_density_spectrum_names_the_bad_stack_member(single, message):
         density_spectrum(grid)
 
 
+def _flat_with_defect(d, row, col, size):
+    m = np.eye(d, dtype=complex) / d
+    m[row, col] = size
+    return m
+
+
+def test_hermiticity_defect_found_in_the_last_row_panel():
+    # 300 rows span two 256-row panels; the only asymmetric pair lies in the second
+    d = 300
+    m = _flat_with_defect(d, 280, 299, 1e-6)
+    assert np.abs(m - m.conj().T).max() == 1e-6
+    message = r"^density matrix is not Hermitian: max deviation 1\.000e-06$"
+    with pytest.raises(ValueError, match=message):
+        density_spectrum(m)
+    # member 1 deviates below the tolerance; 2 and 3 fail, and the first failure is named
+    stack = np.array(
+        [
+            np.eye(d) / d,
+            _flat_with_defect(d, 3, 7, 5e-10),
+            _flat_with_defect(d, 290, 260, 2e-6),
+            _flat_with_defect(d, 1, 0, 3e-6),
+        ]
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^density matrix is not Hermitian: max deviation 2\.000e-06 at stack index 2$",
+    ):
+        density_spectrum(stack)
+    assert density_spectrum(stack[:2]).shape == (2, d)
+
+
 def test_density_spectrum_of_a_single_matrix_is_unchanged():
     rng = np.random.default_rng(5)
     for dim in (1, 2, 5, 16):

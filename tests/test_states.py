@@ -36,34 +36,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="multiply"):
         DensityMatrix(np.eye(6, dtype=complex) / 6.0, (2, 2))
-    with pytest.raises(ValueError, match="unique"):
-        DensityMatrix(np.eye(4, dtype=complex) / 4.0, (2, 2), ("a", "a"))
 
 
 def test_density_matrix_factors_and_entropy():
     rho = maximally_mixed(4, (2, 2))
     assert rho.dim == 4
-    assert rho.labels == ("q0", "q1")
-    assert rho.factor_index("q1") == 1
+    assert rho.dims == (2, 2)
     assert abs(rho.entropy() - 2.0) < 1e-12
-    flat = rho.flattened()
-    assert flat.dims == (4,)
-    assert flat.labels == ("sys",)
-    with pytest.raises(ValueError, match="not found"):
-        rho.factor_index("nope")
+    assert rho.flattened().dims == (4,)
+    with pytest.raises(ValueError, match="out of range"):
+        rho.reduced([2])
 
 
 def test_reduced_keeps_original_factor_order():
     rng = np.random.default_rng(2)
     r1 = random_density(2, rank=2, seed=rng)
     r2 = random_density(3, rank=3, seed=rng)
-    joint = DensityMatrix(
-        np.kron(r1.matrix, r2.matrix), (2, 3), ("left", "right")
-    )
-    red = joint.reduced(["right", "left"])
-    assert red.labels == ("left", "right")
+    joint = DensityMatrix(np.kron(r1.matrix, r2.matrix), (2, 3))
+    red = joint.reduced([1, 0])
+    assert red.dims == (2, 3)
     assert np.max(np.abs(red.matrix - joint.matrix)) < 1e-12
-    only = joint.reduced(["right"])
+    only = joint.reduced([1])
     assert only.dims == (3,)
     assert np.max(np.abs(only.matrix - r2.matrix)) < 1e-12
 
@@ -80,8 +73,8 @@ def test_density_matrix_arrays_are_read_only_views():
     m[1, 1] = 0.5
 
 
-def test_flattened_relabels_without_solving(monkeypatch):
-    pair = DensityMatrix(random_density(4, rank=3, seed=8).matrix, (2, 2), ("a", "b"))
+def test_flattened_sets_one_factor_without_solving(monkeypatch):
+    pair = DensityMatrix(random_density(4, rank=3, seed=8).matrix, (2, 2))
     solves = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -95,8 +88,7 @@ def test_flattened_relabels_without_solving(monkeypatch):
     assert solves == []
     assert flat.eigenvalues is pair.eigenvalues
     assert flat.matrix is pair.matrix
-    assert (flat.dims, flat.labels) == ((4,), ("sys",))
-    assert (pair.dims, pair.labels) == ((2, 2), ("a", "b"))
+    assert (flat.dims, pair.dims) == ((4,), (2, 2))
     for array in (flat.matrix, flat.eigenvalues):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -110,14 +102,14 @@ def _unit_factor(rng, d, r):
 @pytest.mark.parametrize("d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1)])
 def test_from_factor_agrees_with_the_formed_matrix(d, r):
     f = _unit_factor(np.random.default_rng(10 * d + r), d, r)
-    rho = DensityMatrix.from_factor(f, labels=("sys",))
-    ref = DensityMatrix(f @ f.conj().T, labels=("sys",))
+    rho = DensityMatrix.from_factor(f)
+    ref = DensityMatrix(f @ f.conj().T)
     assert np.array_equal(rho.matrix, ref.matrix)
     assert rho.eigenvalues.shape == (d,)
     assert np.all(np.diff(rho.eigenvalues) >= 0.0)
     assert np.abs(rho.eigenvalues - ref.eigenvalues).max() < 1e-12
     assert abs(rho.entropy() - ref.entropy()) < 1e-12
-    assert (rho.dims, rho.labels) == ((d,), ("sys",))
+    assert rho.dims == (d,)
 
 
 def test_from_factor_solves_the_gram_below_full_rank(monkeypatch):
@@ -156,17 +148,16 @@ def test_from_factor_rejects_what_the_constructor_rejects():
     nan[1, 0] = np.nan
     inf = f.copy()
     inf[2, 1] = np.inf
-    for factor, dims, labels, match in [
-        (nan, None, None, "non-finite entry at row 0, column 1"),
-        (inf, None, None, "non-finite entry"),
-        (np.sqrt(2.0) * f, None, None, "density matrix trace 2"),
-        (f, (3,), None, "do not multiply to 4"),
-        (f, (2, 2), ("a",), "1 labels for 2 factors"),
-        (f, (2, 2), ("a", "a"), "unique"),
+    for factor, dims, match in [
+        (nan, None, "non-finite entry at row 0, column 1"),
+        (inf, None, "non-finite entry"),
+        (np.sqrt(2.0) * f, None, "density matrix trace 2"),
+        (f, (3,), "do not multiply to 4"),
+        (f, (2, 0, 2), "must be positive"),
     ]:
-        message = _message(lambda: DensityMatrix.from_factor(factor, dims, labels))
+        message = _message(lambda: DensityMatrix.from_factor(factor, dims))
         assert match in message
-        assert message == _message(lambda: DensityMatrix(factor @ factor.conj().T, dims, labels))
+        assert message == _message(lambda: DensityMatrix(factor @ factor.conj().T, dims))
     with pytest.raises(ValueError, match="factor must be a matrix"):
         DensityMatrix.from_factor(np.ones(4) / 2.0)
 
@@ -198,49 +189,40 @@ def test_states_reject_non_finite_entries():
 def test_pure_state_validation_and_density():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0, 1.0], dtype=complex))
-    psi = PureState(bell_vector(), (2, 2), ("a", "b"))
+    psi = PureState(bell_vector(), (2, 2))
     rho = psi.density()
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-    red = psi.reduced(["b"])
+    red = psi.reduced([1])
     assert np.max(np.abs(red.matrix - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_purify_recovers_state():
     psi = purify(maximally_mixed(2))
-    assert psi.labels == ("ref", "q0")
     assert psi.dims == (2, 2)
+    assert purify(maximally_mixed(6, (3, 2))).dims == (6, 3, 2)
     rng = np.random.default_rng(9)
     for _ in range(10):
         rho = random_density(3, rank=int(rng.integers(1, 4)), seed=rng)
         pur = purify(rho)
-        back = pur.reduced([rho.labels[0]])
+        back = pur.reduced([1])
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
 
 
 def test_purify_pure_input_stays_product():
     psi = random_pure_state(3, seed=1)
     pur = purify(psi.density())
-    red = pur.reduced(["ref"])
+    red = pur.reduced([0])
     top = float(np.linalg.eigvalsh(red.matrix).max())
     assert abs(top - 1.0) < 1e-10
-
-
-def test_purify_avoids_label_collision():
-    rho = maximally_mixed(2, (2,), ("ref",))
-    pur = purify(rho)
-    assert pur.labels == ("ref1", "ref")
 
 
 def test_max_overlap_purification_noisy_bell():
     eps = 0.01
     bell = np.outer(bell_vector(), bell_vector().conj())
-    rho = DensityMatrix(
-        (1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2), ("a", "b")
-    )
+    rho = DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2))
     state, l_max = max_overlap_purification(rho)
     assert abs(l_max - 0.9925) < 1e-12
     assert state.dims == (2, 2, 3)
-    assert state.labels == ("a", "b", "aux")
     proj = np.kron(rho.matrix, np.diag([1.0, 0.0, 0.0]))
     overlap = float(np.real(state.vector.conj() @ proj @ state.vector))
     assert abs(overlap - 0.9925**2) < 1e-12
@@ -252,7 +234,7 @@ def test_max_overlap_purification_random_states():
     for dims in [(2, 2)] * 10 + [(3, 2), (2, 3)]:
         d = dims[0] * dims[1]
         raw = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
-        rho = DensityMatrix(raw.matrix, dims, ("a", "b"))
+        rho = DensityMatrix(raw.matrix, dims)
         state, l_max = max_overlap_purification(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert abs(l_max - top) < 1e-10
@@ -266,11 +248,9 @@ def test_max_overlap_purification_marginal_gap_shrinks_with_purity():
     bell = np.outer(bell_vector(), bell_vector().conj())
     gaps = []
     for eps in (0.2, 0.02, 0.002):
-        rho = DensityMatrix(
-            (1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2), ("a", "b")
-        )
+        rho = DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2))
         state, _ = max_overlap_purification(rho)
-        back = state.reduced(["a", "b"])
+        back = state.reduced([0, 1])
         gaps.append(trace_norm(back.matrix - rho.matrix))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-3
@@ -279,17 +259,17 @@ def test_max_overlap_purification_marginal_gap_shrinks_with_purity():
 def test_max_overlap_purification_keeps_first_marginal():
     bell = np.outer(bell_vector(), bell_vector().conj())
     states = [
-        DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2), ("a", "b"))
+        DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2))
         for eps in (0.2, 0.02, 0.002)
     ]
     rng = np.random.default_rng(17)
     for i in range(10):
         raw = random_density(4, rank=1 + i % 4, seed=rng)
-        states.append(DensityMatrix(raw.matrix, (2, 2), ("a", "b")))
-    states.append(DensityMatrix(random_density(6, rank=6, seed=rng).matrix, (3, 2), ("a", "b")))
+        states.append(DensityMatrix(raw.matrix, (2, 2)))
+    states.append(DensityMatrix(random_density(6, rank=6, seed=rng).matrix, (3, 2)))
     for rho in states:
         state, _ = max_overlap_purification(rho)
-        gap = trace_norm(state.reduced(["a"]).matrix - rho.reduced(["a"]).matrix)
+        gap = trace_norm(state.reduced([0]).matrix - rho.reduced([0]).matrix)
         assert gap < 1e-12
 
 
@@ -301,17 +281,17 @@ def test_max_overlap_purification_needs_two_factors():
 def test_relate_purifications_identity_case():
     rho = random_density(3, rank=3, seed=21)
     pur = purify(rho)
-    u, gap = _uhlmann_isometry(pur, pur, "ref")
+    u, gap = _uhlmann_isometry(pur, pur)
     assert gap < 1e-8
     assert np.max(np.abs(u - np.eye(3))) < 1e-8
 
 
 def test_relate_purifications_bell_pair_gives_bit_flip():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    psi1 = PureState(bell_vector(), (2, 2), ("a", "b"))
+    psi1 = PureState(bell_vector(), (2, 2))
     flipped = np.kron(np.eye(2), sx) @ bell_vector()
-    psi2 = PureState(flipped, (2, 2), ("a", "b"))
-    u, gap = _uhlmann_isometry(psi1, psi2, "a")
+    psi2 = PureState(flipped, (2, 2))
+    u, gap = _uhlmann_isometry(psi1, psi2)
     assert gap < 1e-8
     assert np.max(np.abs(u - sx)) < 1e-8
 
@@ -322,8 +302,8 @@ def test_relate_purifications_random_same_marginal():
         rho = random_density(3, rank=3, seed=rng)
         psi1 = purify(rho)
         w = random_unitary(3, seed=rng)
-        psi2 = PureState(on_complement(psi1, w), psi1.dims, psi1.labels)
-        u, gap = _uhlmann_isometry(psi1, psi2, "ref")
+        psi2 = PureState(on_complement(psi1, w), psi1.dims)
+        u, gap = _uhlmann_isometry(psi1, psi2)
         assert gap < 1e-8
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
         assert np.linalg.norm(on_complement(psi1, u) - psi2.vector) < 1e-7
@@ -335,8 +315,8 @@ def test_relate_purifications_isometry_case():
     psi1 = purify(rho)
     big = random_unitary(5, seed=rng)
     v = big[:, :3]
-    psi2 = PureState(on_complement(psi1, v), (3, 5), ("ref", "sys"))
-    u, gap = _uhlmann_isometry(psi1, psi2, "ref")
+    psi2 = PureState(on_complement(psi1, v), (3, 5))
+    u, gap = _uhlmann_isometry(psi1, psi2)
     assert gap < 1e-8
     assert u.shape == (5, 3)
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
@@ -347,26 +327,24 @@ def test_uhlmann_isometry_reports_marginal_mismatch():
     # the isometry is returned whatever the gap; the caller judges the gap
     psi1 = purify(random_density(3, rank=3, seed=1))
     psi2 = purify(random_density(3, rank=3, seed=2))
-    _, gap = _uhlmann_isometry(psi1, psi2, "ref")
+    _, gap = _uhlmann_isometry(psi1, psi2)
     assert gap > 1e-3
 
 
 def test_uhlmann_isometry_rejects_shared_dimension_mismatch():
     psi1 = purify(random_density(3, rank=3, seed=3))
     psi2 = purify(random_density(2, rank=2, seed=4))
-    with pytest.raises(ValueError, match="'ref' has dimension 3 in one state and 2 in the other"):
-        _uhlmann_isometry(psi1, psi2, "ref")
+    with pytest.raises(ValueError, match="reference factor has dimension 3 in one state and 2 in"):
+        _uhlmann_isometry(psi1, psi2)
 
 
 def test_relate_purifications_rejects_shrinking_complement():
     rng = np.random.default_rng(39)
     rho = random_density(3, rank=2, seed=rng)
     psi1 = purify(rho)
-    small = PureState(
-        random_pure_state(6, seed=rng).vector, (3, 2), ("ref", "sys")
-    )
+    small = PureState(random_pure_state(6, seed=rng).vector, (3, 2))
     with pytest.raises(ValueError, match="complement dimension"):
-        _uhlmann_isometry(psi1, small, "ref")
+        _uhlmann_isometry(psi1, small)
 
 
 def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
@@ -376,12 +354,12 @@ def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
     rng = np.random.default_rng(41)
     for _ in range(20):
         a = purify(random_density(3, rank=3, seed=rng))
-        b = PureState(random_pure_state(15, seed=rng).vector, (3, 5), ("ref", "sys"))
-        u, gap = _uhlmann_isometry(a, b, "ref")
+        b = PureState(random_pure_state(15, seed=rng).vector, (3, 5))
+        u, gap = _uhlmann_isometry(a, b)
         assert gap > 1e-3
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
         overlap = np.vdot(b.vector, on_complement(a, u))
-        fid = uhlmann_fidelity(a.reduced(["ref"]).matrix, b.reduced(["ref"]).matrix)
+        fid = uhlmann_fidelity(a.reduced([0]).matrix, b.reduced([0]).matrix)
         assert abs(abs(overlap) ** 2 - fid) < 1e-10
 
 
@@ -484,7 +462,7 @@ def test_read_density_file_rejects_malformed_input(tmp_path):
 def test_trace_norm_zero_for_equal_marginals_sanity():
     rho = random_density(3, rank=3, seed=55)
     psi = purify(rho)
-    sigma = psi.reduced(["ref"])
+    sigma = psi.reduced([0])
     mirror = purify(sigma)
-    back = mirror.reduced(["ref"])
+    back = mirror.reduced([0])
     assert trace_norm(back.matrix - sigma.matrix) < 1e-10
