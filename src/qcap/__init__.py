@@ -35,7 +35,6 @@ from .erasure import (
     coherent_info_from_decomposition,
     erasure_coherent_info_block,
     erasure_decomposition,
-    erasure_output_entropy_block,
     half_sum_fraction,
     iplus_iminus_split,
     maximize_coherent_info,
@@ -55,10 +54,8 @@ from .functionals import (
 )
 from .linalg import (
     binary_entropy,
-    bw_overlap,
     partial_trace,
     trace_norm,
-    uhlmann_fidelity,
     von_neumann_entropy,
 )
 from .states import (

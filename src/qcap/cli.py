@@ -53,9 +53,9 @@ def _fmt(value: float) -> str:
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out is not None:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _grid(p_start: float, p_end: float, steps: int) -> list[float]:
@@ -142,6 +142,8 @@ def _cmd_theorem_demo(args) -> int:
         if not inst.fidelity_ok:
             violations += 1
         if not inst.entropy_ok:
+            violations += 1
+        if inst.flagged:
             violations += 1
         lines.append(
             f"{index},{_fmt(inst.eps_in)},{_fmt(inst.eps_out)},"

@@ -153,12 +153,8 @@ def coherent_info_from_decomposition(decomp: ErasureDecomposition) -> float:
     return float(_weights(decomp.block_size, decomp.p) @ (s - s[::-1]))
 
 
-def erasure_output_entropy_block(rho: DensityMatrix, p: float, block_size: int) -> float:
-    """Receiver entropy: weighted marginal entropies plus the flag entropy."""
-    return output_entropy_from_decomposition(erasure_decomposition(rho, p, block_size))
-
-
 def output_entropy_from_decomposition(decomp: ErasureDecomposition) -> float:
+    """Receiver entropy: weighted marginal entropies plus the flag entropy."""
     w = _weights(decomp.block_size, decomp.p)
     return float(w @ decomp.subset_entropies + entropy_of_spectrum(w))
 
@@ -231,13 +227,20 @@ def binomial_mean(n: int, p: float) -> float:
 
 
 def half_sum_fraction(n: int, p: float) -> float:
-    """(1/n) sum_{k<=n//2} C(n,k) p^k (1-p)^(n-k) k, which tends to p for p < 1/2."""
+    """(1/n) sum_{k<=n//2} C(n,k) p^k (1-p)^(n-k) k, which tends to p for p < 1/2.
+
+    Each term is formed in log space, so large n does not overflow.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _require_probability(p, "probability")
+    if p in (0.0, 1.0):
+        return 0.0  # only k = 0 or k = n > n//2 has weight
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
     total = 0.0
-    for k in range(n // 2 + 1):
-        total += math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * k
+    for k in range(1, n // 2 + 1):
+        log_comb = log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        total += math.exp(log_comb + k * log_p + (n - k) * log_q) * k
     return total / n
 
 

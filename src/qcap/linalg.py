@@ -181,53 +181,3 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
-
-
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh(matrix)
-    values = np.clip(values, 0.0, None)
-    return (vectors * np.sqrt(values)) @ vectors.conj().T
-
-
-def uhlmann_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
-
-    Both arguments must pass :func:`density_spectrum`.  For a pure first
-    argument this reduces to <psi|rho2|psi>.
-    """
-    a = np.asarray(rho1, dtype=complex)
-    b = np.asarray(rho2, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    for name, m in (("first", a), ("second", b)):
-        try:
-            density_spectrum(m)
-        except ValueError as exc:
-            raise ValueError(f"{name} argument: {exc}") from None
-    root = _psd_sqrt(0.5 * (a + a.conj().T))
-    inner = root @ (0.5 * (b + b.conj().T)) @ root
-    values = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    fid = float(np.sqrt(values).sum()) ** 2
-    return min(max(fid, 0.0), 1.0)
-
-
-def bw_overlap(lambdas1: Iterable[float], lambdas2: Iterable[float]) -> float:
-    """Bhattacharyya overlap (sum_i sqrt(p_i q_i))^2 of two spectra."""
-    p = np.asarray(list(lambdas1), dtype=float)
-    q = np.asarray(list(lambdas2), dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"spectra have different lengths {p.size} and {q.size}")
-    for name, vec in (("first", p), ("second", q)):
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{name} spectrum has a non-finite entry")
-        if vec.size and float(vec.min()) < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"{name} spectrum has negative entry {float(vec.min()):.3e}"
-            )
-        if abs(float(vec.sum()) - 1.0) > TRACE_TOL:
-            raise ValueError(
-                f"{name} spectrum sums to {float(vec.sum()):.12g}, expected 1"
-            )
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
-    return float(np.sqrt(p * q).sum() ** 2)

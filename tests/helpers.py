@@ -27,3 +27,11 @@ def bell_vector() -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return v
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Unvalidated Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, a test reference."""
+    values, vectors = np.linalg.eigh(a)
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    inner = np.linalg.eigvalsh(root @ b @ root)
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum()) ** 2

@@ -218,6 +218,15 @@ def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
     assert code == 2
 
 
+def test_theorem_demo_exits_2_on_a_flagged_instance(capsys, monkeypatch):
+    monkeypatch.setattr(qcap.elimination, "MARGINAL_GAP_TOL", -1.0)
+    code, out, _ = run_cli(capsys, ["theorem-demo", "--trials", "6"])
+    assert code == 2
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 6
+    assert all(row.endswith(",true") for row in rows)
+
+
 def test_lemma_check_runs_each_suite(capsys):
     for lemma in ("fannes", "lemma1", "lemma2", "mixing"):
         code, out, _ = run_cli(
@@ -273,11 +282,12 @@ def test_out_file_duplicates_stdout(capsys, tmp_path):
 
 
 def test_out_file_unwritable_path(capsys, tmp_path):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         ["capacity-curve", "--steps", "3", "--out", str(tmp_path / "no" / "dir.csv")],
     )
     assert code == 1
+    assert out == ""
     assert "qcap: error:" in err
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from qcap.channels import (
     CodingScheme,
+    KrausChannel,
     apply_to_subsystem,
     compose,
     identity_channel,
@@ -107,8 +108,26 @@ def test_tail_decoder_shapes_and_completeness():
     assert np.max(np.abs(total - np.eye(tail.in_dim))) < 1e-9
 
 
+def _weak_damping_scheme(d, gamma, source):
+    """Encoder A_0 = diag(1, sqrt(1-gamma), ...), A_k = sqrt(gamma)|0><k|, identity elsewhere."""
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[0] = np.diag([1.0] + [math.sqrt(1.0 - gamma)] * (d - 1))
+    for k in range(1, d):
+        ops[k, 0, k] = math.sqrt(gamma)
+    scheme = CodingScheme(source, KrausChannel(ops), identity_channel(d), 1)
+    return scheme, identity_channel(d)
+
+
 def test_instance_numbers_are_reproducible_from_parts():
-    scheme, channel = random_demo_schemes(2, seed=21)[1]
+    _check_reproducible_from_parts(*random_demo_schemes(2, seed=21)[1])
+    # a damping branch is no isometry, so rho_prime's spectrum moves off the source's
+    damping = _weak_damping_scheme(3, 0.01, random_density(3, rank=3, seed=2))
+    instance = _check_reproducible_from_parts(*damping)
+    assert instance.entropy_gap > 1e-4
+    assert instance.fidelity_ok and instance.entropy_ok and not instance.flagged
+
+
+def _check_reproducible_from_parts(scheme, channel):
     instance = eliminate_encoder(scheme, channel)
 
     eps_in = 1.0 - end_to_end_fidelity(scheme, channel).value
@@ -127,6 +146,7 @@ def test_instance_numbers_are_reproducible_from_parts():
     d_src = scheme.source.dim
     bound = 2.0 * math.sqrt(2.0 * instance.eps_in) * math.log2(d_src) + 2.0
     assert abs(instance.entropy_bound - bound) < 1e-12
+    return instance
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

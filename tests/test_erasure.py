@@ -15,10 +15,10 @@ from qcap.erasure import (
     coherent_info_from_decomposition,
     erasure_coherent_info_block,
     erasure_decomposition,
-    erasure_output_entropy_block,
     half_sum_fraction,
     iplus_iminus_split,
     maximize_coherent_info,
+    output_entropy_from_decomposition,
     subset_entropies,
     verify_iplus_bound,
 )
@@ -201,18 +201,22 @@ def test_block_coherent_info_matches_brute_force():
             assert abs(fast - brute) < 1e-8
 
 
+def _output_entropy(rho, p, n):
+    return output_entropy_from_decomposition(erasure_decomposition(rho, p, n))
+
+
 def test_output_entropy_block_oracles():
     flat = maximally_mixed(2)
-    got = erasure_output_entropy_block(flat, 0.25, 1)
+    got = _output_entropy(flat, 0.25, 1)
     assert abs(got - 1.5612781244591328) < 1e-10
 
     rng = np.random.default_rng(9)
     rho = _random_block_state(1, rng)
-    assert abs(erasure_output_entropy_block(rho, 0.0, 1) - rho.entropy()) < 1e-10
-    assert abs(erasure_output_entropy_block(rho, 1.0, 1)) < 1e-10
+    assert abs(_output_entropy(rho, 0.0, 1) - rho.entropy()) < 1e-10
+    assert abs(_output_entropy(rho, 1.0, 1)) < 1e-10
     for p in (0.2, 0.6):
         expected = binary_entropy(p) + (1.0 - p) * rho.entropy()
-        assert abs(erasure_output_entropy_block(rho, p, 1) - expected) < 1e-10
+        assert abs(_output_entropy(rho, p, 1) - expected) < 1e-10
 
 
 def test_output_entropy_block_matches_direct_channel_output():
@@ -221,7 +225,7 @@ def test_output_entropy_block_matches_direct_channel_output():
         block = tensor_power(erasure_channel(0.35), n)
         rho = _random_block_state(n, rng)
         direct = apply_channel(block, rho.flattened()).entropy()
-        fast = erasure_output_entropy_block(rho, 0.35, n)
+        fast = _output_entropy(rho, 0.35, n)
         assert abs(fast - direct) < 1e-8
 
 
@@ -386,6 +390,20 @@ def test_half_sum_fraction_values_and_trend():
         half_sum_fraction(0, 0.3)
     with pytest.raises(ValueError, match="outside"):
         half_sum_fraction(10, -0.2)
+    # math.comb(n, k) as a float overflows from n = 1030; log-space terms do not
+    for n in range(1, 201):
+        for p in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+            explicit = sum(
+                math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * k for k in range(n // 2 + 1)
+            )
+            assert abs(half_sum_fraction(n, p) - explicit / n) < 1e-12
+    # below p = 0.3 the n = 200 value already sits at rounding level
+    for p in (0.3, 0.4, 0.45):
+        at_200 = abs(half_sum_fraction(200, p) - p)
+        for n in (2000, 10_000):
+            got = half_sum_fraction(n, p)
+            assert math.isfinite(got)
+            assert abs(got - p) < at_200
 
 
 def test_capacity_curve_tracks_closed_form():

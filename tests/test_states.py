@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcap.linalg import binary_entropy, trace_norm, uhlmann_fidelity
+from qcap.linalg import binary_entropy, trace_norm
 from qcap.states import (
     DensityMatrix,
     PureState,
@@ -17,7 +17,7 @@ from qcap.states import (
     write_density_file,
 )
 
-from helpers import bell_vector
+from helpers import bell_vector, fidelity
 
 
 def on_complement(psi, u):
@@ -359,7 +359,7 @@ def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
         assert gap > 1e-3
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
         overlap = np.vdot(b.vector, on_complement(a, u))
-        fid = uhlmann_fidelity(a.reduced([0]).matrix, b.reduced([0]).matrix)
+        fid = fidelity(a.reduced([0]).matrix, b.reduced([0]).matrix)
         assert abs(abs(overlap) ** 2 - fid) < 1e-10
 
 
