@@ -24,6 +24,7 @@ from .continuity import (
 from .elimination import (
     EliminationInstance,
     eliminate_encoder,
+    eliminate_encoders,
     random_demo_schemes,
 )
 from .erasure import (

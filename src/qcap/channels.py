@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .linalg import _MemberError, _first_failure
+from .states import DensityMatrix, PureState, _norms_squared
 
 COMPLETENESS_TOL = 1e-9
 KRAUS_LIMIT = 3**6
@@ -45,24 +46,15 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus operator {k} has shape {np.shape(self.kraus[k])}, expected {shape}"
             ) from None
-        finite = np.isfinite(ops).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"Kraus operator {int(np.argmin(finite))} has a non-finite entry")
-        # sum A^dag A from the Gram matrix of the real view, with no conjugate copy of the stack:
-        # its columns interleave Re and Im of each input level
-        in_dim = shape[1]
-        flat = ops.reshape(-1, in_dim).view(float)
-        gram = (flat.T @ flat).reshape(in_dim, 2, in_dim, 2)
-        total = gram[:, 0, :, 0] + gram[:, 1, :, 1] + 1j * (gram[:, 0, :, 1] - gram[:, 1, :, 0])
-        defect = float(np.max(np.abs(total - np.eye(in_dim))))
-        if defect > COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus operators violate completeness: max |sum A^dag A - I| "
-                f"entry is {defect:.3e}"
-            )
-        ops = ops.view()  # read-only without touching the caller's array
-        ops.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
+        _check_kraus(ops)
+        object.__setattr__(self, "kraus", _read_only(ops))
+
+    @classmethod
+    def _checked(cls, ops: np.ndarray) -> "KrausChannel":
+        """Wrap a C-ordered complex stack that :func:`_check_kraus` already passed."""
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "kraus", _read_only(ops))
+        return channel
 
     @property
     def num_kraus(self) -> int:
@@ -75,6 +67,39 @@ class KrausChannel:
     @property
     def in_dim(self) -> int:
         return self.kraus.shape[2]
+
+
+def _read_only(ops: np.ndarray) -> np.ndarray:
+    ops = ops.view()  # read-only without touching the caller's array
+    ops.flags.writeable = False
+    return ops
+
+
+def _check_kraus(ops: np.ndarray) -> None:
+    """Raise unless each (k, out, in) stack of ``ops`` is finite and complete within 1e-9.
+
+    Leading axes of ``ops`` index a stack of channels; an error names the
+    first failing member by its stack index.
+    """
+    where = _first_failure(~np.isfinite(ops).all(axis=(-3, -2, -1)))
+    if where is not None:
+        k = int(np.argmin(np.isfinite(ops[where]).all(axis=(1, 2))))
+        raise _MemberError(f"Kraus operator {k} has a non-finite entry", where)
+    # sum A^dag A from the Gram matrix of the real view, with no conjugate copy of the stack:
+    # its columns interleave Re and Im of each input level
+    in_dim = ops.shape[-1]
+    lead = ops.shape[:-3]
+    flat = ops.reshape(lead + (-1, in_dim)).view(float)
+    gram = (flat.swapaxes(-1, -2) @ flat).reshape(lead + (in_dim, 2, in_dim, 2))
+    re, im = gram[..., 0, :, 0] + gram[..., 1, :, 1], gram[..., 0, :, 1] - gram[..., 1, :, 0]
+    defect = np.hypot(re - np.eye(in_dim), im).max(axis=(-2, -1))
+    where = _first_failure(defect > COMPLETENESS_TOL)
+    if where is not None:
+        raise _MemberError(
+            f"Kraus operators violate completeness: max |sum A^dag A - I| "
+            f"entry is {defect[where]:.3e}",
+            where,
+        )
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -107,20 +132,24 @@ def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -
     ``dims`` are the factor dimensions of X, by default one factor.  One
     batched product applies every operator to the row factor; one matrix
     product then contracts the Kraus index and the column factor against
-    conj(A).  The other factors keep their places.
+    conj(A).  The other factors keep their places.  Leading axes of
+    ``kraus`` and ``matrix`` index a stack, each channel acting on its own
+    matrix.
     """
-    k, out, inn = kraus.shape
+    k, out, inn = kraus.shape[-3:]
+    lead = matrix.shape[:-2]
     dims = dims or (inn,)
     left, right = math.prod(dims[:idx]), math.prod(dims[idx + 1 :])
-    # blocks X[l, :, r, l', :, r'] as (in, in') matrices, indexed (l, r, l', r')
-    x = matrix.reshape(left, inn, right, left, inn, right).transpose(0, 2, 3, 5, 1, 4)
-    # (l, r, l', r', out, k, in'): each (k, in) slice of the (out, k, in) view times a block
-    rows = kraus.transpose(1, 0, 2) @ x[..., None, :, :]
+    # blocks X[l, :, r, l', :, r'] as (in, in') matrices, indexed (s, l, r, l', r'), s the member
+    x = matrix.reshape(-1, left, inn, right, left, inn, right).transpose(0, 1, 3, 4, 6, 2, 5)
+    # (s, l, r, l', r', out, k, in'): each (k, in) slice of the (out, k, in) view times a block
+    rows = kraus.swapaxes(-3, -2).reshape(-1, 1, 1, 1, 1, out, k, inn) @ x[..., None, :, :]
     # contract (k, in') against conj(A): conjugating rows and the product spares a copy of the stack
     np.conjugate(rows, out=rows)
-    both = np.conjugate(rows.reshape(-1, k * inn) @ kraus.transpose(0, 2, 1).reshape(k * inn, out))
-    both = both.reshape(left, right, left, right, out, out).transpose(0, 4, 1, 2, 5, 3)
-    return both.reshape(left * out * right, -1)
+    columns = kraus.swapaxes(-1, -2).reshape(-1, k * inn, out)
+    both = np.conjugate(rows.reshape(len(columns), -1, k * inn) @ columns)
+    both = both.reshape(-1, left, right, left, right, out, out).transpose(0, 1, 5, 2, 3, 6, 4)
+    return both.reshape(lead + (left * out * right, -1))
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -155,32 +184,42 @@ def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
 
     Operator (k_1, ..., k_n), first index slowest, is A_k1 x ... x A_kn.
     """
+    ops = _tensor_power(channel.kraus, n)
+    return channel if n == 1 else KrausChannel(ops)
+
+
+def _tensor_power(ops: np.ndarray, n: int) -> np.ndarray:
+    """Kraus products of :func:`tensor_power`, unchecked; leading axes index a stack."""
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    count = channel.num_kraus**n
+    count = ops.shape[-3] ** n
     if count > KRAUS_LIMIT:
         raise ValueError(
             f"tensor power would need {count} Kraus operators, above the "
             f"limit {KRAUS_LIMIT}"
         )
-    if n == 1:
-        return channel
-    a = ops = channel.kraus
+    a, lead = ops, ops.shape[:-3]
     for _ in range(n - 1):
-        shape = np.multiply(ops.shape, a.shape)
-        ops = (ops[:, None, :, None, :, None] * a[:, None, :, None]).reshape(shape)
-    return KrausChannel(ops)
+        shape = lead + tuple(np.multiply(ops.shape[-3:], a.shape[-3:]))
+        product = ops[..., :, None, :, None, :, None] * a[..., None, :, None, :, None, :]
+        ops = product.reshape(shape)
+    return ops
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """Composition outer(inner(.)); operator i * inner.num_kraus + j is B_i A_j."""
-    if inner.out_dim != outer.in_dim:
+    return KrausChannel(_compose(outer.kraus, inner.kraus))
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Kraus products of :func:`compose`, unchecked; leading axes index a stack."""
+    if inner.shape[-2] != outer.shape[-1]:
         raise ValueError(
-            f"cannot compose: inner output dimension {inner.out_dim} does not "
-            f"match outer input dimension {outer.in_dim}"
+            f"cannot compose: inner output dimension {inner.shape[-2]} does not "
+            f"match outer input dimension {outer.shape[-1]}"
         )
-    ops = outer.kraus[:, None] @ inner.kraus[None]
-    return KrausChannel(ops.reshape(-1, outer.out_dim, inner.in_dim))
+    ops = outer[..., :, None, :, :] @ inner[..., None, :, :, :]
+    return ops.reshape(ops.shape[:-4] + (-1,) + ops.shape[-2:])
 
 
 def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -210,14 +249,31 @@ def measure_environment_branches(
     reconstructs the channel output.
     """
     new_dims = _locate_factor(channel, state, factor)
-    moved = np.tensordot(channel.kraus, state.vector.reshape(state.dims), axes=(2, factor))
-    vectors = np.moveaxis(moved, 1, factor + 1).reshape(channel.num_kraus, -1)
-    branches = []
-    for v in vectors:
-        prob = float(np.vdot(v, v).real)
-        if prob > BRANCH_CUTOFF:
-            branches.append((prob, PureState(v / math.sqrt(prob), new_dims)))
-    return branches
+    vectors = _branch_vectors(channel.kraus, state.vector, state.dims, factor)
+    probs = _norms_squared(vectors)
+    return [
+        (float(prob), PureState(v / math.sqrt(prob), new_dims))
+        for prob, v in zip(probs, vectors)
+        if prob > BRANCH_CUTOFF
+    ]
+
+
+def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) -> np.ndarray:
+    """Unnormalized (A_k on factor ``factor``)|psi>, one row per k.
+
+    Leading axes of ``kraus`` and ``vector`` index a stack; the rows of each
+    member keep the factors in their places, with factor ``factor`` resized
+    to the channel output.
+    """
+    lead = vector.shape[:-1]
+    k, out, inn = kraus.shape[-3:]
+    at = len(lead) + factor
+    # (in, rest) table of psi with the acted-on factor first; rest keeps the others in order
+    table = np.moveaxis(vector.reshape(lead + tuple(dims)), at, len(lead))
+    rest = table.shape[len(lead) + 1 :]
+    moved = kraus.reshape(lead + (k * out, inn)) @ table.reshape(lead + (inn, -1))
+    moved = np.moveaxis(moved.reshape(lead + (k, out) + rest), len(lead) + 1, at + 1)
+    return moved.reshape(lead + (k, -1))
 
 
 @dataclass(frozen=True, eq=False)

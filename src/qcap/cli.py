@@ -16,7 +16,7 @@ from .continuity import (
     check_mixing_bounds,
     check_pure_overlap_continuity,
 )
-from .elimination import eliminate_encoder, random_demo_schemes
+from .elimination import _demo_schemes, _eliminated
 from .erasure import (
     capacity_curve,
     coherent_info_from_decomposition,
@@ -137,8 +137,9 @@ def _cmd_maximize(args) -> int:
 def _cmd_theorem_demo(args) -> int:
     lines = ["instance,eps_in,eps_out,entropy_gap,entropy_bound,marginal_gap,flagged"]
     violations = 0
-    for index, (scheme, channel) in enumerate(random_demo_schemes(args.trials, args.seed)):
-        inst = eliminate_encoder(scheme, channel)
+    # schemes are drawn and eliminated one window at a time, never all held at once
+    instances = _eliminated(_demo_schemes(args.trials, args.seed))
+    for index, inst in enumerate(instances):
         if not inst.fidelity_ok:
             violations += 1
         if not inst.entropy_ok:

@@ -12,33 +12,56 @@ the two reference marginals agree to rounding.  Each instance still
 records their trace-norm mismatch as ``marginal_gap`` and is flagged if
 it exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
 instance, flagged or not.
+
+:func:`eliminate_encoders` runs many schemes at once.  It reads them
+``_WINDOW`` at a time, groups each window by shape (source, encoder,
+decoder and channel stacks, and block size) and runs each group in chunks
+of at most ``_CHUNK`` instances.  Every step of the construction, every
+validation included, is one stacked call on the chunk through the
+stack-aware cores of :mod:`qcap.channels`, :mod:`qcap.states` and
+:mod:`qcap.linalg`, so the number of solves per chunk does not depend on
+its size, and the window bounds what a long stream holds.  A failed check
+names the instance by its position in the input; :func:`eliminate_encoder`
+is the one-scheme call of the same path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .channels import (
+    BRANCH_CUTOFF,
     CodingScheme,
     KrausChannel,
+    _branch_vectors,
+    _check_kraus,
+    _compose,
     _conjugate,
-    apply_to_subsystem,
+    _tensor_power,
     compose,
     erasure_channel,
-    measure_environment_branches,
-    tensor_power,
     unitary_channel,
 )
-from .functionals import end_to_end_fidelity, entanglement_fidelity
+from .functionals import _chain, _kraus_fidelities, end_to_end_fidelity
+from .linalg import (
+    _MemberError,
+    _first_failure,
+    density_spectrum,
+    entropy_of_spectrum,
+    partial_trace,
+)
 from .states import (
     DensityMatrix,
-    PureState,
     _as_rng,
-    _uhlmann_isometry,
-    max_overlap_purification,
-    purify,
+    _check_unit,
+    _max_overlap_vector,
+    _norms_squared,
+    _purification,
+    _uhlmann,
     random_density,
     random_unitary,
 )
@@ -46,6 +69,8 @@ from .states import (
 FIDELITY_WINDOW = 1.0 / 72.0
 FIDELITY_SLACK = 1e-7
 MARGINAL_GAP_TOL = 1e-8
+_CHUNK = 32
+_WINDOW = 8 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -82,12 +107,6 @@ class EliminationInstance:
         return self.entropy_gap <= self.entropy_bound
 
 
-def _append_zero(state: PureState, aux_dim: int) -> PureState:
-    zero = np.zeros(aux_dim, dtype=complex)
-    zero[0] = 1.0
-    return PureState(np.kron(state.vector, zero), state.dims + (aux_dim,))
-
-
 def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> EliminationInstance:
     """Run the constructive elimination of the scheme's encoder.
 
@@ -98,58 +117,174 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     and build the tail map from the isometry relating the branch purification
     to the max-overlap purification of the decoded output.  Requires the
     source dimension not to exceed the channel-block input so the relating
-    isometry exists.
+    isometry exists.  This is :func:`eliminate_encoders` on one scheme.
     """
-    eps_in = 1.0 - end_to_end_fidelity(scheme, channel).value
-    if eps_in >= FIDELITY_WINDOW:
-        raise ValueError(
-            f"scheme infidelity {eps_in:.6g} is outside the validity window "
-            f"[0, 1/72); the construction needs a nearly faithful scheme"
+    return eliminate_encoders([(scheme, channel)])[0]
+
+
+def eliminate_encoders(pairs) -> list[EliminationInstance]:
+    """:func:`eliminate_encoder` of each (scheme, channel) pair, in input order.
+
+    Pairs of the same shape run together, in chunks of at most ``_CHUNK``.
+    An error carries the message of the failed check and names the first
+    failing instance by its input position; a check on shapes alone fails
+    for a whole chunk and names its first instance.
+    """
+    return list(_eliminated(pairs))
+
+
+def _eliminated(pairs) -> Iterator[EliminationInstance]:
+    """The instances of :func:`eliminate_encoders`, yielded in input order.
+
+    The pairs are read ``_WINDOW`` at a time and grouped by shape within
+    each window, so a stream of any length holds one window of pairs and
+    instances at once.
+    """
+    stream = iter(pairs)
+    start = 0
+    while window := list(itertools.islice(stream, _WINDOW)):
+        groups: dict[tuple, list[int]] = {}
+        for i, (scheme, channel) in enumerate(window):
+            key = (scheme.encoder.kraus.shape, scheme.decoder.kraus.shape, channel.kraus.shape,
+                   scheme.block_size)
+            groups.setdefault(key, []).append(i)
+        results: list[EliminationInstance] = [None] * len(window)
+        for members in groups.values():
+            for first in range(0, len(members), _CHUNK):
+                chunk = members[first : first + _CHUNK]
+                try:
+                    done = _eliminate_stack([window[i] for i in chunk])
+                except _MemberError as exc:
+                    where = start + chunk[exc.where[0]]
+                    raise ValueError(f"{exc.reason} at instance {where}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{exc} at instance {start + chunk[0]}") from None
+                for i, instance in zip(chunk, done):
+                    results[i] = instance
+        yield from results
+        start += len(window)
+
+
+def _eliminate_stack(pairs) -> list[EliminationInstance]:
+    """The elimination of same-shape pairs, each step one call on the stack.
+
+    Stack axis 0 is the position in ``pairs``; a failed member check raises
+    :class:`qcap.linalg._MemberError` with that position.
+    """
+    schemes = [scheme for scheme, _ in pairs]
+    encoder = np.stack([s.encoder.kraus for s in schemes])
+    decoder = np.stack([s.decoder.kraus for s in schemes])
+    n = schemes[0].block_size
+    block = _tensor_power(np.stack([channel.kraus for _, channel in pairs]), n)
+    if n > 1:
+        _check_kraus(block)
+    source = np.stack([s.source.matrix for s in schemes])
+    eps_in = 1.0 - _kraus_fidelities(source, _chain(encoder, block, decoder))
+    where = _first_failure(eps_in >= FIDELITY_WINDOW)
+    if where is not None:
+        raise _MemberError(
+            f"scheme infidelity {eps_in[where]:.6g} is outside the validity window "
+            f"[0, 1/72); the construction needs a nearly faithful scheme",
+            where,
         )
-    block = tensor_power(channel, scheme.block_size)
-    d_src = scheme.source.dim
-    if d_src > block.in_dim:
+    d_src, d_in = source.shape[-1], block.shape[-1]
+    if d_src > d_in:
         raise ValueError(
             f"source dimension {d_src} exceeds the channel input dimension "
-            f"{block.in_dim}; the tail construction needs an isometry upward"
+            f"{d_in}; the tail construction needs an isometry upward"
         )
 
     # factors by position: the reference 0, the source 1 (then the channel in and out), aux last
-    source = scheme.source.flattened()
-    phi = purify(source)
-    decode_block = compose(scheme.decoder, block)
-    branches = measure_environment_branches(scheme.encoder, phi, 1)
-    # branch b scores <phi|(I x D)(|b><b|)|phi> = <b|Y|b>, Y = (I x D^dag)(|phi><phi|)
-    adjoint = decode_block.kraus.conj().swapaxes(1, 2)
-    y = _conjugate(adjoint, np.outer(phi.vector, phi.vector.conj()), (d_src, d_src), 1)
-    vectors = np.array([branch.vector for _, branch in branches])
-    scores = np.einsum("bi,ij,bj->b", vectors.conj(), y, vectors).real
-    best_index = int(np.argmax(scores))
-    psi = branches[best_index][1]
-    chosen = psi.density()
-    rho_out = apply_to_subsystem(decode_block, chosen, 1)
-    rho_prime = chosen.reduced([1])
-    big_psi, _ = max_overlap_purification(rho_out)
-    aux_dim = d_src + 1
-    psi_zero = _append_zero(psi, aux_dim)
-    u, gap = _uhlmann_isometry(big_psi, psi_zero)
-    reshaped = u.reshape(block.in_dim, aux_dim, scheme.decoder.out_dim, aux_dim)
-    tail = KrausChannel(reshaped[:, :, :, 0].transpose(1, 0, 2))
+    phi = _purification(source)
+    _check_unit(phi)
+    decode = _compose(decoder, block)
+    _check_kraus(decode)
+    branch_index, psi = _kept_branch(encoder, decode, phi, d_src)
+    rho_prime, prime_spectrum, big_psi = _decode_kept(decode, psi, d_src, d_in)
+    tail, marginal_gap = _tail(big_psi, psi, d_src, d_in)
+    chain = _compose(tail, decode)
+    _check_kraus(chain)
 
-    eps_out = 1.0 - entanglement_fidelity(rho_prime, compose(tail, decode_block)).value
-    entropy_gap = abs(source.entropy() - rho_prime.entropy())
-    entropy_bound = 2.0 * math.sqrt(2.0 * eps_in) * math.log2(d_src) + 2.0
-    return EliminationInstance(
-        scheme=scheme,
-        eps_in=eps_in,
-        branch_index=best_index,
-        rho_prime=rho_prime,
-        tail_decoder=tail,
-        eps_out=eps_out,
-        entropy_gap=entropy_gap,
-        entropy_bound=entropy_bound,
-        marginal_gap=gap,
-    )
+    eps_out = 1.0 - _kraus_fidelities(rho_prime, chain)
+    source_entropy = entropy_of_spectrum(np.stack([s.source.eigenvalues for s in schemes]))
+    entropy_gap = np.abs(source_entropy - entropy_of_spectrum(prime_spectrum))
+    return [
+        EliminationInstance(
+            scheme=scheme,
+            eps_in=float(eps_in[j]),
+            branch_index=int(branch_index[j]),
+            rho_prime=DensityMatrix._checked(rho_prime[j], prime_spectrum[j], (d_in,)),
+            tail_decoder=KrausChannel._checked(tail[j]),
+            eps_out=float(eps_out[j]),
+            entropy_gap=float(entropy_gap[j]),
+            entropy_bound=2.0 * math.sqrt(2.0 * float(eps_in[j])) * math.log2(d_src) + 2.0,
+            marginal_gap=float(marginal_gap[j]),
+        )
+        for j, scheme in enumerate(schemes)
+    ]
+
+
+def _kept_branch(encoder, decode, phi, d_src) -> tuple[np.ndarray, np.ndarray]:
+    """Index among the kept branches and unit vector of each member's best branch.
+
+    Measuring the encoder environment on the purification ``phi`` splits it
+    into branches; those below ``BRANCH_CUTOFF`` probability are dropped and
+    not counted in the index.  Branch b scores <phi|(I x D)(|b><b|)|phi> =
+    <b|Y|b> with one adjoint map Y = (I x D^dag)(|phi><phi|) of the decode
+    block D, and the first best score is kept: by averaging, it is at least
+    the overall fidelity.
+    """
+    vectors = _branch_vectors(encoder, phi, (d_src, d_src), 1)
+    probs = _norms_squared(vectors)
+    kept = probs > BRANCH_CUTOFF
+    branches = vectors / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    # a dropped branch is no state: a unit placeholder keeps it out of the norm check
+    _check_unit(np.where(kept[..., None], branches, 1.0 / math.sqrt(branches.shape[-1])))
+    y = _conjugate(decode.conj().swapaxes(-1, -2), _projectors(phi), (d_src, d_src), 1)
+    scores = np.einsum("...bi,...ij,...bj->...b", branches.conj(), y, branches).real
+    # a dropped branch, left unnormalized, scores at most its probability, below the kept best
+    best = np.argmax(scores, axis=-1)
+    rows = np.arange(len(phi))
+    return np.cumsum(kept, axis=-1)[rows, best] - 1, branches[rows, best]
+
+
+def _decode_kept(decode, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho_prime, its spectrum and the max-overlap purification of the decoded kept branch.
+
+    The kept branch's density, its decoded output and rho_prime, its
+    channel-input marginal, are each checked as density matrices.
+    """
+    chosen = _projectors(psi)
+    density_spectrum(chosen)
+    rho_out = _conjugate(decode, chosen, (d_src, d_in), 1)
+    density_spectrum(rho_out)
+    rho_prime = partial_trace(chosen, (d_src, d_in), [1])
+    prime_spectrum = density_spectrum(rho_prime)
+    big_psi, _ = _max_overlap_vector(rho_out, d_src, d_src)
+    _check_unit(big_psi)
+    return rho_prime, prime_spectrum, big_psi
+
+
+def _tail(big_psi, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray]:
+    """Checked tail Kraus stacks and reference-marginal gaps from the relating isometry.
+
+    The isometry maps the max-overlap purification ``big_psi`` onto the kept
+    branch with an aux |0> appended; its aux-0 output slice is the tail map.
+    """
+    count, aux_dim = len(psi), d_src + 1
+    psi_zero = np.zeros(psi.shape + (aux_dim,), dtype=complex)
+    psi_zero[..., 0] = psi
+    _check_unit(psi_zero.reshape(count, -1))
+    u, gap = _uhlmann(big_psi.reshape(count, d_src, -1), psi_zero.reshape(count, d_src, -1))
+    reshaped = u.reshape(count, d_in, aux_dim, d_src, aux_dim)
+    tail = np.ascontiguousarray(reshaped[..., 0].swapaxes(-3, -2))
+    _check_kraus(tail)
+    return tail, gap
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| of stacked vectors."""
+    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 def _split_isometry_scheme(rng: np.random.Generator) -> tuple[CodingScheme, KrausChannel]:
@@ -226,6 +361,11 @@ def random_demo_schemes(count: int, seed) -> list[tuple[CodingScheme, KrausChann
     rotations through a noisy unitary, and low-rate erasure with a recovery
     decoder.  Every scheme has end-to-end fidelity at least 0.99.
     """
+    return list(_demo_schemes(count, seed))
+
+
+def _demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
+    """The pairs of :func:`random_demo_schemes`, drawn one at a time as they are taken."""
     if count < 1:
         raise ValueError(f"need at least one scheme, got {count}")
     rng = _as_rng(seed)
@@ -234,4 +374,5 @@ def random_demo_schemes(count: int, seed) -> list[tuple[CodingScheme, KrausChann
         _noisy_rotation_scheme,
         _erasure_recovery_scheme,
     )
-    return [builders[i % len(builders)](rng) for i in range(count)]
+    for i in range(count):
+        yield builders[i % len(builders)](rng)

@@ -229,7 +229,10 @@ def binomial_mean(n: int, p: float) -> float:
 def half_sum_fraction(n: int, p: float) -> float:
     """(1/n) sum_{k<=n//2} C(n,k) p^k (1-p)^(n-k) k, which tends to p for p < 1/2.
 
-    Each term is formed in log space, so large n does not overflow.
+    Each term is formed in log space, so large n does not overflow.  For
+    p < 1/2 the value is p minus the upper tail over k > n//2 (the full sum
+    is n p), whose terms fall from the first one on; the tail stops once they
+    underflow, so the value stays at rounding level from p for any n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -237,11 +240,22 @@ def half_sum_fraction(n: int, p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0  # only k = 0 or k = n > n//2 has weight
     log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    total = 0.0
-    for k in range(1, n // 2 + 1):
+
+    def term(k: int) -> float:
         log_comb = log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        total += math.exp(log_comb + k * log_p + (n - k) * log_q) * k
-    return total / n
+        return math.exp(log_comb + k * log_p + (n - k) * log_q) * k
+
+    total = 0.0
+    if p >= 0.5:
+        for k in range(1, n // 2 + 1):
+            total += term(k)
+        return total / n
+    for k in range(n // 2 + 1, n + 1):
+        t = term(k)
+        if t == 0.0:
+            break
+        total += t
+    return p - total / n
 
 
 def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:

@@ -14,9 +14,10 @@ import numpy as np
 from .channels import (
     CodingScheme,
     KrausChannel,
+    _check_kraus,
+    _compose,
     apply_channel,
     apply_to_subsystem,
-    compose,
     environment_state,
     tensor_power,
 )
@@ -44,9 +45,13 @@ class CoherentInfoReport:
 
 
 def _kraus_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    amps = np.trace(channel.kraus @ rho.matrix, axis1=1, axis2=2)
-    total = float(np.sum(np.abs(amps) ** 2))
-    return min(max(total, 0.0), 1.0)
+    return float(_kraus_fidelities(rho.matrix, channel.kraus))
+
+
+def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_k |Tr(rho A_k)|^2 clamped to [0, 1]; leading axes index a stack."""
+    amps = np.trace(kraus @ matrix[..., None, :, :], axis1=-2, axis2=-1)
+    return np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)
 
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
@@ -94,20 +99,34 @@ def coherent_information(rho: DensityMatrix, channel: KrausChannel) -> CoherentI
 def end_to_end_fidelity(scheme: CodingScheme, channel: KrausChannel) -> FidelityReport:
     """Entanglement fidelity of decoder o channel^block o encoder on the source."""
     block = tensor_power(channel, scheme.block_size)
-    if scheme.encoder.out_dim != block.in_dim:
+    total = _chain(scheme.encoder.kraus, block.kraus, scheme.decoder.kraus)
+    return entanglement_fidelity(scheme.source, KrausChannel._checked(total))
+
+
+def _chain(encoder: np.ndarray, block: np.ndarray, decoder: np.ndarray) -> np.ndarray:
+    """Kraus stack of decoder o block o encoder, each product checked for completeness.
+
+    Leading axes of the three stacks index a stack of schemes; the source
+    lives in the encoder's input.
+    """
+    source_dim = encoder.shape[-1]
+    if encoder.shape[-2] != block.shape[-1]:
         raise ValueError(
             f"chain mismatch at channel input: encoder emits dimension "
-            f"{scheme.encoder.out_dim}, channel block expects {block.in_dim}"
+            f"{encoder.shape[-2]}, channel block expects {block.shape[-1]}"
         )
-    if scheme.decoder.in_dim != block.out_dim:
+    if decoder.shape[-1] != block.shape[-2]:
         raise ValueError(
             f"chain mismatch at decoder input: channel block emits dimension "
-            f"{block.out_dim}, decoder expects {scheme.decoder.in_dim}"
+            f"{block.shape[-2]}, decoder expects {decoder.shape[-1]}"
         )
-    if scheme.decoder.out_dim != scheme.source.dim:
+    if decoder.shape[-2] != source_dim:
         raise ValueError(
             f"chain mismatch at decoder output: decoder emits dimension "
-            f"{scheme.decoder.out_dim}, source lives in {scheme.source.dim}"
+            f"{decoder.shape[-2]}, source lives in {source_dim}"
         )
-    total = compose(scheme.decoder, compose(block, scheme.encoder))
-    return entanglement_fidelity(scheme.source, total)
+    inner = _compose(block, encoder)
+    _check_kraus(inner)
+    total = _compose(decoder, inner)
+    _check_kraus(total)
+    return total

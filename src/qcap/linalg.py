@@ -22,18 +22,29 @@ def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:
-    """Index of the first flagged stack member and a message suffix naming it.
+class _MemberError(ValueError):
+    """A check that failed on one member of a stack.
+
+    The message is ``reason`` plus the member's stack index ``where``; a
+    single matrix has ``where == ()`` and no suffix.  A caller that stacked
+    its own items can read both fields and name the item instead.
+    """
+
+    def __init__(self, reason: str, where: tuple[int, ...]):
+        note = "" if not where else f" at stack index {where[0] if len(where) == 1 else where}"
+        super().__init__(reason + note)
+        self.reason, self.where = reason, where
+
+
+def _first_failure(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first flagged stack member, or None when nothing is flagged.
 
     ``bad`` holds one flag per member of a stack; a single matrix has a 0-d
-    flag and an empty suffix.  Returns None when nothing is flagged.
+    flag and the index ``()``.
     """
-    if bad.ndim == 0:
-        return ((), "") if bad else None
     if not bad.any():
         return None
-    where = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-    return where, f" at stack index {where[0] if bad.ndim == 1 else where}"
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
 def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -92,11 +103,10 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
 def _check_density(m: np.ndarray) -> None:
     """Raise unless each matrix of the stack is finite, Hermitian and of unit trace."""
     bad = ~np.isfinite(m)
-    failed = _first_failure(bad.any(axis=(-2, -1)))
-    if failed:
-        where, note = failed
+    where = _first_failure(bad.any(axis=(-2, -1)))
+    if where is not None:
         i, j = np.argwhere(bad[where])[0]
-        raise ValueError(f"density matrix has a non-finite entry at row {i}, column {j}{note}")
+        raise _MemberError(f"density matrix has a non-finite entry at row {i}, column {j}", where)
     # max |m - m^dag| entry over row panels, so no d x d temporary is formed
     b = _PANEL_ROWS
     panels = (
@@ -104,28 +114,26 @@ def _check_density(m: np.ndarray) -> None:
         for i in range(0, max(m.shape[-1], 1), b)
     )
     defect = functools.reduce(np.maximum, (p.max(axis=(-2, -1), initial=0.0) for p in panels))
-    failed = _first_failure(defect > HERMITICITY_TOL)
-    if failed:
-        where, note = failed
-        raise ValueError(
-            f"density matrix is not Hermitian: max deviation {defect[where]:.3e}{note}"
+    where = _first_failure(defect > HERMITICITY_TOL)
+    if where is not None:
+        raise _MemberError(
+            f"density matrix is not Hermitian: max deviation {defect[where]:.3e}", where
         )
     tr = m.trace(axis1=-2, axis2=-1)
-    failed = _first_failure(abs(tr - 1.0) > TRACE_TOL)
-    if failed:
-        where, note = failed
-        raise ValueError(f"density matrix trace {complex(tr[where]):.12g} deviates from 1{note}")
+    where = _first_failure(abs(tr - 1.0) > TRACE_TOL)
+    if where is not None:
+        raise _MemberError(f"density matrix trace {complex(tr[where]):.12g} deviates from 1", where)
 
 
 def _floored(values: np.ndarray) -> np.ndarray:
     """Ascending spectra with small negative eigenvalues set to zero; raise below the floor."""
     lowest = values[..., 0]
-    failed = _first_failure(lowest < EIGENVALUE_FLOOR)
-    if failed:
-        where, note = failed
-        raise ValueError(
+    where = _first_failure(lowest < EIGENVALUE_FLOOR)
+    if where is not None:
+        raise _MemberError(
             f"density matrix has negative eigenvalue {float(lowest[where]):.3e} "
-            f"below the floor {EIGENVALUE_FLOOR:.0e}{note}"
+            f"below the floor {EIGENVALUE_FLOOR:.0e}",
+            where,
         )
     return np.clip(values, 0.0, None)
 

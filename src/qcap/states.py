@@ -11,6 +11,8 @@ import numpy as np
 
 from .linalg import (
     TRACE_TOL,
+    _first_failure,
+    _MemberError,
     _factor_spectrum,
     density_spectrum,
     entropy_of_spectrum,
@@ -63,8 +65,13 @@ class DensityMatrix:
             raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
         dims = _check_dims(f.shape[0], dims)
         m = f @ f.conj().T
+        return cls._checked(m, _factor_spectrum(f, m), dims)
+
+    @classmethod
+    def _checked(cls, m, eigenvalues, dims) -> "DensityMatrix":
+        """Wrap a matrix and the clamped spectrum that :func:`density_spectrum` gave it."""
         state = object.__new__(cls)
-        state._store(m, _factor_spectrum(f, m), dims)
+        state._store(m, eigenvalues, dims)
         return state
 
     def _store(self, m, eigenvalues, dims):
@@ -101,12 +108,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         dims = _check_dims(v.size, self.dims)
-        finite = np.isfinite(v)
-        if not finite.all():
-            raise ValueError(f"pure state has a non-finite entry at index {np.argmin(finite)}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > TRACE_TOL:
-            raise ValueError(f"pure state norm {norm:.12g} deviates from 1")
+        _check_unit(v)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "dims", dims)
 
@@ -121,6 +123,25 @@ class PureState:
         return self.density().reduced(keep)
 
 
+def _norms_squared(vectors: np.ndarray) -> np.ndarray:
+    """<v|v> of stacked vectors, one BLAS dot each, rounded as ``np.vdot(v, v).real``."""
+    return (vectors.conj()[..., None, :] @ vectors[..., :, None])[..., 0, 0].real
+
+
+def _check_unit(vectors: np.ndarray) -> None:
+    """Raise unless each vector of the stack is finite and of unit norm within 1e-9."""
+    finite = np.isfinite(vectors)
+    where = _first_failure(~finite.all(-1))
+    if where is not None:
+        raise _MemberError(
+            f"pure state has a non-finite entry at index {np.argmin(finite[where])}", where
+        )
+    norm = np.sqrt(_norms_squared(vectors))
+    where = _first_failure(abs(norm - 1.0) > TRACE_TOL)
+    if where is not None:
+        raise _MemberError(f"pure state norm {norm[where]:.12g} deviates from 1", where)
+
+
 def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
     """Identity over its dimension, the flat state."""
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
@@ -132,12 +153,16 @@ def purify(rho: DensityMatrix) -> PureState:
     The reference is factor 0, ahead of ``rho``'s factors; it has the same
     total dimension as ``rho``, and tracing it out returns ``rho`` exactly.
     """
-    values, vectors = np.linalg.eigh(rho.matrix)
-    amps = np.sqrt(np.clip(values[::-1], 0.0, None))
-    d = rho.dim
+    return PureState(_purification(rho.matrix), (rho.dim,) + rho.dims)
+
+
+def _purification(matrix: np.ndarray) -> np.ndarray:
+    """Vector of :func:`purify` for a density matrix; leading axes index a stack."""
+    values, vectors = np.linalg.eigh(matrix)
+    amps = np.sqrt(np.clip(values[..., ::-1], 0.0, None))
     # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
-    table = amps[:, None] * vectors[:, ::-1].T
-    return PureState(table.reshape(-1), (d,) + rho.dims)
+    table = amps[..., :, None] * vectors[..., :, ::-1].swapaxes(-1, -2)
+    return table.reshape(matrix.shape[:-2] + (-1,))
 
 
 def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
@@ -159,16 +184,24 @@ def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
             f"expected a state with exactly two factors, got {len(rho.dims)}"
         )
     da, db = rho.dims
-    values, vectors = np.linalg.eigh(rho.matrix)
-    l_max = float(values[-1])
-    head = math.sqrt(max(l_max, 0.0)) * vectors[:, -1].reshape(da, db)
-    tau = partial_trace(rho.matrix, rho.dims, [0]) - head @ head.conj().T
+    vector, l_max = _max_overlap_vector(rho.matrix, da, db)
+    return PureState(vector, (da, db, da + 1)), float(l_max)
+
+
+def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vector and l_max of :func:`max_overlap_purification`; leading axes index a stack."""
+    lead = matrix.shape[:-2]
+    values, vectors = np.linalg.eigh(matrix)
+    l_max = values[..., -1]
+    head = np.sqrt(np.clip(l_max, 0.0, None))[..., None, None] * vectors[..., -1].reshape(
+        lead + (da, db)
+    )
+    tau = partial_trace(matrix, (da, db), [0]) - head @ head.conj().swapaxes(-1, -2)
     values, vectors = np.linalg.eigh(tau)
-    table = np.zeros((da, db, da + 1), dtype=complex)
-    table[:, :, 0] = head
-    table[:, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))
-    state = PureState(table.reshape(-1), (da, db, da + 1))
-    return state, l_max
+    table = np.zeros(lead + (da, db, da + 1), dtype=complex)
+    table[..., 0] = head
+    table[..., :, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    return table.reshape(lead + (-1,)), l_max
 
 
 def _uhlmann_isometry(state1: PureState, state2: PureState) -> tuple[np.ndarray, float]:
@@ -197,9 +230,15 @@ def _uhlmann_isometry(state1: PureState, state2: PureState) -> tuple[np.ndarray,
             f"complement dimension {n1} of the first state exceeds {n2}; "
             "an isometry needs the first complement to be no larger"
         )
-    gap = trace_norm(v1 @ v1.conj().T - v2 @ v2.conj().T)
-    w, _, vh = np.linalg.svd(v2.conj().T @ v1, full_matrices=False)
-    return (w @ vh).conj(), float(gap)
+    u, gap = _uhlmann(v1, v2)
+    return u, float(gap)
+
+
+def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and gap of :func:`_uhlmann_isometry` for (ref, complement) tables; leading axes stack."""
+    gap = trace_norm(v1 @ v1.conj().swapaxes(-1, -2) - v2 @ v2.conj().swapaxes(-1, -2))
+    w, _, vh = np.linalg.svd(v2.conj().swapaxes(-1, -2) @ v1, full_matrices=False)
+    return (w @ vh).conj(), gap
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -7,6 +7,11 @@ import pytest
 from qcap.channels import (
     CodingScheme,
     KrausChannel,
+    _branch_vectors,
+    _check_kraus,
+    _compose,
+    _conjugate,
+    _tensor_power,
     apply_channel,
     apply_to_subsystem,
     compose,
@@ -395,3 +400,40 @@ def test_coding_scheme_validation():
         CodingScheme(source, identity_channel(3), identity_channel(2), 1)
     scheme = CodingScheme(source, identity_channel(2), identity_channel(2), 1)
     assert scheme.block_size == 1
+
+
+def test_stacked_channel_cores_match_each_member_bit_for_bit():
+    # each member of a stack gets exactly the single-channel result
+    rng = np.random.default_rng(11)
+    channels = [random_kraus_channel(2, 3, 2, rng) for _ in range(4)]
+    kraus = np.stack([c.kraus for c in channels])
+    states = [random_density(6, rank=6, seed=rng) for _ in range(4)]
+    matrices = np.stack([rho.matrix for rho in states])
+    for dims, idx in (((2, 3), 0), ((3, 2), 1), ((2,), 0)):
+        size = int(np.prod(dims))
+        stacked = _conjugate(kraus, matrices[:, :size, :size], dims, idx)
+        for j, c in enumerate(channels):
+            alone = _conjugate(c.kraus, matrices[j, :size, :size], dims, idx)
+            assert np.array_equal(stacked[j], alone)
+    square = np.stack([random_kraus_channel(2, 2, 3, rng).kraus for _ in range(3)])
+    for j, ops in enumerate(_tensor_power(square, 2)):
+        assert np.array_equal(ops, tensor_power(KrausChannel(square[j]), 2).kraus)
+    outer = np.stack([random_kraus_channel(3, 2, 2, rng).kraus for _ in range(4)])
+    for j, ops in enumerate(_compose(outer, kraus)):
+        assert np.array_equal(ops, compose(KrausChannel(outer[j]), channels[j]).kraus)
+    vectors = np.stack([random_pure_state(6, seed=rng).vector for _ in range(4)])
+    for j, rows in enumerate(_branch_vectors(kraus, vectors, (3, 2), 1)):
+        assert np.array_equal(rows, _branch_vectors(channels[j].kraus, vectors[j], (3, 2), 1))
+
+
+def test_stacked_completeness_check_names_the_member():
+    rng = np.random.default_rng(12)
+    kraus = np.stack([random_kraus_channel(2, 2, 2, rng).kraus for _ in range(4)])
+    _check_kraus(kraus)
+    kraus[2] *= 1.001
+    with pytest.raises(ValueError, match=r"violate completeness: .* at stack index 2$"):
+        _check_kraus(kraus)
+    kraus[1, 1, 0, 1] = np.nan
+    message = r"^Kraus operator 1 has a non-finite entry at stack index 1$"
+    with pytest.raises(ValueError, match=message):
+        _check_kraus(kraus)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -207,13 +208,12 @@ def test_theorem_demo_reports_instances(capsys):
 
 
 def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
-    real = qcap.cli.eliminate_encoder
+    real = qcap.cli._eliminated
 
-    def tripled(scheme, channel):
-        inst = real(scheme, channel)
-        return dataclasses.replace(inst, eps_out=3 * inst.eps_out)
+    def tripled(pairs):
+        return (dataclasses.replace(inst, eps_out=3 * inst.eps_out) for inst in real(pairs))
 
-    monkeypatch.setattr(qcap.cli, "eliminate_encoder", tripled)
+    monkeypatch.setattr(qcap.cli, "_eliminated", tripled)
     code, _, _ = run_cli(capsys, ["theorem-demo", "--trials", "30"])
     assert code == 2
 
@@ -270,6 +270,22 @@ def test_lemma_check_pinned_bytes(capsys, seed):
         assert code == 0
         assert err == ""
         assert out == f"lemma,trials,violations,max_slack\n{row}\n"
+
+
+# sha256 of the stdout of `qcap theorem-demo --trials 1000 --seed <seed>`; the
+# CSV of existing seeds must not change by a byte
+THEOREM_DEMO_SHA256 = {
+    0: "45b6ac0cc4ab7c976f894becc20fbd1685959779809e537c9a78b96fbaacb408",
+    1: "90c80b78cd292baff16b90765bff9f19a77c211ffaff095f2a2b3c603625b62b",
+    2: "3f9cdfaa5ace0a6140f242c4a0aaf730f5a05f43bdca3e582167c9401c209358",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(THEOREM_DEMO_SHA256))
+def test_theorem_demo_pinned_bytes(capsys, seed):
+    code, out, err = run_cli(capsys, ["theorem-demo", "--trials", "1000", "--seed", str(seed)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_DEMO_SHA256[seed]
 
 
 def test_out_file_duplicates_stdout(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qcap.channels import (
     KrausChannel,
     apply_to_subsystem,
     compose,
+    erasure_channel,
     identity_channel,
     measure_environment_branches,
     tensor_power,
@@ -18,6 +20,7 @@ from qcap.elimination import (
     FIDELITY_SLACK,
     MARGINAL_GAP_TOL,
     eliminate_encoder,
+    eliminate_encoders,
     random_demo_schemes,
 )
 from qcap.functionals import (
@@ -204,28 +207,45 @@ def test_selected_branch_is_first_argmax():
     assert l_max**2 >= (1.0 - instance.eps_in) ** 2 - 1e-9
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
-    # three validations per instance: the kept branch, its decoded output, rho_prime
-    schemes = random_demo_schemes(30, seed)
+def _count_solves_and_decodes(monkeypatch, pairs):
+    """eigvalsh calls and the stack shapes the decode block maps, for one elimination call."""
+    decode = np.stack(
+        [compose(scheme.decoder, tensor_power(channel, scheme.block_size)).kraus
+         for scheme, channel in pairs]
+    )
     solves, decodes = [], []
-    eigvalsh, decode = np.linalg.eigvalsh, elimination.apply_to_subsystem
+    eigvalsh, conjugate = np.linalg.eigvalsh, elimination._conjugate
 
     def counted_solve(matrix):
-        solves.append(matrix.shape[-1])
+        solves.append(matrix.shape[:-2])
         return eigvalsh(matrix)
 
-    def counted_decode(*args):
-        decodes.append(args[-1])
-        return decode(*args)
+    def counted_conjugate(kraus, matrix, *args):
+        if np.array_equal(kraus, decode):
+            decodes.append(matrix.shape[:-2])
+        return conjugate(kraus, matrix, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
-    monkeypatch.setattr(elimination, "apply_to_subsystem", counted_decode)
-    for scheme, channel in schemes:
-        solves.clear()
-        decodes.clear()
-        eliminate_encoder(scheme, channel)
-        assert (len(solves), decodes) == (3, [1])
+    monkeypatch.setattr(elimination, "_conjugate", counted_conjugate)
+    if len(pairs) == 1:
+        eliminate_encoder(*pairs[0])
+    else:
+        eliminate_encoders(pairs)
+    return solves, decodes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
+    # three validations: the kept branch, its decoded output, rho_prime; the
+    # decode block maps the kept branch alone, one per instance
+    schemes = random_demo_schemes(30, seed)
+    for pair in schemes:
+        solves, decodes = _count_solves_and_decodes(monkeypatch, [pair])
+        assert (len(solves), decodes) == (3, [(1,)])
+    # the same three solves and one decode for a stack of 30 same-shape schemes
+    stack = random_demo_schemes(90, seed)[0::3]
+    solves, decodes = _count_solves_and_decodes(monkeypatch, stack)
+    assert (solves, decodes) == ([(30,)] * 3, [(30,)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -258,10 +278,7 @@ def test_eliminate_encoder_rejects_poor_schemes():
         eliminate_encoder(scheme, identity_channel(2))
 
 
-def test_eliminate_encoder_rejects_oversized_source():
-    from qcap.channels import KrausChannel
-    from qcap.states import DensityMatrix
-
+def _oversized_source_pair():
     # nearly pure three-level source: the lossy qubit bottleneck still
     # carries it faithfully, so the dimension precondition fires, not the
     # fidelity gate
@@ -275,9 +292,12 @@ def test_eliminate_encoder_rejects_oversized_source():
     lift = np.zeros((3, 2), dtype=complex)
     lift[0, 0] = lift[1, 1] = 1.0
     decoder = KrausChannel([lift])
-    scheme = CodingScheme(source, encoder, decoder, 1)
+    return CodingScheme(source, encoder, decoder, 1), identity_channel(2)
+
+
+def test_eliminate_encoder_rejects_oversized_source():
     with pytest.raises(ValueError, match="exceeds the channel input"):
-        eliminate_encoder(scheme, identity_channel(2))
+        eliminate_encoder(*_oversized_source_pair())
 
 
 def test_random_demo_schemes_are_valid_and_deterministic():
@@ -305,3 +325,122 @@ def test_rho_prime_feeds_channel_directly():
         instance.rho_prime, compose(instance.tail_decoder, compose(scheme.decoder, block))
     )
     assert abs((1.0 - direct.value) - instance.eps_out) < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [elimination._CHUNK, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, chunk):
+    # 60 schemes fall into five shape groups; a chunk of 7 splits each group
+    monkeypatch.setattr(elimination, "_CHUNK", chunk)
+    pairs = random_demo_schemes(60, seed)
+    batch = eliminate_encoders(pairs)
+    assert len(batch) == len(pairs)
+    for (scheme, channel), got in zip(pairs, batch):
+        alone = eliminate_encoder(scheme, channel)
+        assert got.scheme is scheme
+        assert (got.eps_in, got.entropy_bound, got.branch_index, got.flagged) == (
+            alone.eps_in, alone.entropy_bound, alone.branch_index, alone.flagged
+        )
+        for field in ("eps_out", "entropy_gap", "marginal_gap"):
+            assert abs(getattr(got, field) - getattr(alone, field)) <= 1e-12
+        assert np.max(np.abs(got.rho_prime.matrix - alone.rho_prime.matrix)) <= 1e-12
+        assert np.max(np.abs(got.tail_decoder.kraus - alone.tail_decoder.kraus)) <= 1e-12
+        assert got.rho_prime.dims == alone.rho_prime.dims
+        assert not got.rho_prime.matrix.flags.writeable
+        assert not got.tail_decoder.kraus.flags.writeable
+
+
+@pytest.mark.parametrize("window", [elimination._WINDOW, 6])
+def test_stacked_check_names_the_failing_instance(monkeypatch, window):
+    # instance 8 shares the erasure-recovery shape with 2, 5 and 11, but sends
+    # its scheme through a half-erasing channel: stack index 2, input index 8;
+    # a window of 6 puts it at position 2 of the second window
+    monkeypatch.setattr(elimination, "_WINDOW", window)
+    pairs = random_demo_schemes(12, 0)
+    pairs[8] = (pairs[8][0], erasure_channel(0.5))
+    with pytest.raises(ValueError, match=r"validity window.* at instance 8$"):
+        eliminate_encoders(pairs)
+    # a linalg check on the stack names the member by its input position: the
+    # second split-isometry member is instance 3
+    real = elimination.density_spectrum
+
+    def doubled_second(m):
+        m = m.copy()
+        m[1] *= 2.0
+        return real(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(elimination, "density_spectrum", doubled_second)
+        with pytest.raises(ValueError, match=r"trace 2.* deviates from 1 at instance 3$"):
+            eliminate_encoders(random_demo_schemes(12, 0))
+    # a check on shapes alone names the first instance of its group
+    pairs = random_demo_schemes(4, 0)
+    pairs[3] = _oversized_source_pair()
+    with pytest.raises(ValueError, match=r"exceeds the channel input.* at instance 3$"):
+        eliminate_encoders(pairs)
+
+
+def test_solves_per_chunk_do_not_grow_with_its_size(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[0].shape[:-2])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    erasure = random_demo_schemes(90, 3)[2::3]
+    counts = []
+    for size in (1, 2, 30):
+        pairs = erasure[:size]
+        calls.clear()
+        eliminate_encoders(pairs)
+        counts.append(len(calls))
+        assert all(shape == (size,) for shape in calls)
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_eliminate_encoders_of_nothing_is_empty():
+    assert eliminate_encoders([]) == []
+
+
+def test_eliminated_reads_its_input_one_window_at_a_time():
+    # an endless stream yields its first instances after one window is drawn
+    drawn = []
+
+    def endless():
+        scheme, channel = random_demo_schemes(1, 0)[0]
+        while True:
+            drawn.append(None)
+            yield scheme, channel
+
+    first = list(itertools.islice(elimination._eliminated(endless()), 3))
+    assert len(first) == 3
+    assert len(drawn) == elimination._WINDOW
+
+
+def test_branch_index_counts_only_kept_branches():
+    # the zero operator's branch has probability 0: it is dropped, so the one
+    # kept branch has index 0 among the kept, as measure_environment_branches lists them
+    zero = np.zeros((2, 2), dtype=complex)
+    encoder = KrausChannel([zero, np.eye(2, dtype=complex)])
+    scheme = CodingScheme(maximally_mixed(2), encoder, identity_channel(2), 1)
+    phi = purify(scheme.source.flattened())
+    assert len(measure_environment_branches(encoder, phi, 1)) == 1
+    for instance in eliminate_encoders([(scheme, identity_channel(2))] * 3):
+        assert instance.branch_index == 0
+        assert instance.eps_out < 1e-12 and not instance.flagged
+
+
+def test_two_channel_uses_eliminate_on_the_stacked_block():
+    # a slightly bit-flipping qubit channel used twice carries a four-level
+    # source; the block's Kraus products are formed and checked on the stack
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    channel = KrausChannel([math.sqrt(0.999) * np.eye(2), math.sqrt(0.001) * flip])
+    for seed in range(3):
+        source = random_density(4, rank=4, seed=seed)
+        scheme = CodingScheme(source, identity_channel(4), identity_channel(4), 2)
+        instance = _check_reproducible_from_parts(scheme, channel)
+        assert 0.0 < instance.eps_in < 1.0 / 72.0
+        assert instance.fidelity_ok and instance.entropy_ok and not instance.flagged

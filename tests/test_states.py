@@ -5,6 +5,10 @@ from qcap.linalg import binary_entropy, trace_norm
 from qcap.states import (
     DensityMatrix,
     PureState,
+    _check_unit,
+    _max_overlap_vector,
+    _purification,
+    _uhlmann,
     _uhlmann_isometry,
     high_entropy_counterexample,
     max_overlap_purification,
@@ -466,3 +470,33 @@ def test_trace_norm_zero_for_equal_marginals_sanity():
     mirror = purify(sigma)
     back = mirror.reduced([0])
     assert trace_norm(back.matrix - sigma.matrix) < 1e-10
+
+
+def test_stacked_state_cores_match_each_member_bit_for_bit():
+    rng = np.random.default_rng(13)
+    states = [random_density(6, rank=r, seed=rng) for r in (6, 3, 1, 6)]
+    matrices = np.stack([rho.matrix for rho in states])
+    for j, vector in enumerate(_purification(matrices)):
+        assert np.array_equal(vector, _purification(states[j].matrix))
+    vectors, l_max = _max_overlap_vector(matrices, 2, 3)
+    for j, rho in enumerate(states):
+        alone, top = _max_overlap_vector(rho.matrix, 2, 3)
+        assert np.array_equal(vectors[j], alone) and l_max[j] == top
+    # (ref, complement) tables with complements of 9 and 12
+    v1 = vectors.reshape(4, 2, 9)
+    v2 = rng.standard_normal((4, 2, 12)) + 1j * rng.standard_normal((4, 2, 12))
+    u, gap = _uhlmann(v1, v2)
+    for j in range(4):
+        alone_u, alone_gap = _uhlmann(v1[j], v2[j])
+        assert np.array_equal(u[j], alone_u) and gap[j] == alone_gap
+
+
+def test_stacked_unit_check_names_the_member():
+    vectors = np.stack([random_pure_state(5, seed=s).vector for s in range(3)])
+    _check_unit(vectors)
+    vectors[1] *= 1.01
+    with pytest.raises(ValueError, match=r"^pure state norm 1.01 deviates from 1 at stack index 1$"):
+        _check_unit(vectors)
+    vectors[0, 2] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite entry at index 2 at stack index 0$"):
+        _check_unit(vectors)
