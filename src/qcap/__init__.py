@@ -10,7 +10,6 @@ from .channels import (
     environment_state,
     erasure_channel,
     identity_channel,
-    measure_environment_branches,
     tensor_power,
     unitary_channel,
 )
@@ -63,7 +62,6 @@ from .states import (
     DensityMatrix,
     PureState,
     high_entropy_counterexample,
-    max_overlap_purification,
     maximally_mixed,
     purify,
     random_density,

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _MemberError, _first_failure
-from .states import DensityMatrix, PureState, _norms_squared
+from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
 KRAUS_LIMIT = 3**6
-BRANCH_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,22 +160,17 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(_conjugate(channel.kraus, rho.matrix), (channel.out_dim,))
 
 
-def _locate_factor(channel: KrausChannel, state, factor: int) -> tuple[int, ...]:
-    """Factor dimensions after the channel acts on input factor ``factor``, a position."""
-    dims = state.dims
+def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: int) -> DensityMatrix:
+    """Apply the channel to the factor at position ``factor``, leaving the others alone."""
+    dims = rho.dims
     if not 0 <= factor < len(dims):
         raise ValueError(f"factor {factor} out of range for {len(dims)} factors")
     if dims[factor] != channel.in_dim:
         raise ValueError(
             f"factor {factor} has dimension {dims[factor]}, channel expects {channel.in_dim}"
         )
-    return dims[:factor] + (channel.out_dim,) + dims[factor + 1 :]
-
-
-def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: int) -> DensityMatrix:
-    """Apply the channel to the factor at position ``factor``, leaving the others alone."""
-    new_dims = _locate_factor(channel, rho, factor)
-    return DensityMatrix(_conjugate(channel.kraus, rho.matrix, rho.dims, factor), new_dims)
+    new_dims = dims[:factor] + (channel.out_dim,) + dims[factor + 1 :]
+    return DensityMatrix(_conjugate(channel.kraus, rho.matrix, dims, factor), new_dims)
 
 
 def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
@@ -237,33 +231,14 @@ def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatri
     return DensityMatrix(w, (channel.num_kraus,))
 
 
-def measure_environment_branches(
-    channel: KrausChannel, state: PureState, factor: int
-) -> list[tuple[float, PureState]]:
-    """Pure branches left by measuring the channel environment.
-
-    Applies each Kraus operator to the factor at position ``factor`` of a
-    pure input and returns (probability, normalized state) pairs, with the
-    factors in their places; branches below 1e-12 probability are dropped.
-    Probabilities sum to 1 and the weighted mixture of branch projectors
-    reconstructs the channel output.
-    """
-    new_dims = _locate_factor(channel, state, factor)
-    vectors = _branch_vectors(channel.kraus, state.vector, state.dims, factor)
-    probs = _norms_squared(vectors)
-    return [
-        (float(prob), PureState(v / math.sqrt(prob), new_dims))
-        for prob, v in zip(probs, vectors)
-        if prob > BRANCH_CUTOFF
-    ]
-
-
 def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) -> np.ndarray:
     """Unnormalized (A_k on factor ``factor``)|psi>, one row per k.
 
-    Leading axes of ``kraus`` and ``vector`` index a stack; the rows of each
-    member keep the factors in their places, with factor ``factor`` resized
-    to the channel output.
+    These are the pure branches left by measuring the channel environment:
+    row k has squared norm p_k, the probability of outcome k, the p_k sum to 1,
+    and sum_k |row k><row k| is the channel output on |psi><psi|.  Leading axes
+    of ``kraus`` and ``vector`` index a stack; the rows of each member keep the
+    factors in their places, with factor ``factor`` resized to the channel output.
     """
     lead = vector.shape[:-1]
     k, out, inn = kraus.shape[-3:]

@@ -16,7 +16,7 @@ from .continuity import (
     check_mixing_bounds,
     check_pure_overlap_continuity,
 )
-from .elimination import _demo_schemes, _eliminated
+from .elimination import eliminate_encoders, random_demo_schemes
 from .erasure import (
     capacity_curve,
     coherent_info_from_decomposition,
@@ -138,7 +138,7 @@ def _cmd_theorem_demo(args) -> int:
     lines = ["instance,eps_in,eps_out,entropy_gap,entropy_bound,marginal_gap,flagged"]
     violations = 0
     # schemes are drawn and eliminated one window at a time, never all held at once
-    instances = _eliminated(_demo_schemes(args.trials, args.seed))
+    instances = eliminate_encoders(random_demo_schemes(args.trials, args.seed))
     for index, inst in enumerate(instances):
         if not inst.fidelity_ok:
             violations += 1

@@ -28,7 +28,7 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .states import _as_rng, _unit_trace
+from .states import _as_rng, _dot, _projectors, _unit_trace
 
 FP_TOL = 1e-9
 PURE_EPS_CAP = 1.0 / 36.0
@@ -84,19 +84,6 @@ def _check_sizes(trials: int, dim: int, what: str) -> None:
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:
         raise ValueError(f"need {what} >= 2, got {dim}")
-
-
-def _projectors(vectors: np.ndarray) -> np.ndarray:
-    return vectors[..., :, None] * vectors[..., None, :].conj()
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unconjugated dot product of stacked vectors, one BLAS dot per pair.
-
-    This is the dot ``np.vdot`` and ``np.linalg.norm`` call on a single
-    vector, so the stacked values round as a per-trial loop's do.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _normalized(vectors: np.ndarray) -> np.ndarray:

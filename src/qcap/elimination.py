@@ -6,23 +6,23 @@ branch of the encoder) and a tail map appended after the decoder so that
 sending rho_prime straight into the channel achieves fidelity at least
 1 - 2 eps, while the entropy of rho_prime stays close to the source's.
 
-The tail map comes from the isometry relating the branch purification to
-an exact purification of the decoded output's reference marginal, so
-the two reference marginals agree to rounding.  Each instance still
-records their trace-norm mismatch as ``marginal_gap`` and is flagged if
-it exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
+Each step is one stacked core.  ``channels._branch_vectors`` splits the
+purified source into the encoder's pure branches; ``states._max_overlap_vector``
+purifies the reference marginal of the decoded kept branch; ``states._uhlmann``
+relates that purification to the kept branch by the Uhlmann polar factor,
+whose aux-0 slice is the tail map.  The decoder leaves the reference alone,
+so the two reference marginals agree to rounding.  Each instance still
+records their trace-norm mismatch as ``marginal_gap`` and is flagged if it
+exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
 instance, flagged or not.
 
-:func:`eliminate_encoders` runs many schemes at once.  It reads them
-``_WINDOW`` at a time, groups each window by shape (source, encoder,
-decoder and channel stacks, and block size) and runs each group in chunks
-of at most ``_CHUNK`` instances.  Every step of the construction, every
-validation included, is one stacked call on the chunk through the
-stack-aware cores of :mod:`qcap.channels`, :mod:`qcap.states` and
-:mod:`qcap.linalg`, so the number of solves per chunk does not depend on
-its size, and the window bounds what a long stream holds.  A failed check
-names the instance by its position in the input; :func:`eliminate_encoder`
-is the one-scheme call of the same path.
+:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy.  The
+first reads its schemes ``_WINDOW`` at a time, so a stream of any length
+holds one window, groups each window by shape (source, encoder, decoder and
+channel stacks, and block size) and runs each group in chunks of at most
+``_CHUNK`` instances.  Every step, every validation included, is one call on
+the chunk, so the number of solves per chunk does not depend on its size.  A
+failed check names the instance by its position in the input.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from typing import Iterator
 import numpy as np
 
 from .channels import (
-    BRANCH_CUTOFF,
     CodingScheme,
     KrausChannel,
     _branch_vectors,
@@ -58,8 +57,9 @@ from .states import (
     DensityMatrix,
     _as_rng,
     _check_unit,
+    _dot,
     _max_overlap_vector,
-    _norms_squared,
+    _projectors,
     _purification,
     _uhlmann,
     random_density,
@@ -68,6 +68,7 @@ from .states import (
 
 FIDELITY_WINDOW = 1.0 / 72.0
 FIDELITY_SLACK = 1e-7
+BRANCH_CUTOFF = 1e-12
 MARGINAL_GAP_TOL = 1e-8
 _CHUNK = 32
 _WINDOW = 8 * _CHUNK
@@ -119,26 +120,15 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
     source dimension not to exceed the channel-block input so the relating
     isometry exists.  This is :func:`eliminate_encoders` on one scheme.
     """
-    return eliminate_encoders([(scheme, channel)])[0]
+    return next(eliminate_encoders([(scheme, channel)]))
 
 
-def eliminate_encoders(pairs) -> list[EliminationInstance]:
-    """:func:`eliminate_encoder` of each (scheme, channel) pair, in input order.
+def eliminate_encoders(pairs) -> Iterator[EliminationInstance]:
+    """:func:`eliminate_encoder` of each (scheme, channel) pair, yielded in input order.
 
-    Pairs of the same shape run together, in chunks of at most ``_CHUNK``.
-    An error carries the message of the failed check and names the first
-    failing instance by its input position; a check on shapes alone fails
-    for a whole chunk and names its first instance.
-    """
-    return list(_eliminated(pairs))
-
-
-def _eliminated(pairs) -> Iterator[EliminationInstance]:
-    """The instances of :func:`eliminate_encoders`, yielded in input order.
-
-    The pairs are read ``_WINDOW`` at a time and grouped by shape within
-    each window, so a stream of any length holds one window of pairs and
-    instances at once.
+    Reads ``_WINDOW`` pairs at a time and runs same-shape pairs in chunks of at
+    most ``_CHUNK``.  An error names the first failing instance by its input
+    position; a check on shapes alone names the first instance of its chunk.
     """
     stream = iter(pairs)
     start = 0
@@ -235,7 +225,7 @@ def _kept_branch(encoder, decode, phi, d_src) -> tuple[np.ndarray, np.ndarray]:
     the overall fidelity.
     """
     vectors = _branch_vectors(encoder, phi, (d_src, d_src), 1)
-    probs = _norms_squared(vectors)
+    probs = _dot(vectors.conj(), vectors).real
     kept = probs > BRANCH_CUTOFF
     branches = vectors / np.sqrt(np.where(kept, probs, 1.0))[..., None]
     # a dropped branch is no state: a unit placeholder keeps it out of the norm check
@@ -280,11 +270,6 @@ def _tail(big_psi, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray]:
     tail = np.ascontiguousarray(reshaped[..., 0].swapaxes(-3, -2))
     _check_kraus(tail)
     return tail, gap
-
-
-def _projectors(vectors: np.ndarray) -> np.ndarray:
-    """|v><v| of stacked vectors."""
-    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 def _split_isometry_scheme(rng: np.random.Generator) -> tuple[CodingScheme, KrausChannel]:
@@ -353,26 +338,17 @@ def _erasure_recovery_scheme(rng: np.random.Generator) -> tuple[CodingScheme, Kr
     return CodingScheme(source, encoder, decoder, 1), channel
 
 
-def random_demo_schemes(count: int, seed) -> list[tuple[CodingScheme, KrausChannel]]:
-    """Seeded mixed bag of high-fidelity schemes for the elimination demo.
+def random_demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
+    """Seeded mixed bag of high-fidelity schemes for the elimination demo, drawn as taken.
 
     Cycles through three families: classically mixed orthogonal isometries
     (exactly decodable, so the elimination is exact), mixed near-identity
     rotations through a noisy unitary, and low-rate erasure with a recovery
-    decoder.  Every scheme has end-to-end fidelity at least 0.99.
+    decoder.  Every scheme has end-to-end fidelity at least 0.99.  ``count``
+    is checked at the call; each scheme is drawn when the iterator reaches it.
     """
-    return list(_demo_schemes(count, seed))
-
-
-def _demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
-    """The pairs of :func:`random_demo_schemes`, drawn one at a time as they are taken."""
     if count < 1:
         raise ValueError(f"need at least one scheme, got {count}")
     rng = _as_rng(seed)
-    builders = (
-        _split_isometry_scheme,
-        _noisy_rotation_scheme,
-        _erasure_recovery_scheme,
-    )
-    for i in range(count):
-        yield builders[i % len(builders)](rng)
+    builders = (_split_isometry_scheme, _noisy_rotation_scheme, _erasure_recovery_scheme)
+    return (builders[i % len(builders)](rng) for i in range(count))

@@ -232,7 +232,9 @@ def half_sum_fraction(n: int, p: float) -> float:
     Each term is formed in log space, so large n does not overflow.  For
     p < 1/2 the value is p minus the upper tail over k > n//2 (the full sum
     is n p), whose terms fall from the first one on; the tail stops once they
-    underflow, so the value stays at rounding level from p for any n.
+    underflow, so the value stays at rounding level from p for any n.  For
+    p >= 1/2 the terms rise up to k = n//2, so the sum runs from there down
+    and stops the same way.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -245,17 +247,15 @@ def half_sum_fraction(n: int, p: float) -> float:
         log_comb = log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
         return math.exp(log_comb + k * log_p + (n - k) * log_q) * k
 
+    # the terms fall away from k = n//2, so the sum runs outward from there until they underflow
+    upper = p < 0.5
     total = 0.0
-    if p >= 0.5:
-        for k in range(1, n // 2 + 1):
-            total += term(k)
-        return total / n
-    for k in range(n // 2 + 1, n + 1):
+    for k in range(n // 2 + 1, n + 1) if upper else range(n // 2, 0, -1):
         t = term(k)
         if t == 0.0:
             break
         total += t
-    return p - total / n
+    return p - total / n if upper else total / n
 
 
 def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:

@@ -123,9 +123,14 @@ class PureState:
         return self.density().reduced(keep)
 
 
-def _norms_squared(vectors: np.ndarray) -> np.ndarray:
-    """<v|v> of stacked vectors, one BLAS dot each, rounded as ``np.vdot(v, v).real``."""
-    return (vectors.conj()[..., None, :] @ vectors[..., :, None])[..., 0, 0].real
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconjugated dot of stacked vectors: one BLAS dot per pair, rounded as ``np.vdot``'s."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| of stacked vectors."""
+    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 def _check_unit(vectors: np.ndarray) -> None:
@@ -136,7 +141,7 @@ def _check_unit(vectors: np.ndarray) -> None:
         raise _MemberError(
             f"pure state has a non-finite entry at index {np.argmin(finite[where])}", where
         )
-    norm = np.sqrt(_norms_squared(vectors))
+    norm = np.sqrt(_dot(vectors.conj(), vectors).real)
     where = _first_failure(abs(norm - 1.0) > TRACE_TOL)
     if where is not None:
         raise _MemberError(f"pure state norm {norm[where]:.12g} deviates from 1", where)
@@ -165,11 +170,11 @@ def _purification(matrix: np.ndarray) -> np.ndarray:
     return table.reshape(matrix.shape[:-2] + (-1,))
 
 
-def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
-    """Purification of Tr_B rho whose aux-0 branch is rho's top eigenvector.
+def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """Purification of Tr_B rho whose aux-0 branch is rho's top eigenvector, and l_max.
 
-    For ``rho`` on factors (A, B) with largest eigenvalue l_max and top eigenvector
-    phi, returns the pure state on (A, B, C) with the auxiliary factor C
+    For rho on factors (A, B) with largest eigenvalue l_max and top eigenvector
+    phi, the vector is the pure state on (A, B, C) with the auxiliary factor C
     appended last, dim C = dim A + 1,
 
         sqrt(l_max) |phi>|0_C> + sum_i sqrt(t_i) |t_i>_A |0_B> |i_C>
@@ -177,19 +182,9 @@ def max_overlap_purification(rho: DensityMatrix) -> tuple[PureState, float]:
     where (t_i, |t_i>) is the spectrum of the residual A marginal
     tau = Tr_B rho - l_max Tr_B |phi><phi|, positive semidefinite because
     rho >= l_max |phi><phi|.  Its A marginal equals Tr_B rho to rounding,
-    and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.
+    and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.  Leading
+    axes of ``matrix`` index a stack.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(
-            f"expected a state with exactly two factors, got {len(rho.dims)}"
-        )
-    da, db = rho.dims
-    vector, l_max = _max_overlap_vector(rho.matrix, da, db)
-    return PureState(vector, (da, db, da + 1)), float(l_max)
-
-
-def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector and l_max of :func:`max_overlap_purification`; leading axes index a stack."""
     lead = matrix.shape[:-2]
     values, vectors = np.linalg.eigh(matrix)
     l_max = values[..., -1]
@@ -204,38 +199,18 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     return table.reshape(lead + (-1,)), l_max
 
 
-def _uhlmann_isometry(state1: PureState, state2: PureState) -> tuple[np.ndarray, float]:
-    """Isometry U on the complement factors maximizing Re <state2|(I x U)|state1>.
+def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isometry U on the complement maximizing Re <v2|(I x U)|v1>, and the marginal gap.
 
-    Both states must have a reference factor 0 of equal dimension, and the
-    complement of ``state1`` must not exceed that of ``state2``.  U is the
-    Uhlmann polar factor: with M = v2^dag v1 the cross-overlap of the two
-    state tables (reference as rows) and M = W S V^dag its thin SVD,
+    ``v1`` and ``v2`` are (reference, complement) tables of two pure states
+    with equal reference dimension, the complement of ``v1`` no larger than
+    that of ``v2``.  U is the Uhlmann polar factor: with M = v2^dag v1 the
+    cross-overlap of the tables and M = W S V^dag its thin SVD,
     U = conj(W V^dag).  The overlap it attains is Tr S, real and
     nonnegative, and its square is the fidelity of the reference marginals.
-    Returns (U, gap) where gap is the trace-norm mismatch of the reference
-    marginals; callers decide how much gap they tolerate.
+    The gap is the trace-norm mismatch of those marginals; callers decide
+    how much gap they tolerate.  Leading axes index a stack.
     """
-    ds = state1.dims[0]
-    if state2.dims[0] != ds:
-        raise ValueError(
-            f"reference factor has dimension {ds} in one state "
-            f"and {state2.dims[0]} in the other"
-        )
-    v1 = state1.vector.reshape(ds, -1)
-    v2 = state2.vector.reshape(ds, -1)
-    n1, n2 = v1.shape[1], v2.shape[1]
-    if n1 > n2:
-        raise ValueError(
-            f"complement dimension {n1} of the first state exceeds {n2}; "
-            "an isometry needs the first complement to be no larger"
-        )
-    u, gap = _uhlmann(v1, v2)
-    return u, float(gap)
-
-
-def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U and gap of :func:`_uhlmann_isometry` for (ref, complement) tables; leading axes stack."""
     gap = trace_norm(v1 @ v1.conj().swapaxes(-1, -2) - v2 @ v2.conj().swapaxes(-1, -2))
     w, _, vh = np.linalg.svd(v2.conj().swapaxes(-1, -2) @ v1, full_matrices=False)
     return (w @ vh).conj(), gap

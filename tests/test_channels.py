@@ -18,7 +18,6 @@ from qcap.channels import (
     environment_state,
     erasure_channel,
     identity_channel,
-    measure_environment_branches,
     tensor_power,
     unitary_channel,
 )
@@ -318,32 +317,32 @@ def test_measure_environment_branches_unitary_single_branch():
     rng = np.random.default_rng(23)
     u = random_unitary(2, seed=rng)
     psi = PureState(bell_vector(), (2, 2))
-    branches = measure_environment_branches(unitary_channel(u), psi, 1)
-    assert len(branches) == 1
-    prob, state = branches[0]
+    rows = _branch_vectors(unitary_channel(u).kraus, psi.vector, psi.dims, 1)
+    assert rows.shape == (1, 4)
+    prob = np.vdot(rows[0], rows[0]).real
     assert abs(prob - 1.0) < 1e-12
     expected = np.kron(np.eye(2, dtype=complex), u) @ psi.vector
-    phase = np.vdot(state.vector, expected)
+    phase = np.vdot(rows[0] / np.sqrt(prob), expected)
     assert abs(abs(phase) - 1.0) < 1e-10
 
 
 def test_measure_environment_branches_erasure_on_bell():
+    # one branch per Kraus operator, each on (2, 3) with the erased factor resized
     p = 0.3
     psi = PureState(bell_vector(), (2, 2))
-    branches = measure_environment_branches(erasure_channel(p), psi, 1)
-    probs = sorted(prob for prob, _ in branches)
-    assert np.allclose(probs, [p / 2.0, p / 2.0, 1.0 - p], atol=1e-12)
-    assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
-    for _, state in branches:
-        assert state.dims == (2, 3)
+    rows = _branch_vectors(erasure_channel(p).kraus, psi.vector, psi.dims, 1)
+    assert rows.shape == (3, 2 * 3)
+    probs = np.einsum("ki,ki->k", rows.conj(), rows).real
+    assert np.allclose(sorted(probs), [p / 2.0, p / 2.0, 1.0 - p], atol=1e-12)
+    assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_measure_environment_branches_reconstruct_output():
     rng = np.random.default_rng(29)
     chan = random_kraus_channel(2, 3, 3, rng)
     psi = PureState(bell_vector(), (2, 2))
-    branches = measure_environment_branches(chan, psi, 1)
-    mix = sum(prob * state.density().matrix for prob, state in branches)
+    rows = _branch_vectors(chan.kraus, psi.vector, psi.dims, 1)
+    mix = sum(np.outer(row, row.conj()) for row in rows)
     direct = apply_to_subsystem(chan, psi.density(), 1)
     assert np.max(np.abs(mix - direct.matrix)) < 1e-10
 
@@ -370,26 +369,10 @@ def test_factor_kernel_on_each_factor(idx, in_dim, out_dim, num_kraus):
 
     psi = random_pure_state(12, rng, dims)
     expected = sum(np.outer(op @ psi.vector, (op @ psi.vector).conj()) for op in lifted)
-    branches = measure_environment_branches(chan, psi, idx)
-    mix = sum(prob * state.density().matrix for prob, state in branches)
-    assert all(state.dims == new_dims for _, state in branches)
+    rows = _branch_vectors(chan.kraus, psi.vector, dims, idx)
+    mix = sum(np.outer(row, row.conj()) for row in rows)
+    assert rows.shape == (num_kraus, int(np.prod(new_dims)))
     assert np.max(np.abs(mix - expected)) < 1e-12
-
-
-def test_measure_environment_branches_drops_null_branches():
-    psi = PureState(bell_vector(), (2, 2))
-    branches = measure_environment_branches(erasure_channel(0.0), psi, 1)
-    assert len(branches) == 1
-
-
-def test_measure_environment_branches_errors():
-    psi = PureState(bell_vector(), (2, 2))
-    for factor in (2, -1):
-        with pytest.raises(ValueError, match=f"^factor {factor} out of range for 2 factors$"):
-            measure_environment_branches(erasure_channel(0.1), psi, factor)
-    trit = PureState(np.eye(3, dtype=complex)[0], (3,))
-    with pytest.raises(ValueError, match="^factor 0 has dimension 3, channel expects 2$"):
-        measure_environment_branches(erasure_channel(0.1), trit, 0)
 
 
 def test_coding_scheme_validation():

@@ -208,12 +208,12 @@ def test_theorem_demo_reports_instances(capsys):
 
 
 def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
-    real = qcap.cli._eliminated
+    real = qcap.cli.eliminate_encoders
 
     def tripled(pairs):
         return (dataclasses.replace(inst, eps_out=3 * inst.eps_out) for inst in real(pairs))
 
-    monkeypatch.setattr(qcap.cli, "_eliminated", tripled)
+    monkeypatch.setattr(qcap.cli, "eliminate_encoders", tripled)
     code, _, _ = run_cli(capsys, ["theorem-demo", "--trials", "30"])
     assert code == 2
 

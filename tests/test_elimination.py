@@ -8,15 +8,16 @@ import pytest
 from qcap.channels import (
     CodingScheme,
     KrausChannel,
+    _branch_vectors,
     apply_to_subsystem,
     compose,
     erasure_channel,
     identity_channel,
-    measure_environment_branches,
     tensor_power,
 )
 from qcap import elimination
 from qcap.elimination import (
+    BRANCH_CUTOFF,
     FIDELITY_SLACK,
     MARGINAL_GAP_TOL,
     eliminate_encoder,
@@ -30,7 +31,8 @@ from qcap.functionals import (
 )
 from qcap.states import (
     DensityMatrix,
-    max_overlap_purification,
+    PureState,
+    _max_overlap_vector,
     maximally_mixed,
     purify,
     random_density,
@@ -60,7 +62,7 @@ def test_flagged_follows_marginal_gap():
 
 
 def test_split_isometry_family_is_exact():
-    scheme, channel = random_demo_schemes(1, seed=10)[0]
+    scheme, channel = list(random_demo_schemes(1, seed=10))[0]
     instance = eliminate_encoder(scheme, channel)
     assert instance.eps_in < 1e-10
     assert instance.eps_out < 1e-7
@@ -69,7 +71,7 @@ def test_split_isometry_family_is_exact():
 
 
 def test_noisy_rotation_family_obeys_doubling():
-    scheme, channel = random_demo_schemes(2, seed=10)[1]
+    scheme, channel = list(random_demo_schemes(2, seed=10))[1]
     instance = eliminate_encoder(scheme, channel)
     assert 0.0 < instance.eps_in < 1.0 / 72.0
     assert instance.fidelity_ok
@@ -82,7 +84,7 @@ def test_erasure_recovery_family_is_exact_and_near_doubling():
     # be exact, unflagged and within the doubling bound
     for seed in (0, 1, 2):
         ratios = []
-        for scheme, channel in random_demo_schemes(300, seed)[2::3]:
+        for scheme, channel in list(random_demo_schemes(300, seed))[2::3]:
             instance = eliminate_encoder(scheme, channel)
             assert not instance.flagged
             assert instance.marginal_gap < 1e-12
@@ -101,7 +103,7 @@ def test_batch_of_demo_schemes_meets_contract():
 
 
 def test_tail_decoder_shapes_and_completeness():
-    scheme, channel = random_demo_schemes(2, seed=4)[1]
+    scheme, channel = list(random_demo_schemes(2, seed=4))[1]
     instance = eliminate_encoder(scheme, channel)
     tail = instance.tail_decoder
     block = tensor_power(channel, scheme.block_size)
@@ -122,7 +124,7 @@ def _weak_damping_scheme(d, gamma, source):
 
 
 def test_instance_numbers_are_reproducible_from_parts():
-    _check_reproducible_from_parts(*random_demo_schemes(2, seed=21)[1])
+    _check_reproducible_from_parts(*list(random_demo_schemes(2, seed=21))[1])
     # a damping branch is no isometry, so rho_prime's spectrum moves off the source's
     damping = _weak_damping_scheme(3, 0.01, random_density(3, rank=3, seed=2))
     instance = _check_reproducible_from_parts(*damping)
@@ -169,7 +171,7 @@ def test_eps_out_is_stable_under_tiny_source_nudge():
     # the tail isometry must depend continuously on its inputs: a 1e-15
     # change of the source may not move eps_out by more than 1e-9
     rng = np.random.default_rng(5)
-    rotations = random_demo_schemes(300, 0)[1::3]
+    rotations = list(random_demo_schemes(300, 0))[1::3]
     worst = 0.0
     for scheme, channel in rotations:
         d = scheme.source.dim
@@ -187,24 +189,33 @@ def test_eps_out_is_stable_under_tiny_source_nudge():
 
 
 def test_selected_branch_is_first_argmax():
-    scheme, channel = random_demo_schemes(2, seed=33)[1]
+    scheme, channel = list(random_demo_schemes(2, seed=33))[1]
     instance = eliminate_encoder(scheme, channel)
 
     source = scheme.source.flattened()
     phi = purify(source)
     block = tensor_power(channel, scheme.block_size)
     decode_block = compose(scheme.decoder, block)
-    branches = measure_environment_branches(scheme.encoder, phi, 1)
     outs, fids = [], []
-    for _, psi in branches:
+    for psi in _kept_branches(scheme.encoder, phi):
         outs.append(apply_to_subsystem(decode_block, psi.density(), 1))
         fids.append(float(np.real(phi.vector.conj() @ outs[-1].matrix @ phi.vector)))
     best = max(range(len(fids)), key=lambda i: (fids[i], -i))
     assert instance.branch_index == best
     # averaging: the best conditional fidelity is at least the overall one
     assert fids[best] >= 1.0 - instance.eps_in - 1e-10
-    _, l_max = max_overlap_purification(outs[best])
+    _, l_max = _max_overlap_vector(outs[best].matrix, *outs[best].dims)
     assert l_max**2 >= (1.0 - instance.eps_in) ** 2 - 1e-9
+
+
+def _kept_branches(encoder, phi):
+    """Normalized encoder branches of a purified source above ``BRANCH_CUTOFF``, in order."""
+    kept = []
+    for row in _branch_vectors(encoder.kraus, phi.vector, phi.dims, 1):
+        prob = np.vdot(row, row).real
+        if prob > BRANCH_CUTOFF:
+            kept.append(PureState(row / math.sqrt(prob), (phi.dims[0], encoder.out_dim)))
+    return kept
 
 
 def _count_solves_and_decodes(monkeypatch, pairs):
@@ -230,7 +241,7 @@ def _count_solves_and_decodes(monkeypatch, pairs):
     if len(pairs) == 1:
         eliminate_encoder(*pairs[0])
     else:
-        eliminate_encoders(pairs)
+        list(eliminate_encoders(pairs))
     return solves, decodes
 
 
@@ -243,7 +254,7 @@ def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
         solves, decodes = _count_solves_and_decodes(monkeypatch, [pair])
         assert (len(solves), decodes) == (3, [(1,)])
     # the same three solves and one decode for a stack of 30 same-shape schemes
-    stack = random_demo_schemes(90, seed)[0::3]
+    stack = list(random_demo_schemes(90, seed))[0::3]
     solves, decodes = _count_solves_and_decodes(monkeypatch, stack)
     assert (solves, decodes) == ([(30,)] * 3, [(30,)])
 
@@ -255,7 +266,7 @@ def test_kept_branch_has_the_best_decoded_fidelity(seed):
         phi = purify(scheme.source.flattened())
         decode_block = compose(scheme.decoder, tensor_power(channel, scheme.block_size))
         fids = []
-        for _, psi in measure_environment_branches(scheme.encoder, phi, 1):
+        for psi in _kept_branches(scheme.encoder, phi):
             out = apply_to_subsystem(decode_block, psi.density(), 1)
             fids.append(float(np.vdot(phi.vector, out.matrix @ phi.vector).real))
         # split-isometry branches both decode to fidelity 1 up to rounding, so
@@ -301,8 +312,8 @@ def test_eliminate_encoder_rejects_oversized_source():
 
 
 def test_random_demo_schemes_are_valid_and_deterministic():
-    first = random_demo_schemes(6, seed=9)
-    again = random_demo_schemes(6, seed=9)
+    first = list(random_demo_schemes(6, seed=9))
+    again = list(random_demo_schemes(6, seed=9))
     assert len(first) == 6
     for (s1, c1), (s2, c2) in zip(first, again):
         for a, b in zip(s1.encoder.kraus, s2.encoder.kraus):
@@ -312,12 +323,16 @@ def test_random_demo_schemes_are_valid_and_deterministic():
         fid = end_to_end_fidelity(s1, c1).value
         assert fid > 1.0 - 1.0 / 72.0
 
+    # the count is checked at the call, and each scheme is drawn as it is taken
     with pytest.raises(ValueError, match="at least one scheme"):
         random_demo_schemes(0, seed=1)
+    taken = itertools.islice(random_demo_schemes(10**9, seed=9), len(first))
+    for (s1, _), (s2, _) in zip(first, taken):
+        assert np.array_equal(s1.encoder.kraus, s2.encoder.kraus)
 
 
 def test_rho_prime_feeds_channel_directly():
-    scheme, channel = random_demo_schemes(1, seed=2)[0]
+    scheme, channel = list(random_demo_schemes(1, seed=2))[0]
     instance = eliminate_encoder(scheme, channel)
     block = tensor_power(channel, scheme.block_size)
     assert instance.rho_prime.dim == block.in_dim
@@ -332,8 +347,8 @@ def test_rho_prime_feeds_channel_directly():
 def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, chunk):
     # 60 schemes fall into five shape groups; a chunk of 7 splits each group
     monkeypatch.setattr(elimination, "_CHUNK", chunk)
-    pairs = random_demo_schemes(60, seed)
-    batch = eliminate_encoders(pairs)
+    pairs = list(random_demo_schemes(60, seed))
+    batch = list(eliminate_encoders(pairs))
     assert len(batch) == len(pairs)
     for (scheme, channel), got in zip(pairs, batch):
         alone = eliminate_encoder(scheme, channel)
@@ -356,10 +371,10 @@ def test_stacked_check_names_the_failing_instance(monkeypatch, window):
     # its scheme through a half-erasing channel: stack index 2, input index 8;
     # a window of 6 puts it at position 2 of the second window
     monkeypatch.setattr(elimination, "_WINDOW", window)
-    pairs = random_demo_schemes(12, 0)
+    pairs = list(random_demo_schemes(12, 0))
     pairs[8] = (pairs[8][0], erasure_channel(0.5))
     with pytest.raises(ValueError, match=r"validity window.* at instance 8$"):
-        eliminate_encoders(pairs)
+        list(eliminate_encoders(pairs))
     # a linalg check on the stack names the member by its input position: the
     # second split-isometry member is instance 3
     real = elimination.density_spectrum
@@ -372,12 +387,12 @@ def test_stacked_check_names_the_failing_instance(monkeypatch, window):
     with monkeypatch.context() as patch:
         patch.setattr(elimination, "density_spectrum", doubled_second)
         with pytest.raises(ValueError, match=r"trace 2.* deviates from 1 at instance 3$"):
-            eliminate_encoders(random_demo_schemes(12, 0))
+            list(eliminate_encoders(random_demo_schemes(12, 0)))
     # a check on shapes alone names the first instance of its group
-    pairs = random_demo_schemes(4, 0)
+    pairs = list(random_demo_schemes(4, 0))
     pairs[3] = _oversized_source_pair()
     with pytest.raises(ValueError, match=r"exceeds the channel input.* at instance 3$"):
-        eliminate_encoders(pairs)
+        list(eliminate_encoders(pairs))
 
 
 def test_solves_per_chunk_do_not_grow_with_its_size(monkeypatch):
@@ -390,19 +405,19 @@ def test_solves_per_chunk_do_not_grow_with_its_size(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    erasure = random_demo_schemes(90, 3)[2::3]
+    erasure = list(random_demo_schemes(90, 3))[2::3]
     counts = []
     for size in (1, 2, 30):
         pairs = erasure[:size]
         calls.clear()
-        eliminate_encoders(pairs)
+        list(eliminate_encoders(pairs))
         counts.append(len(calls))
         assert all(shape == (size,) for shape in calls)
     assert counts[0] == counts[1] == counts[2]
 
 
 def test_eliminate_encoders_of_nothing_is_empty():
-    assert eliminate_encoders([]) == []
+    assert list(eliminate_encoders([])) == []
 
 
 def test_eliminated_reads_its_input_one_window_at_a_time():
@@ -410,24 +425,24 @@ def test_eliminated_reads_its_input_one_window_at_a_time():
     drawn = []
 
     def endless():
-        scheme, channel = random_demo_schemes(1, 0)[0]
+        scheme, channel = list(random_demo_schemes(1, 0))[0]
         while True:
             drawn.append(None)
             yield scheme, channel
 
-    first = list(itertools.islice(elimination._eliminated(endless()), 3))
+    first = list(itertools.islice(eliminate_encoders(endless()), 3))
     assert len(first) == 3
     assert len(drawn) == elimination._WINDOW
 
 
 def test_branch_index_counts_only_kept_branches():
     # the zero operator's branch has probability 0: it is dropped, so the one
-    # kept branch has index 0 among the kept, as measure_environment_branches lists them
+    # kept branch has index 0 among the kept, as _kept_branches lists them
     zero = np.zeros((2, 2), dtype=complex)
     encoder = KrausChannel([zero, np.eye(2, dtype=complex)])
     scheme = CodingScheme(maximally_mixed(2), encoder, identity_channel(2), 1)
     phi = purify(scheme.source.flattened())
-    assert len(measure_environment_branches(encoder, phi, 1)) == 1
+    assert len(_kept_branches(encoder, phi)) == 1
     for instance in eliminate_encoders([(scheme, identity_channel(2))] * 3):
         assert instance.branch_index == 0
         assert instance.eps_out < 1e-12 and not instance.flagged

@@ -412,6 +412,27 @@ def test_half_sum_fraction_stays_at_rounding_level_for_large_n():
         assert abs(half_sum_fraction(n, 0.1) - 0.1) <= 1e-14
 
 
+def test_half_sum_fraction_is_a_quarter_at_one_half():
+    # for even n, sum_{k<=n/2} C(n,k) k = n sum_{j<n/2} C(n-1,j) = n 2^(n-2), so the value is 1/4
+    for n in (100, 10_000, 1_000_000):
+        assert abs(half_sum_fraction(n, 0.5) - 0.25) < 1e-9
+
+
+def test_half_sum_fraction_above_one_half_drops_only_underflowed_terms():
+    # from p = 1/2 on the terms rise up to k = n//2, so the downward sum may stop at the first 0;
+    # at n = 10^4 and p = 0.6 the top term is near 1e-89 and the low ones underflow
+    for n in (1001, 10_000):
+        for p in (0.5, 0.55, 0.6):
+            log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+            full = math.fsum(
+                math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                         + k * log_p + (n - k) * log_q) * k
+                for k in range(1, n // 2 + 1)
+            ) / n
+            assert full > 0.0
+            assert abs(half_sum_fraction(n, p) - full) <= 1e-12 * full
+
+
 def test_capacity_curve_tracks_closed_form():
     grid = np.linspace(0.0, 1.0, 21)
     for n in (1, 2):

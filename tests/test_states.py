@@ -6,12 +6,11 @@ from qcap.states import (
     DensityMatrix,
     PureState,
     _check_unit,
+    _dot,
     _max_overlap_vector,
     _purification,
     _uhlmann,
-    _uhlmann_isometry,
     high_entropy_counterexample,
-    max_overlap_purification,
     maximally_mixed,
     purify,
     random_density,
@@ -27,6 +26,19 @@ from helpers import bell_vector, fidelity
 def on_complement(psi, u):
     """Vector of (I x u) psi for a state whose first factor is the shared one."""
     return (psi.vector.reshape(psi.dims[0], -1) @ u.T).reshape(-1)
+
+
+def max_overlap(rho):
+    """The max-overlap purification of a two-factor state on (A, B, C), and l_max."""
+    da, db = rho.dims
+    vector, l_max = _max_overlap_vector(rho.matrix, da, db)
+    return PureState(vector, (da, db, da + 1)), float(l_max)
+
+
+def uhlmann(psi1, psi2):
+    """Uhlmann isometry and marginal gap of two states sharing their first factor."""
+    u, gap = _uhlmann(psi1.vector.reshape(psi1.dims[0], -1), psi2.vector.reshape(psi2.dims[0], -1))
+    return u, float(gap)
 
 
 def test_density_matrix_validation():
@@ -224,7 +236,7 @@ def test_max_overlap_purification_noisy_bell():
     eps = 0.01
     bell = np.outer(bell_vector(), bell_vector().conj())
     rho = DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2))
-    state, l_max = max_overlap_purification(rho)
+    state, l_max = max_overlap(rho)
     assert abs(l_max - 0.9925) < 1e-12
     assert state.dims == (2, 2, 3)
     proj = np.kron(rho.matrix, np.diag([1.0, 0.0, 0.0]))
@@ -239,7 +251,7 @@ def test_max_overlap_purification_random_states():
         d = dims[0] * dims[1]
         raw = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
         rho = DensityMatrix(raw.matrix, dims)
-        state, l_max = max_overlap_purification(rho)
+        state, l_max = max_overlap(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert abs(l_max - top) < 1e-10
         assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-12
@@ -253,7 +265,7 @@ def test_max_overlap_purification_marginal_gap_shrinks_with_purity():
     gaps = []
     for eps in (0.2, 0.02, 0.002):
         rho = DensityMatrix((1.0 - eps) * bell + eps * np.eye(4) / 4.0, (2, 2))
-        state, _ = max_overlap_purification(rho)
+        state, _ = max_overlap(rho)
         back = state.reduced([0, 1])
         gaps.append(trace_norm(back.matrix - rho.matrix))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -272,20 +284,15 @@ def test_max_overlap_purification_keeps_first_marginal():
         states.append(DensityMatrix(raw.matrix, (2, 2)))
     states.append(DensityMatrix(random_density(6, rank=6, seed=rng).matrix, (3, 2)))
     for rho in states:
-        state, _ = max_overlap_purification(rho)
+        state, _ = max_overlap(rho)
         gap = trace_norm(state.reduced([0]).matrix - rho.reduced([0]).matrix)
         assert gap < 1e-12
-
-
-def test_max_overlap_purification_needs_two_factors():
-    with pytest.raises(ValueError, match="two factors"):
-        max_overlap_purification(maximally_mixed(4))
 
 
 def test_relate_purifications_identity_case():
     rho = random_density(3, rank=3, seed=21)
     pur = purify(rho)
-    u, gap = _uhlmann_isometry(pur, pur)
+    u, gap = uhlmann(pur, pur)
     assert gap < 1e-8
     assert np.max(np.abs(u - np.eye(3))) < 1e-8
 
@@ -295,7 +302,7 @@ def test_relate_purifications_bell_pair_gives_bit_flip():
     psi1 = PureState(bell_vector(), (2, 2))
     flipped = np.kron(np.eye(2), sx) @ bell_vector()
     psi2 = PureState(flipped, (2, 2))
-    u, gap = _uhlmann_isometry(psi1, psi2)
+    u, gap = uhlmann(psi1, psi2)
     assert gap < 1e-8
     assert np.max(np.abs(u - sx)) < 1e-8
 
@@ -307,7 +314,7 @@ def test_relate_purifications_random_same_marginal():
         psi1 = purify(rho)
         w = random_unitary(3, seed=rng)
         psi2 = PureState(on_complement(psi1, w), psi1.dims)
-        u, gap = _uhlmann_isometry(psi1, psi2)
+        u, gap = uhlmann(psi1, psi2)
         assert gap < 1e-8
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
         assert np.linalg.norm(on_complement(psi1, u) - psi2.vector) < 1e-7
@@ -320,7 +327,7 @@ def test_relate_purifications_isometry_case():
     big = random_unitary(5, seed=rng)
     v = big[:, :3]
     psi2 = PureState(on_complement(psi1, v), (3, 5))
-    u, gap = _uhlmann_isometry(psi1, psi2)
+    u, gap = uhlmann(psi1, psi2)
     assert gap < 1e-8
     assert u.shape == (5, 3)
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-9
@@ -331,24 +338,8 @@ def test_uhlmann_isometry_reports_marginal_mismatch():
     # the isometry is returned whatever the gap; the caller judges the gap
     psi1 = purify(random_density(3, rank=3, seed=1))
     psi2 = purify(random_density(3, rank=3, seed=2))
-    _, gap = _uhlmann_isometry(psi1, psi2)
+    _, gap = uhlmann(psi1, psi2)
     assert gap > 1e-3
-
-
-def test_uhlmann_isometry_rejects_shared_dimension_mismatch():
-    psi1 = purify(random_density(3, rank=3, seed=3))
-    psi2 = purify(random_density(2, rank=2, seed=4))
-    with pytest.raises(ValueError, match="reference factor has dimension 3 in one state and 2 in"):
-        _uhlmann_isometry(psi1, psi2)
-
-
-def test_relate_purifications_rejects_shrinking_complement():
-    rng = np.random.default_rng(39)
-    rho = random_density(3, rank=2, seed=rng)
-    psi1 = purify(rho)
-    small = PureState(random_pure_state(6, seed=rng).vector, (3, 2))
-    with pytest.raises(ValueError, match="complement dimension"):
-        _uhlmann_isometry(psi1, small)
 
 
 def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
@@ -359,7 +350,7 @@ def test_uhlmann_isometry_attains_fidelity_of_different_marginals():
     for _ in range(20):
         a = purify(random_density(3, rank=3, seed=rng))
         b = PureState(random_pure_state(15, seed=rng).vector, (3, 5))
-        u, gap = _uhlmann_isometry(a, b)
+        u, gap = uhlmann(a, b)
         assert gap > 1e-3
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
         overlap = np.vdot(b.vector, on_complement(a, u))
@@ -489,6 +480,10 @@ def test_stacked_state_cores_match_each_member_bit_for_bit():
     for j in range(4):
         alone_u, alone_gap = _uhlmann(v1[j], v2[j])
         assert np.array_equal(u[j], alone_u) and gap[j] == alone_gap
+    # the unit check's stacked norms round as np.vdot of each member
+    for stack in (vectors, v2.reshape(4, -1)):
+        norms = _dot(stack.conj(), stack).real
+        assert [float(x) for x in norms] == [np.vdot(row, row).real for row in stack]
 
 
 def test_stacked_unit_check_names_the_member():
