@@ -102,9 +102,9 @@ def _resolve_state(args, dim: int):
                 f"uses need dimension {dim}"
             )
         return rho
-    if args.state == "maximally-mixed":
-        return maximally_mixed(dim)
-    return random_density(dim, rank=dim, seed=args.seed)
+    if args.state == "random":
+        return random_density(dim, rank=dim, seed=args.seed)
+    return maximally_mixed(dim)
 
 
 def _cmd_coherent_info(args) -> int:
@@ -180,10 +180,10 @@ def _build_parser() -> _Parser:
     info = sub.add_parser("coherent-info", help="coherent information of one input")
     info.add_argument("--p", type=float, required=True)
     info.add_argument("--n", type=int, default=1)
-    info.add_argument(
-        "--state", choices=["maximally-mixed", "random"], default="maximally-mixed"
-    )
-    info.add_argument("--state-file", default=None)
+    # argparse lets a value equal to its default through the group, so --state has none
+    source = info.add_mutually_exclusive_group()
+    source.add_argument("--state", choices=["maximally-mixed", "random"], default=None)
+    source.add_argument("--state-file", default=None)
     info.add_argument("--seed", type=int, default=0)
     info.add_argument("--out", default=None)
     info.set_defaults(run=_cmd_coherent_info)

@@ -167,26 +167,20 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     return _run(trials, dim, seed, draw, measure)
 
 
-def check_pure_overlap_continuity(
-    trials: int = 200, dim: int = 4, eps_max: float = PURE_EPS_CAP, seed=None
-) -> TrialReport:
+def check_pure_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
     """Marginal entropy drift between bipartite pure states of known overlap.
 
     States live on dim x dim.  The second state is rotated away from the
     first inside a random plane so the squared overlap is exactly 1 - eps,
-    with eps drawn uniformly below ``eps_max`` (capped at 1/36).  Each
+    with eps drawn uniformly below ``PURE_EPS_CAP`` = 1/36.  Each
     marginal entropy difference must stay below 2 sqrt(eps) log2(dim) + 1.
     """
     _check_sizes(trials, dim, "local dimension")
-    if not 0.0 < eps_max <= PURE_EPS_CAP:
-        raise ValueError(
-            f"eps_max {eps_max!r} outside the validity window (0, 1/36]"
-        )
     total_dim = dim * dim
 
     def draw(rng):
         # psi's real and imaginary parts, then those of the raw second direction
-        return rng.standard_normal((4, total_dim)), eps_max * rng.random()
+        return rng.standard_normal((4, total_dim)), PURE_EPS_CAP * rng.random()
 
     def measure(normals, eps):
         psi = _normalized(normals[:, 0] + 1j * normals[:, 1])
@@ -202,30 +196,24 @@ def check_pure_overlap_continuity(
     return _run(trials, dim, seed, draw, measure)
 
 
-def check_mixed_overlap_continuity(
-    trials: int = 200, dim: int = 4, eps_max: float = MIXED_EPS_CAP, seed=None
-) -> TrialReport:
+def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
     """Marginal entropy drift when a mixed state nearly matches a pure one.
 
     On dim x dim, rho = (1-w) |phi><phi| + w sigma with the effective
-    deficit eps = 1 - <phi|rho|phi> below ``eps_max`` (capped at 1/72).
+    deficit eps = 1 - <phi|rho|phi> below ``MIXED_EPS_CAP`` = 1/72.
     Checks, with b = 2 sqrt(2 eps):
     |S(rho_X) - S(phi_X)| <= b log2(dim) + 2 on both sides,
     |S(rho_left) - S(rho_right)| <= 2 b log2(dim) + 4, and as a side
     condition that the top eigenvalue of rho is at least 1 - eps.
     """
     _check_sizes(trials, dim, "local dimension")
-    if not 0.0 < eps_max <= MIXED_EPS_CAP:
-        raise ValueError(
-            f"eps_max {eps_max!r} outside the validity window (0, 1/72]"
-        )
     total_dim = dim * dim
     log_dim = math.log2(dim)
 
     def draw(rng):
         phi = rng.standard_normal((2, total_dim))
         sigma = _gram_factor(total_dim, int(rng.integers(1, total_dim + 1)), rng)
-        return phi, sigma, eps_max * rng.random()
+        return phi, sigma, MIXED_EPS_CAP * rng.random()
 
     def measure(phi, sigma, weight):
         phi = _normalized(phi[:, 0] + 1j * phi[:, 1])
@@ -234,7 +222,7 @@ def check_mixed_overlap_continuity(
         pure = _projectors(phi)
         dense = (1.0 - w) * pure + w * sigma
         eps = 1.0 - _dot(phi.conj(), (dense @ phi[..., None])[..., 0]).real
-        eps = np.clip(eps, 0.0, eps_max)
+        eps = np.clip(eps, 0.0, MIXED_EPS_CAP)
         s_phi = _pure_marginal_entropy(phi, dim)
         s_rho = _marginal_entropies(dense, dim)
         base = 2.0 * np.sqrt(2.0 * eps)

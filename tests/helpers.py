@@ -11,11 +11,11 @@ def random_kraus_channel(in_dim, out_dim, num_kraus, rng) -> KrausChannel:
     A complex Gaussian (out_dim * num_kraus) x in_dim matrix is
     orthonormalized by QR; slicing the isometry into num_kraus stacked
     out_dim x in_dim blocks gives operators satisfying completeness by
-    construction.
+    construction.  num_kraus is raised to ceil(in_dim / out_dim), the
+    fewest operators completeness allows.
     """
+    num_kraus = max(num_kraus, -(-in_dim // out_dim))
     rows = out_dim * num_kraus
-    if rows < in_dim:
-        raise ValueError("need out_dim * num_kraus >= in_dim")
     g = rng.standard_normal((rows, in_dim)) + 1j * rng.standard_normal((rows, in_dim))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.real(np.diagonal(r)))

@@ -145,6 +145,18 @@ def test_coherent_info_missing_state_file(capsys, tmp_path):
     assert "qcap: error:" in err
 
 
+@pytest.mark.parametrize("state", ["random", "maximally-mixed"])
+def test_coherent_info_refuses_both_state_and_state_file(capsys, tmp_path, state):
+    path = tmp_path / "flat.txt"
+    write_density_file(str(path), maximally_mixed(2))
+    with pytest.raises(SystemExit) as info:
+        main(["coherent-info", "--p", "0.25", "--state", state, "--state-file", str(path)])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert "error: argument --state-file: not allowed with argument --state\n" in captured.err
+
+
 def test_coherent_info_invalid_probability(capsys):
     code, _, err = run_cli(capsys, ["coherent-info", "--p", "1.5"])
     assert code == 1
@@ -357,3 +369,4 @@ def test_numpy_is_the_only_dependency():
     pyproject = Path(src).parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["optional-dependencies"]["test"] == ["pytest>=7"]

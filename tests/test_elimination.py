@@ -79,6 +79,34 @@ def test_noisy_rotation_family_obeys_doubling():
     assert instance.eps_out <= 2.0 * instance.eps_in + FIDELITY_SLACK
 
 
+def test_noisy_rotation_shrinks_the_drift_until_faithful(monkeypatch):
+    def infidelity(scheme, channel):
+        return 1.0 - end_to_end_fidelity(scheme, channel).value
+
+    seen = []
+
+    def first_reads_unfaithful(scheme, channel):
+        seen.append(scheme)
+        report = end_to_end_fidelity(scheme, channel)
+        return dataclasses.replace(report, value=0.98) if len(seen) == 1 else report
+
+    monkeypatch.setattr(elimination, "end_to_end_fidelity", first_reads_unfaithful)
+    rng = np.random.default_rng(4)
+    kept, channel = elimination._noisy_rotation_scheme(rng)
+    monkeypatch.undo()
+    assert len(seen) == 2 and seen[1] is kept
+    assert infidelity(kept, channel) < infidelity(seen[0], channel)
+    assert infidelity(kept, channel) <= 0.009
+    # the loop draws nothing, so the generator is where an unpatched run leaves it
+    plain = np.random.default_rng(4)
+    elimination._noisy_rotation_scheme(plain)
+    got, got_channel = elimination._noisy_rotation_scheme(rng)
+    want, want_channel = elimination._noisy_rotation_scheme(plain)
+    assert np.array_equal(got.source.matrix, want.source.matrix)
+    for a, b in ((got.encoder, want.encoder), (got.decoder, want.decoder), (got_channel, want_channel)):
+        assert np.array_equal(a.kraus, b.kraus)
+
+
 def test_erasure_recovery_family_is_exact_and_near_doubling():
     # the one family whose eps_out/eps_in comes near 2: every instance must
     # be exact, unflagged and within the doubling bound

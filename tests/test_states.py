@@ -115,7 +115,9 @@ def _unit_factor(rng, d, r):
     return f / np.linalg.norm(f)
 
 
-@pytest.mark.parametrize("d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1)])
+@pytest.mark.parametrize(
+    "d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1), (16, 20), (16, 1), (1, 20), (11, 7)]
+)
 def test_from_factor_agrees_with_the_formed_matrix(d, r):
     f = _unit_factor(np.random.default_rng(10 * d + r), d, r)
     rho = DensityMatrix.from_factor(f)
