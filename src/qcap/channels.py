@@ -151,12 +151,16 @@ def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -
     return both.reshape(lead + (left * out * right, -1))
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Channel output sum_k A_k rho A_k^dag as a single-factor state."""
+def _check_input(channel: KrausChannel, rho: DensityMatrix) -> None:
     if rho.dim != channel.in_dim:
         raise ValueError(
             f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
         )
+
+
+def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Channel output sum_k A_k rho A_k^dag as a single-factor state."""
+    _check_input(channel, rho)
     return DensityMatrix(_conjugate(channel.kraus, rho.matrix), (channel.out_dim,))
 
 
@@ -223,10 +227,7 @@ def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatri
     dilation with one environment level per Kraus operator: the output of the
     complementary channel, whose stack swaps the Kraus and output axes.
     """
-    if rho.dim != channel.in_dim:
-        raise ValueError(
-            f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
-        )
+    _check_input(channel, rho)
     w = _conjugate(channel.kraus.transpose(1, 0, 2), rho.matrix)
     return DensityMatrix(w, (channel.num_kraus,))
 

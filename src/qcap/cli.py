@@ -9,6 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .channels import erasure_channel
 from .continuity import (
     check_fannes,
@@ -67,10 +69,7 @@ def _grid(p_start: float, p_end: float, steps: int) -> list[float]:
         )
     if p_end < p_start:
         raise ValueError(f"grid end {p_end!r} precedes start {p_start!r}")
-    if steps == 1:
-        return [p_start]
-    width = (p_end - p_start) / (steps - 1)
-    return [p_start + i * width for i in range(steps)]
+    return np.linspace(p_start, p_end, steps).tolist()
 
 
 def _check_block_size(n: int) -> None:

@@ -11,8 +11,10 @@ another, in a fixed call order, so a seed gives the same instances whatever
 the chunking.  The chunk's draws are then stacked, and every matrix and
 unit vector is built on the stack: Wishart Grams, normalization, mixing,
 validation, partial traces, eigensolves and slacks run once on the whole
-chunk through the stack-aware kernels of :mod:`qcap.linalg`.  The chunk
-bounds the memory a check holds while keeping per-call overhead small.
+chunk through the stack-aware kernels of :mod:`qcap.linalg` and
+:mod:`qcap.states`; the Gram and normalization kernels are the ones that
+``random_density`` and ``random_pure_state`` run.  The chunk bounds the
+memory a check holds while keeping per-call overhead small.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .states import _as_rng, _dot, _projectors, _unit_trace
+from .states import _as_rng, _dot, _normalized, _projectors, _unit_trace, _wishart_grams
 
 FP_TOL = 1e-9
 PURE_EPS_CAP = 1.0 / 36.0
@@ -86,27 +88,16 @@ def _check_sizes(trials: int, dim: int, what: str) -> None:
         raise ValueError(f"need {what} >= 2, got {dim}")
 
 
-def _normalized(vectors: np.ndarray) -> np.ndarray:
-    """Stacked complex vectors divided by their norms, each rounded as ``np.linalg.norm``'s."""
-    norm = np.sqrt(_dot(vectors.real, vectors.real) + _dot(vectors.imag, vectors.imag))
-    return vectors / norm[..., None]
-
-
 def _gram_factor(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws of ``_wishart_gram(dim, rank, rng)`` in one generator call of the same stream.
+    """The draw of ``random_density(dim, rank, rng)``, padded so that trials of any rank stack.
 
-    Real and imaginary parts of its dim x rank Gaussian G, padded with zero
-    columns to dim x dim; they leave G G^dag unchanged up to rounding.
+    Real and imaginary parts of its dim x rank Gaussian G, from the same one
+    generator call, padded with zero columns to dim x dim; they leave the
+    ``_wishart_grams`` product G G^dag unchanged up to rounding.
     """
     raw = np.zeros((2, dim, dim))
     raw[:, :, :rank] = rng.standard_normal((2, dim, rank))
     return raw
-
-
-def _wishart_grams(raw: np.ndarray) -> np.ndarray:
-    """Stacked G G^dag, unnormalized, for the G of stacked ``_gram_factor`` draws."""
-    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
-    return g @ g.conj().swapaxes(-1, -2)
 
 
 def _marginal_entropies(dense: np.ndarray, dim: int) -> np.ndarray:

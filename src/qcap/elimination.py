@@ -8,7 +8,8 @@ sending rho_prime straight into the channel achieves fidelity at least
 
 Each step is one stacked core.  ``channels._branch_vectors`` splits the
 purified source into the encoder's pure branches; ``states._max_overlap_vector``
-purifies the reference marginal of the decoded kept branch; ``states._uhlmann``
+purifies the reference marginal of the decoded kept branch, whose eigenvalue
+floor check reads that one solve; ``states._uhlmann``
 relates that purification to the kept branch by the Uhlmann polar factor,
 whose aux-0 slice is the tail map.  The decoder leaves the reference alone,
 so the two reference marginals agree to rounding.  Each instance still
@@ -48,6 +49,7 @@ from .channels import (
 from .functionals import _chain, _kraus_fidelities, end_to_end_fidelity
 from .linalg import (
     _MemberError,
+    _check_density,
     _first_failure,
     density_spectrum,
     entropy_of_spectrum,
@@ -242,12 +244,13 @@ def _decode_kept(decode, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.n
     """rho_prime, its spectrum and the max-overlap purification of the decoded kept branch.
 
     The kept branch's density, its decoded output and rho_prime, its
-    channel-input marginal, are each checked as density matrices.
+    channel-input marginal, are each checked as density matrices; the
+    decoded output's eigenvalues come from the solve that purifies it.
     """
     chosen = _projectors(psi)
     density_spectrum(chosen)
     rho_out = _conjugate(decode, chosen, (d_src, d_in), 1)
-    density_spectrum(rho_out)
+    _check_density(rho_out)
     rho_prime = partial_trace(chosen, (d_src, d_in), [1])
     prime_spectrum = density_spectrum(rho_prime)
     big_psi, _ = _max_overlap_vector(rho_out, d_src, d_src)

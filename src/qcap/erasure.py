@@ -185,16 +185,15 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
     Aggregating over the binomial weights bounds I+ by
     sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
     """
-    n, p = decomp.block_size, decomp.p
-    full = (1 << n) - 1
+    n = decomp.block_size
+    erased = n - _kept(n)
+    low = erased <= n // 2
     pairs = 0
     violations = 0
     max_slack = -math.inf
     witness = None
-    for mask in range(full + 1):
-        k = n - mask.bit_count()
-        if k > n // 2:
-            continue
+    for mask in np.flatnonzero(low).tolist():
+        k = int(erased[mask])
         cap = float(n - 2 * k)
         for inner in _submasks_of_size(mask, k):
             slack = decomp.entropy(mask) - decomp.entropy(inner) - cap
@@ -205,9 +204,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
             if slack > PAIR_TOL:
                 violations += 1
     plus, _ = iplus_iminus_split(decomp)
-    aggregate = sum(
-        math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * (n - 2 * k) for k in range(n // 2 + 1)
-    )
+    aggregate = _weights(n, decomp.p)[low] @ (n - 2 * erased[low])
     return IplusBoundReport(
         iplus=plus,
         aggregate_bound=float(aggregate),
@@ -278,9 +275,8 @@ ASCENT_TOL = 1e-9
 ASCENT_CAP = 500
 
 
-def _neg_log2(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy in bits of a PSD matrix and -log2 of it, taken as 0 on its kernel."""
-    values, vectors = np.linalg.eigh(matrix)
+def _neg_log2(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarray]:
+    """Entropy in bits and -log2 of the PSD matrix with this eigendecomposition, 0 on its kernel."""
     logs = -np.log2(np.where(values > 0.0, values, 1.0))
     return entropy_of_spectrum(values), (vectors * logs) @ vectors.conj().T
 
@@ -294,21 +290,29 @@ def _lift(matrix: np.ndarray, mask: int, n: int) -> np.ndarray:
     return lifted.transpose(*axes, *(axes + n)).reshape(1 << n, -1)
 
 
-def _coherent_info_gradient(matrix: np.ndarray, p: float, n: int) -> tuple[float, np.ndarray]:
-    """Ic in bits of ``matrix`` through n erasure uses and its gradient G, with Ic = Tr(G rho).
+def _coherent_info_gradient(
+    h: np.ndarray, p: float, n: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Ic in bits of rho = exp(H)/Tr exp(H) through n erasure uses, its gradient G, and rho.
 
     Over masks A, Ic = sum c(A) S(rho_A) and G = sum c(A) (-log2 rho_A) (x) I_Abar with
-    c(A) = w(A) - w(Abar); each entropy's -1/ln 2 derivative term cancels, as sum c(A) = 0.
+    c(A) = w(A) - w(Abar), so Ic = Tr(G rho); each entropy's -1/ln 2 derivative term cancels,
+    as sum c(A) = 0.  rho shares the eigenvectors of H, so one solve of H gives rho, S(rho)
+    and -log2 rho.
     """
+    values, vectors = np.linalg.eigh(h)
+    weights = np.exp(values - values[-1])
+    spectrum = weights / weights.sum()
+    rho = (vectors * spectrum) @ vectors.conj().T
     w = _weights(n, p)
     signed = w - w[::-1]
-    value, grad = _neg_log2(matrix)
+    value, grad = _neg_log2(spectrum, vectors)
     value, grad = signed[-1] * value, signed[-1] * grad
-    for mask, sub in _marginals(matrix, list(range(n))):
-        entropy, neg_log = _neg_log2(sub)
+    for mask, sub in _marginals(rho, list(range(n))):
+        entropy, neg_log = _neg_log2(*np.linalg.eigh(sub))
         value += signed[mask] * entropy
         grad += signed[mask] * _lift(neg_log, mask, n)
-    return float(value), 0.5 * (grad + grad.conj().T)
+    return float(value), 0.5 * (grad + grad.conj().T), rho
 
 
 def maximize_coherent_info(
@@ -340,10 +344,7 @@ def maximize_coherent_info(
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = 0.5 * (g + g.conj().T)
         for _ in range(ASCENT_CAP):
-            values, vectors = np.linalg.eigh(h)
-            weights = np.exp(values - values[-1])
-            rho = (vectors * (weights / weights.sum())) @ vectors.conj().T
-            value, grad = _coherent_info_gradient(rho, p, block_size)
+            value, grad, rho = _coherent_info_gradient(h, p, block_size)
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
             h = h + math.log(2.0) / smooth * grad  # L = 0 only at p = 1/2, where G = 0

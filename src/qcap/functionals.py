@@ -14,6 +14,7 @@ import numpy as np
 from .channels import (
     CodingScheme,
     KrausChannel,
+    _check_input,
     _check_kraus,
     _compose,
     apply_channel,
@@ -44,10 +45,6 @@ class CoherentInfoReport:
     coherent_info: float
 
 
-def _kraus_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    return float(_kraus_fidelities(rho.matrix, channel.kraus))
-
-
 def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """sum_k |Tr(rho A_k)|^2 clamped to [0, 1]; leading axes index a stack."""
     amps = np.trace(kraus @ matrix[..., None, :, :], axis1=-2, axis2=-1)
@@ -74,14 +71,12 @@ def entanglement_fidelity(
     purifies rho, sends the system half through the channel, and takes the
     overlap with the original purification.  Both agree to 1e-10.
     """
-    if rho.dim != channel.in_dim:
-        raise ValueError(
-            f"state dimension {rho.dim} does not match channel input {channel.in_dim}"
-        )
+    _check_input(channel, rho)
     if method not in (KRAUS_METHOD, PURIFICATION_METHOD):
         raise ValueError(f"unknown entanglement fidelity method {method!r}")
-    fidelity = _kraus_fidelity if method == KRAUS_METHOD else _purification_fidelity
-    return FidelityReport(fidelity(rho, channel), method)
+    if method == KRAUS_METHOD:
+        return FidelityReport(float(_kraus_fidelities(rho.matrix, channel.kraus)), method)
+    return FidelityReport(_purification_fidelity(rho, channel), method)
 
 
 def entropy_exchange(rho: DensityMatrix, channel: KrausChannel) -> float:

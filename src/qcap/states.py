@@ -14,6 +14,7 @@ from .linalg import (
     _first_failure,
     _MemberError,
     _factor_spectrum,
+    _floored,
     density_spectrum,
     entropy_of_spectrum,
     partial_trace,
@@ -117,7 +118,7 @@ class PureState:
         return self.vector.size
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
+        return DensityMatrix(_projectors(self.vector), self.dims)
 
     def reduced(self, keep: Sequence[int]) -> DensityMatrix:
         return self.density().reduced(keep)
@@ -182,15 +183,14 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     where (t_i, |t_i>) is the spectrum of the residual A marginal
     tau = Tr_B rho - l_max Tr_B |phi><phi|, positive semidefinite because
     rho >= l_max |phi><phi|.  Its A marginal equals Tr_B rho to rounding,
-    and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.  Leading
-    axes of ``matrix`` index a stack.
+    and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.  The
+    eigenvalues of its one solve of rho get the floor check of
+    :func:`qcap.linalg.density_spectrum`.  Leading axes of ``matrix`` index a stack.
     """
     lead = matrix.shape[:-2]
     values, vectors = np.linalg.eigh(matrix)
-    l_max = values[..., -1]
-    head = np.sqrt(np.clip(l_max, 0.0, None))[..., None, None] * vectors[..., -1].reshape(
-        lead + (da, db)
-    )
+    l_max = _floored(values)[..., -1]
+    head = np.sqrt(l_max)[..., None, None] * vectors[..., -1].reshape(lead + (da, db))
     tau = partial_trace(matrix, (da, db), [0]) - head @ head.conj().swapaxes(-1, -2)
     values, vectors = np.linalg.eigh(tau)
     table = np.zeros(lead + (da, db, da + 1), dtype=complex)
@@ -220,12 +220,16 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _wishart_gram(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """G G^dag for a d x rank complex Gaussian G drawn from ``rng``, unnormalized."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} outside the valid range 1..{dim}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    return g @ g.conj().T
+def _wishart_grams(raw: np.ndarray) -> np.ndarray:
+    """Stacked G G^dag, unnormalized, for G = raw[..., 0, :, :] + i raw[..., 1, :, :]."""
+    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def _normalized(vectors: np.ndarray) -> np.ndarray:
+    """Stacked complex vectors divided by their norms, each rounded as ``np.linalg.norm``'s."""
+    norm = np.sqrt(_dot(vectors.real, vectors.real) + _dot(vectors.imag, vectors.imag))
+    return vectors / norm[..., None]
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:
@@ -235,17 +239,16 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Wishart-style random state G G^dag / Tr with a d x rank Gaussian G."""
-    return DensityMatrix(_unit_trace(_wishart_gram(dim, rank, _as_rng(seed))))
-
-
-def _gaussian_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized complex Gaussian vector drawn from ``rng``: a Haar-random pure state."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank {rank} outside the valid range 1..{dim}")
+    raw = _as_rng(seed).standard_normal((2, dim, rank))
+    return DensityMatrix(_unit_trace(_wishart_grams(raw)))
 
 
 def random_pure_state(dim: int, seed, dims=None) -> PureState:
-    return PureState(_gaussian_unit_vector(dim, _as_rng(seed)), dims)
+    """Normalized complex Gaussian vector: a Haar-random pure state."""
+    raw = _as_rng(seed).standard_normal((2, dim))
+    return PureState(_normalized(raw[0] + 1j * raw[1]), dims)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

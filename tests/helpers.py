@@ -35,3 +35,31 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     inner = np.linalg.eigvalsh(root @ b @ root)
     return float(np.sqrt(np.clip(inner, 0.0, None)).sum()) ** 2
+
+
+def wishart_gram(dim, rank, rng) -> np.ndarray:
+    """G G^dag for a dim x rank complex Gaussian G, real part drawn first: a test reference."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return g @ g.conj().T
+
+
+def gaussian_unit_vector(dim, rng) -> np.ndarray:
+    """Complex Gaussian vector divided by ``np.linalg.norm``: a test reference."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def count_factorizations(monkeypatch, *names) -> dict[str, list[tuple[int, ...]]]:
+    """Record the argument shape of each call of the named ``np.linalg`` factorizations.
+
+    Returns one list per name, filled in call order while the patch holds.
+    """
+    calls = {name: [] for name in names}
+    for name in names:
+
+        def counted(matrix, *args, _real=getattr(np.linalg, name), _calls=calls[name], **kwargs):
+            _calls.append(np.shape(matrix))
+            return _real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

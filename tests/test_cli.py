@@ -35,6 +35,15 @@ def test_capacity_curve_golden_rows(capsys):
     assert lines[11] == "1.000000000,1,-1.000000000,0.000000000"
 
 
+def test_capacity_curve_grid_ends_exactly_at_its_last_point(capsys):
+    # 0.08 + 3 * (0.92 / 3) rounds to 1.0000000000000002, which is not a probability
+    code, out, err = run_cli(
+        capsys, ["capacity-curve", "--p-start", "0.08", "--p-end", "1.0", "--steps", "4"]
+    )
+    assert (code, err) == (0, "")
+    assert out.strip().split("\n")[-1] == "1.000000000,1,-1.000000000,0.000000000"
+
+
 def test_capacity_curve_block_size_two(capsys):
     code, out, _ = run_cli(
         capsys,

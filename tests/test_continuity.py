@@ -15,13 +15,15 @@ from qcap.continuity import (
 )
 from qcap.linalg import density_spectrum, partial_trace, trace_norm, von_neumann_entropy
 from qcap.states import (
-    _gaussian_unit_vector,
+    _normalized,
     _unit_trace,
-    _wishart_gram,
+    _wishart_grams,
     random_density,
     random_pure_state,
     random_unitary,
 )
+
+from helpers import gaussian_unit_vector, wishart_gram
 
 
 def test_fannes_check_passes():
@@ -308,7 +310,7 @@ def test_drawn_sigma_chunks_are_density_matrices(dim):
         rng = np.random.default_rng(seed)
         ranks = [1 + i % dim for i in range(continuity._CHUNK)]
         raw = np.stack([continuity._gram_factor(dim, r, rng) for r in ranks])
-        sigma = _unit_trace(continuity._wishart_grams(raw))
+        sigma = _unit_trace(_wishart_grams(raw))
         spectra = density_spectrum(sigma)
         assert spectra.shape == (continuity._CHUNK, dim)
         assert np.all(np.count_nonzero(spectra > 1e-12, axis=-1) == ranks)
@@ -320,20 +322,20 @@ def test_drawn_sigma_chunks_are_density_matrices(dim):
 
 
 def _per_trial_fannes(rng, dim):
-    rho = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
-    sigma = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+    rho = wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+    sigma = wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
     return rho, sigma, rng.uniform(0.0, 0.22)
 
 
 def _per_trial_pure_overlap(rng, dim):
-    psi = _gaussian_unit_vector(dim * dim, rng)
+    psi = gaussian_unit_vector(dim * dim, rng)
     raw = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
     return psi, raw, rng.uniform(0.0, PURE_EPS_CAP)
 
 
 def _per_trial_mixed_overlap(rng, dim):
-    phi = _gaussian_unit_vector(dim * dim, rng)
-    sigma = _wishart_gram(dim * dim, int(rng.integers(1, dim * dim + 1)), rng)
+    phi = gaussian_unit_vector(dim * dim, rng)
+    sigma = wishart_gram(dim * dim, int(rng.integers(1, dim * dim + 1)), rng)
     return phi, sigma, rng.uniform(0.0, MIXED_EPS_CAP)
 
 
@@ -343,30 +345,30 @@ def _per_trial_mixing(rng, dim):
     weights[:count] = rng.dirichlet(np.ones(count))
     parts = np.zeros((4, dim, dim), dtype=complex)
     for i in range(count):
-        parts[i] = _wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
+        parts[i] = wishart_gram(dim, int(rng.integers(1, dim + 1)), rng)
     return weights, parts
 
 
 def _stacked_pure_overlap(normals, eps):
-    psi = continuity._normalized(normals[:, 0] + 1j * normals[:, 1])
+    psi = _normalized(normals[:, 0] + 1j * normals[:, 1])
     return psi, normals[:, 2] + 1j * normals[:, 3], eps
 
 
 def _stacked_mixed_overlap(phi, sigma, weight):
-    phi = continuity._normalized(phi[:, 0] + 1j * phi[:, 1])
-    return phi, continuity._wishart_grams(sigma), weight
+    phi = _normalized(phi[:, 0] + 1j * phi[:, 1])
+    return phi, _wishart_grams(sigma), weight
 
 
 DRAWS = {
     "fannes": (
         _per_trial_fannes,
-        lambda rho, sigma, t: (continuity._wishart_grams(rho), continuity._wishart_grams(sigma), t),
+        lambda rho, sigma, t: (_wishart_grams(rho), _wishart_grams(sigma), t),
     ),
     "pure-overlap": (_per_trial_pure_overlap, _stacked_pure_overlap),
     "mixed-overlap": (_per_trial_mixed_overlap, _stacked_mixed_overlap),
     "mixing": (
         _per_trial_mixing,
-        lambda weights, parts, count: (weights, continuity._wishart_grams(parts)),
+        lambda weights, parts, count: (weights, _wishart_grams(parts)),
     ),
 }
 

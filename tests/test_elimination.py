@@ -38,6 +38,8 @@ from qcap.states import (
     random_density,
 )
 
+from helpers import count_factorizations
+
 
 def test_trivial_scheme_eliminates_cleanly():
     source = maximally_mixed(2)
@@ -252,39 +254,35 @@ def _count_solves_and_decodes(monkeypatch, pairs):
         [compose(scheme.decoder, tensor_power(channel, scheme.block_size)).kraus
          for scheme, channel in pairs]
     )
-    solves, decodes = [], []
-    eigvalsh, conjugate = np.linalg.eigvalsh, elimination._conjugate
-
-    def counted_solve(matrix):
-        solves.append(matrix.shape[:-2])
-        return eigvalsh(matrix)
+    solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
+    decodes, conjugate = [], elimination._conjugate
 
     def counted_conjugate(kraus, matrix, *args):
         if np.array_equal(kraus, decode):
             decodes.append(matrix.shape[:-2])
         return conjugate(kraus, matrix, *args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
     monkeypatch.setattr(elimination, "_conjugate", counted_conjugate)
     if len(pairs) == 1:
         eliminate_encoder(*pairs[0])
     else:
         list(eliminate_encoders(pairs))
-    return solves, decodes
+    return [shape[:-2] for shape in solves], decodes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
-    # three validations: the kept branch, its decoded output, rho_prime; the
-    # decode block maps the kept branch alone, one per instance
+    # two eigvalsh validations, the kept branch and rho_prime: the decoded output's
+    # spectrum comes from the eigh that purifies it; the decode block maps the
+    # kept branch alone, one per instance
     schemes = random_demo_schemes(30, seed)
     for pair in schemes:
         solves, decodes = _count_solves_and_decodes(monkeypatch, [pair])
-        assert (len(solves), decodes) == (3, [(1,)])
-    # the same three solves and one decode for a stack of 30 same-shape schemes
+        assert (len(solves), decodes) == (2, [(1,)])
+    # the same two solves and one decode for a stack of 30 same-shape schemes
     stack = list(random_demo_schemes(90, seed))[0::3]
     solves, decodes = _count_solves_and_decodes(monkeypatch, stack)
-    assert (solves, decodes) == ([(30,)] * 3, [(30,)])
+    assert (solves, decodes) == ([(30,)] * 2, [(30,)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -424,23 +422,17 @@ def test_stacked_check_names_the_failing_instance(monkeypatch, window):
 
 
 def test_solves_per_chunk_do_not_grow_with_its_size(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, **kwargs):
-            calls.append(args[0].shape[:-2])
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = count_factorizations(monkeypatch, "eigh", "eigvalsh", "svd")
     erasure = list(random_demo_schemes(90, 3))[2::3]
     counts = []
     for size in (1, 2, 30):
         pairs = erasure[:size]
-        calls.clear()
+        for shapes in calls.values():
+            shapes.clear()
         list(eliminate_encoders(pairs))
-        counts.append(len(calls))
-        assert all(shape == (size,) for shape in calls)
+        stacks = [shape[:-2] for shapes in calls.values() for shape in shapes]
+        counts.append(len(stacks))
+        assert all(stack == (size,) for stack in stacks)
     assert counts[0] == counts[1] == counts[2]
 
 

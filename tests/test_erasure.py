@@ -31,7 +31,7 @@ from qcap.states import (
     random_pure_state,
 )
 
-from helpers import random_kraus_channel
+from helpers import count_factorizations, random_kraus_channel
 
 
 def _random_block_state(n, rng, rank=None):
@@ -103,17 +103,11 @@ def test_subset_entropies_table_is_read_only():
 
 def test_subset_entropies_solve_each_proper_marginal_once(monkeypatch):
     rho = _random_block_state(4, np.random.default_rng(43))
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(matrix):
-        solves.append(matrix.shape[-1])
-        return eigvalsh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
     subset_entropies(rho, 4)
     # the full mask reads the stored spectrum; each other mask is solved once
-    assert sorted(solves) == sorted(2 ** bin(mask).count("1") for mask in range(15))
+    sizes = [shape[-1] for shape in solves]
+    assert sorted(sizes) == sorted(2 ** bin(mask).count("1") for mask in range(15))
 
 
 def test_capacity_curve_builds_one_table(monkeypatch):
@@ -497,6 +491,12 @@ def test_maximize_refuses_what_it_does_not_search(channel, block_size, message):
         maximize_coherent_info(channel, block_size, restarts=1, seed=0)
 
 
+def _log(rho):
+    """H = ln rho of a full-rank state, so that exp(H)/Tr exp(H) is rho again."""
+    values, vectors = np.linalg.eigh(rho)
+    return (vectors * np.log(values)) @ vectors.conj().T
+
+
 @pytest.mark.parametrize("n", [1, 2, 3], ids=["erasure-1", "erasure-2", "erasure-3"])
 def test_coherent_info_gradient_matches_finite_differences(n):
     # full-rank states only: on a singular rho_A the gradient is not defined, and the ascent
@@ -504,7 +504,8 @@ def test_coherent_info_gradient_matches_finite_differences(n):
     rng = np.random.default_rng(21)
     d, block = 2**n, tensor_power(erasure_channel(0.3), n)
     rho = 0.5 * random_density(d, rank=d, seed=rng).matrix + 0.5 * np.eye(d) / d
-    value, grad = _coherent_info_gradient(rho, 0.3, n)
+    value, grad, state = _coherent_info_gradient(_log(rho), 0.3, n)
+    assert np.abs(state - rho).max() < 1e-12
     assert abs(value - coherent_information(DensityMatrix(rho), block).coherent_info) < 1e-10
     assert abs(value - np.trace(grad @ rho).real) < 1e-10
     step = 1e-5
@@ -539,7 +540,7 @@ def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
     rho, best = maximize_coherent_info(chan, n, restarts=2, seed=n)
     target = 1.0 - 2.0 * p
     assert target - 1e-6 <= best <= target + 1e-9
-    value, grad = _coherent_info_gradient(rho.matrix, p, n)
+    value, grad, _ = _coherent_info_gradient(_log(rho.matrix), p, n)
     assert np.linalg.eigvalsh(grad)[-1] - value <= 1e-6  # the Frank-Wolfe gap
 
 
@@ -562,10 +563,10 @@ def test_maximize_one_restart_above_half_returns_zero(n, p):
 def _recording_gradient(monkeypatch):
     values = []
 
-    def recording(matrix, p, n):
-        value, grad = _coherent_info_gradient(matrix, p, n)
+    def recording(h, p, n):
+        value, grad, rho = _coherent_info_gradient(h, p, n)
         values.append(value)
-        return value, grad
+        return value, grad, rho
 
     monkeypatch.setattr(erasure, "_coherent_info_gradient", recording)
     return values
@@ -581,6 +582,15 @@ def test_every_ascent_step_raises_coherent_info(monkeypatch, n, p):
         maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=seed)
         assert len(values) >= 2
         assert np.diff(values).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.25), (3, 0.49), (4, 0.49)])
+def test_each_gradient_evaluation_solves_the_full_block_once(monkeypatch, n, p):
+    # rho = exp(H)/Tr exp(H), S(rho) and -log2 rho all come from the one solve of H
+    values = _recording_gradient(monkeypatch)
+    solves = count_factorizations(monkeypatch, "eigh")["eigh"]
+    maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=0)
+    assert solves.count((2**n, 2**n)) == len(values) > 0
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.49])

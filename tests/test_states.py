@@ -20,7 +20,13 @@ from qcap.states import (
     write_density_file,
 )
 
-from helpers import bell_vector, fidelity
+from helpers import (
+    bell_vector,
+    count_factorizations,
+    fidelity,
+    gaussian_unit_vector,
+    wishart_gram,
+)
 
 
 def on_complement(psi, u):
@@ -91,17 +97,9 @@ def test_density_matrix_arrays_are_read_only_views():
 
 def test_flattened_sets_one_factor_without_solving(monkeypatch):
     pair = DensityMatrix(random_density(4, rank=3, seed=8).matrix, (2, 2))
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counted(*args, _solver=solver, **kwargs):
-            solves.append(args[0].shape)
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
     flat = pair.flattened()
-    assert solves == []
+    assert solves == {"eigh": [], "eigvalsh": []}
     assert flat.eigenvalues is pair.eigenvalues
     assert flat.matrix is pair.matrix
     assert (flat.dims, pair.dims) == ((4,), (2, 2))
@@ -132,16 +130,9 @@ def test_from_factor_agrees_with_the_formed_matrix(d, r):
 
 def test_from_factor_solves_the_gram_below_full_rank(monkeypatch):
     f = _unit_factor(np.random.default_rng(1), 8, 3)
-    solves = []
-    solver = np.linalg.eigvalsh
-
-    def counted(m):
-        solves.append(m.shape)
-        return solver(m)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    solves = count_factorizations(monkeypatch, "eigvalsh")
     DensityMatrix.from_factor(f, (2, 4))
-    assert solves == [(3, 3)]
+    assert solves["eigvalsh"] == [(3, 3)]
 
 
 def test_from_factor_arrays_are_read_only():
@@ -371,6 +362,19 @@ def test_random_density_properties():
         random_density(3, rank=4, seed=0)
     with pytest.raises(ValueError, match="rank"):
         random_density(3, rank=0, seed=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 64])
+def test_random_states_keep_the_bits_of_the_per_object_formulas(dim):
+    # the stacked Gram and normalization kernels give the old one-object results bit for bit,
+    # and leave the generator where the old draws left it
+    for seed in range(100):
+        for rank in sorted({1, max(dim // 2, 1), dim}):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            gram = wishart_gram(dim, rank, old)
+            assert np.array_equal(random_density(dim, rank, new).matrix, gram / np.trace(gram).real)
+            assert np.array_equal(random_pure_state(dim, new).vector, gaussian_unit_vector(dim, old))
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_random_unitary_is_unitary_and_deterministic():
