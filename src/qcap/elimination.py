@@ -8,8 +8,8 @@ sending rho_prime straight into the channel achieves fidelity at least
 
 Each step is one stacked core.  ``channels._branch_vectors`` splits the
 purified source into the encoder's pure branches; ``states._max_overlap_vector``
-purifies the reference marginal of the decoded kept branch, whose eigenvalue
-floor check reads that one solve; ``states._uhlmann``
+purifies the reference marginal of the decoded kept branch, and the one solve it
+makes also gives that output's eigenvalue floor check; ``states._uhlmann``
 relates that purification to the kept branch by the Uhlmann polar factor,
 whose aux-0 slice is the tail map.  The decoder leaves the reference alone,
 so the two reference marginals agree to rounding.  Each instance still
