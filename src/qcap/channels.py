@@ -119,10 +119,15 @@ def erasure_channel(p: float) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p!r} outside [0, 1]")
-    ops = np.zeros((3, 3, 2), dtype=complex)
-    ops[0, 0, 0] = ops[0, 1, 1] = math.sqrt(1.0 - p)
-    ops[1, 2, 0] = ops[2, 2, 1] = math.sqrt(p)
-    return KrausChannel(ops)
+    return KrausChannel(_erasure_kraus(p))
+
+
+def _erasure_kraus(p) -> np.ndarray:
+    """Kraus operators of :func:`erasure_channel`, unchecked; the axes of ``p`` index a stack."""
+    ops = np.zeros(np.shape(p) + (3, 3, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - p)
+    ops[..., 1, 2, 0] = ops[..., 2, 2, 1] = np.sqrt(p)
+    return ops
 
 
 def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -> np.ndarray:

@@ -17,13 +17,18 @@ records their trace-norm mismatch as ``marginal_gap`` and is flagged if it
 exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
 instance, flagged or not.
 
-:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy.  The
-first reads its schemes ``_WINDOW`` at a time, so a stream of any length
-holds one window, groups each window by shape (source, encoder, decoder and
-channel stacks, and block size) and runs each group in chunks of at most
+:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and work
+one window of ``_WINDOW`` schemes at a time, so a stream of any length holds
+one window.  The first groups each window by shape (source, encoder, decoder
+and channel stacks, and block size) and runs each group in chunks of at most
 ``_CHUNK`` instances.  Every step, every validation included, is one call on
 the chunk, so the number of solves per chunk does not depend on its size.  A
-failed check names the instance by its position in the input.
+failed check names the instance by its position in the input.  The second
+takes a window's raw generator draws in stream order, scheme by scheme, then
+builds and checks the schemes on one stack per family and dimension, the
+rotation family's drift-shrinking loop included, so the number of solves per
+window does not depend on its size either.  The arrays are bit for bit those
+of drawing and building each scheme alone.
 """
 from __future__ import annotations
 
@@ -41,12 +46,10 @@ from .channels import (
     _check_kraus,
     _compose,
     _conjugate,
+    _erasure_kraus,
     _tensor_power,
-    compose,
-    erasure_channel,
-    unitary_channel,
 )
-from .functionals import _chain, _kraus_fidelities, end_to_end_fidelity
+from .functionals import _chain, _kraus_fidelities
 from .linalg import (
     _MemberError,
     _check_density,
@@ -60,12 +63,12 @@ from .states import (
     _as_rng,
     _check_unit,
     _dot,
+    _haar_unitaries,
     _max_overlap_vector,
     _projectors,
     _purification,
+    _random_densities,
     _uhlmann,
-    random_density,
-    random_unitary,
 )
 
 FIDELITY_WINDOW = 1.0 / 72.0
@@ -244,11 +247,13 @@ def _decode_kept(decode, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.n
     """rho_prime, its spectrum and the max-overlap purification of the decoded kept branch.
 
     The kept branch's density, its decoded output and rho_prime, its
-    channel-input marginal, are each checked as density matrices; the
-    decoded output's eigenvalues come from the solve that purifies it.
+    channel-input marginal, are each checked as density matrices.  Only
+    rho_prime is solved: the kept branch projects onto a unit vector, so its
+    spectrum is (0, ..., 0, 1), and the decoded output's eigenvalues come from
+    the solve that purifies it.
     """
     chosen = _projectors(psi)
-    density_spectrum(chosen)
+    _check_density(chosen)
     rho_out = _conjugate(decode, chosen, (d_src, d_in), 1)
     _check_density(rho_out)
     rho_prime = partial_trace(chosen, (d_src, d_in), [1])
@@ -275,83 +280,144 @@ def _tail(big_psi, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray]:
     return tail, gap
 
 
-def _split_isometry_scheme(rng: np.random.Generator) -> tuple[CodingScheme, KrausChannel]:
-    """Mixed pair of orthogonal-image isometries, perfectly decodable."""
-    basis = random_unitary(4, rng)
-    first, second = basis[:, :2], basis[:, 2:]
-    weight = float(rng.uniform(0.2, 0.8))
-    encoder = KrausChannel([math.sqrt(weight) * first, math.sqrt(1.0 - weight) * second])
-    rotation = random_unitary(4, rng)
-    channel = unitary_channel(rotation)
-    decoder = KrausChannel(
-        [first.conj().T @ rotation.conj().T, second.conj().T @ rotation.conj().T]
-    )
-    source = random_density(2, rank=2, seed=rng)
-    return CodingScheme(source, encoder, decoder, 1), channel
+def _draw_split_isometry(rng: np.random.Generator) -> tuple:
+    """Raw draws of one split-isometry scheme, in stream order."""
+    return (rng.standard_normal((2, 4, 4)), rng.uniform(0.2, 0.8), rng.standard_normal((2, 4, 4)),
+            rng.standard_normal((2, 2, 2)))
 
 
-def _noisy_rotation_scheme(rng: np.random.Generator) -> tuple[CodingScheme, KrausChannel]:
-    """Identity-plus-rotated encoder branches through a slightly noisy unitary."""
+def _split_isometry_schemes(basis, weight, rotation, source) -> tuple:
+    """Mixed pair of orthogonal-image isometries, perfectly decodable, per stacked draw."""
+    basis, rotation = _haar_unitaries(basis), _haar_unitaries(rotation)
+    first, second = basis[..., :2], basis[..., 2:]
+    encoder = np.stack([_scaled(weight, first), _scaled(1.0 - weight, second)], axis=1)
+    undo = _adjoint(rotation)
+    decoder = np.stack([_adjoint(first) @ undo, _adjoint(second) @ undo], axis=1)
+    return _random_densities(source), encoder, decoder, rotation[:, None]
+
+
+def _draw_noisy_rotation(rng: np.random.Generator) -> tuple:
+    """Raw draws of one noisy-rotation scheme, in stream order."""
     dim = int(rng.integers(2, 5))
-    source = random_density(dim, rank=dim, seed=rng)
-    angle = float(rng.uniform(0.05, 0.15))
-    herm = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = herm + herm.conj().T
-    herm = herm / np.linalg.norm(herm, 2)
-    weight = float(rng.uniform(0.25, 0.45))
-
-    def rotation(generator: np.ndarray) -> np.ndarray:  # exp(i generator)
-        values, vectors = np.linalg.eigh(generator)
-        return (vectors * np.exp(1j * values)) @ vectors.conj().T
-
-    def drift_encoder(theta: float) -> KrausChannel:
-        return KrausChannel(
-            [math.sqrt(1.0 - weight) * np.eye(dim), math.sqrt(weight) * rotation(theta * herm)]
-        )
-
-    main = random_unitary(dim, rng)
-    noise_angle = float(rng.uniform(0.01, 0.03))
-    noise_rate = float(rng.uniform(0.001, 0.004))
-    kick = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    kick = kick + kick.conj().T
-    kick = kick / np.linalg.norm(kick, 2)
-    wobble = main @ rotation(noise_angle * kick)
-    channel = KrausChannel([math.sqrt(1.0 - noise_rate) * main, math.sqrt(noise_rate) * wobble])
-    decoder = unitary_channel(main.conj().T)
-    scheme = CodingScheme(source, drift_encoder(angle), decoder, 1)
-    # shrink the encoder drift until the scheme is comfortably faithful
-    while 1.0 - end_to_end_fidelity(scheme, channel).value > 0.009:
-        angle *= 0.5
-        scheme = CodingScheme(source, drift_encoder(angle), decoder, 1)
-    return scheme, channel
+    return (rng.standard_normal((2, dim, dim)), rng.uniform(0.05, 0.15),
+            rng.standard_normal((2, dim, dim)), rng.uniform(0.25, 0.45),
+            rng.standard_normal((2, dim, dim)), rng.uniform(0.01, 0.03),
+            rng.uniform(0.001, 0.004), rng.standard_normal((2, dim, dim)))
 
 
-def _erasure_recovery_scheme(rng: np.random.Generator) -> tuple[CodingScheme, KrausChannel]:
-    """Low-rate erasure with the flag-to-ground recovery decoder."""
-    p = float(rng.uniform(0.001, 0.005))
-    channel = erasure_channel(p)
-    encoder = unitary_channel(random_unitary(2, rng))
-    recover_kept = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
-    recover_lost = np.array([[0, 0, 1], [0, 0, 0]], dtype=complex)
-    decoder = compose(
-        unitary_channel(encoder.kraus[0].conj().T),
-        KrausChannel([recover_kept, recover_lost]),
-    )
-    source = random_density(2, rank=2, seed=rng)
-    return CodingScheme(source, encoder, decoder, 1), channel
+def _noisy_rotation_schemes(
+    source, angle, herm, weight, main, noise_angle, noise_rate, kick
+) -> tuple:
+    """Identity-plus-rotated encoder branches through a slightly noisy unitary, per stacked draw.
+
+    Each encoder's drift angle is halved until its scheme is comfortably faithful, at most
+    0.009 infidelity.  The loop draws nothing: each round rebuilds and scores, on one stack,
+    only the members still above.
+    """
+    herm, kick, main = _unit_hermitian(herm), _unit_hermitian(kick), _haar_unitaries(main)
+    wobble = main @ _rotations(noise_angle[:, None, None] * kick)
+    channel = np.stack([_scaled(1.0 - noise_rate, main), _scaled(noise_rate, wobble)], axis=1)
+    decoder = np.ascontiguousarray(_adjoint(main)[:, None])
+    states = _random_densities(source)
+    rho = np.stack([state.matrix for state in states])
+    encoder = np.empty(channel.shape, dtype=complex)
+    encoder[:, 0] = _scaled(1.0 - weight, np.eye(rho.shape[-1]))
+    todo = np.arange(len(rho))
+    while len(todo):
+        drift = angle[todo][:, None, None] * herm[todo]
+        encoder[todo, 1] = _scaled(weight[todo], _rotations(drift))
+        chain = _chain(encoder[todo], channel[todo], decoder[todo])
+        todo = todo[1.0 - _kraus_fidelities(rho[todo], chain) > 0.009]
+        angle[todo] *= 0.5
+    return states, encoder, decoder, channel
+
+
+def _draw_erasure_recovery(rng: np.random.Generator) -> tuple:
+    """Raw draws of one erasure-recovery scheme, in stream order."""
+    return rng.uniform(0.001, 0.005), rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2, 2))
+
+
+def _erasure_recovery_schemes(p, unitary, source) -> tuple:
+    """Low-rate erasure with the flag-to-ground recovery decoder, per stacked draw."""
+    unitary = _haar_unitaries(unitary)
+    decoder = _compose(np.ascontiguousarray(_adjoint(unitary)[:, None]), _RECOVERY)
+    return _random_densities(source), unitary[:, None], decoder, _erasure_kraus(p)
+
+
+_RECOVERY = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]], dtype=complex)
+_DEMO_FAMILIES = (
+    (_draw_split_isometry, _split_isometry_schemes),
+    (_draw_noisy_rotation, _noisy_rotation_schemes),
+    (_draw_erasure_recovery, _erasure_recovery_schemes),
+)
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _scaled(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack times the square root of its weight."""
+    return np.sqrt(weights)[:, None, None] * stack
+
+
+def _unit_hermitian(raw: np.ndarray) -> np.ndarray:
+    """G + G^dag over its spectral norm, for each G = raw[:, 0] + i raw[:, 1] of a stack."""
+    g = raw[:, 0] + 1j * raw[:, 1]
+    g = g + _adjoint(g)
+    return g / np.linalg.norm(g, 2, axis=(-2, -1))[:, None, None]
+
+
+def _rotations(generators: np.ndarray) -> np.ndarray:
+    """exp(i G) for each Hermitian G of a stack, from its eigendecomposition."""
+    values, vectors = np.linalg.eigh(generators)
+    return (vectors * np.exp(1j * values)[..., None, :]) @ _adjoint(vectors)
+
+
+def _demo_window(
+    rng: np.random.Generator, first: int, size: int
+) -> list[tuple[CodingScheme, KrausChannel]]:
+    """Demo schemes ``first`` to ``first + size - 1``: drawn in stream order, then built by stack.
+
+    Scheme i is of family i mod 3 and takes its raw draws in the order its family's draw
+    lists them, so the stream does not depend on the window.  Schemes whose draws have equal
+    shapes (one family and dimension) are built on one stack, every step and check one call.
+    """
+    groups: dict[tuple, list] = {}
+    for i in range(first, first + size):
+        family = i % len(_DEMO_FAMILIES)
+        draw = _DEMO_FAMILIES[family][0](rng)
+        key = (family,) + tuple(np.shape(value) for value in draw)
+        groups.setdefault(key, []).append((i - first, draw))
+    window = [None] * size
+    for (family, *_), members in groups.items():
+        columns = (np.array(values) for values in zip(*(draw for _, draw in members)))
+        states, encoder, decoder, channel = _DEMO_FAMILIES[family][1](*columns)
+        for ops in (encoder, decoder, channel):
+            _check_kraus(ops)
+        for j, ((at, _), source) in enumerate(zip(members, states)):
+            scheme = CodingScheme(
+                source, KrausChannel._checked(encoder[j]), KrausChannel._checked(decoder[j]), 1
+            )
+            window[at] = scheme, KrausChannel._checked(channel[j])
+    return window
 
 
 def random_demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
-    """Seeded mixed bag of high-fidelity schemes for the elimination demo, drawn as taken.
+    """Seeded mixed bag of high-fidelity schemes for the elimination demo, drawn a window at a time.
 
     Cycles through three families: classically mixed orthogonal isometries
     (exactly decodable, so the elimination is exact), mixed near-identity
     rotations through a noisy unitary, and low-rate erasure with a recovery
     decoder.  Every scheme has end-to-end fidelity at least 0.99.  ``count``
-    is checked at the call; each scheme is drawn when the iterator reaches it.
+    is checked at the call.  When the iterator reaches a window of ``_WINDOW``
+    schemes, it takes that window's raw draws in stream order and builds the
+    schemes on per-family, per-dimension stacks; the arrays are those of
+    drawing and building each scheme alone.
     """
     if count < 1:
         raise ValueError(f"need at least one scheme, got {count}")
     rng = _as_rng(seed)
-    builders = (_split_isometry_scheme, _noisy_rotation_scheme, _erasure_recovery_scheme)
-    return (builders[i % len(builders)](rng) for i in range(count))
+    starts = range(0, count, _WINDOW)
+    windows = (_demo_window(rng, first, min(_WINDOW, count - first)) for first in starts)
+    return itertools.chain.from_iterable(windows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, erasure_channel
-from .linalg import entropy_of_spectrum, partial_trace, von_neumann_entropy
+from .linalg import _check_density, entropy_of_spectrum, partial_trace, von_neumann_entropy
 from .states import DensityMatrix, maximally_mixed
 
 PAIR_TOL = 1e-9
@@ -292,13 +292,13 @@ def _lift(matrix: np.ndarray, mask: int, n: int) -> np.ndarray:
 
 def _coherent_info_gradient(
     h: np.ndarray, p: float, n: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Ic in bits of rho = exp(H)/Tr exp(H) through n erasure uses, its gradient G, and rho.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Ic in bits of rho = exp(H)/Tr exp(H) through n erasure uses, its gradient G, rho, spectrum.
 
     Over masks A, Ic = sum c(A) S(rho_A) and G = sum c(A) (-log2 rho_A) (x) I_Abar with
     c(A) = w(A) - w(Abar), so Ic = Tr(G rho); each entropy's -1/ln 2 derivative term cancels,
-    as sum c(A) = 0.  rho shares the eigenvectors of H, so one solve of H gives rho, S(rho)
-    and -log2 rho.
+    as sum c(A) = 0.  rho shares the eigenvectors of H, so one solve of H gives rho, its
+    ascending spectrum, S(rho) and -log2 rho.
     """
     values, vectors = np.linalg.eigh(h)
     weights = np.exp(values - values[-1])
@@ -312,7 +312,7 @@ def _coherent_info_gradient(
         entropy, neg_log = _neg_log2(*np.linalg.eigh(sub))
         value += signed[mask] * entropy
         grad += signed[mask] * _lift(neg_log, mask, n)
-    return float(value), 0.5 * (grad + grad.conj().T), rho
+    return float(value), 0.5 * (grad + grad.conj().T), rho, spectrum
 
 
 def maximize_coherent_info(
@@ -324,7 +324,8 @@ def maximize_coherent_info(
     by H <- H + (ln 2 / L) G.  L = L_n(p), the sum of the positive c(A), makes -Ic smooth
     relative to -S (Lu, Freund and Nesterov 2018), so each step raises Ic.  It stops at a
     Frank-Wolfe gap lambda_max(G) - Ic below 1e-9 bits, a certificate where Ic is concave
-    (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0.
+    (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0.  The best
+    state keeps the spectrum its last evaluation formed, so it is checked but not solved again.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -339,15 +340,16 @@ def maximize_coherent_info(
     smooth = float(np.clip(w - w[::-1], 0.0, None).sum())  # L_n(p)
     d = 2**block_size
     rng = np.random.default_rng(seed)
-    found = [(0.0, np.diag(np.eye(d)[0]))]  # the pure input |0...0>
+    found = [(0.0, np.diag(np.eye(d, dtype=complex)[0]), np.eye(d)[-1])]  # the pure input |0...0>
     for _ in range(restarts):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = 0.5 * (g + g.conj().T)
         for _ in range(ASCENT_CAP):
-            value, grad, rho = _coherent_info_gradient(h, p, block_size)
+            value, grad, rho, spectrum = _coherent_info_gradient(h, p, block_size)
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
             h = h + math.log(2.0) / smooth * grad  # L = 0 only at p = 1/2, where G = 0
-        found.append((value, rho))
-    best_val, best_rho = max(found, key=lambda item: item[0])
-    return DensityMatrix(best_rho), best_val / block_size
+        found.append((value, rho, spectrum))
+    best_val, best_rho, best_spectrum = max(found, key=lambda item: item[0])
+    _check_density(best_rho)
+    return DensityMatrix._checked(best_rho, best_spectrum, (d,)), best_val / block_size

@@ -241,8 +241,14 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Wishart-style random state G G^dag / Tr with a d x rank Gaussian G."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank {rank} outside the valid range 1..{dim}")
-    raw = _as_rng(seed).standard_normal((2, dim, rank))
-    return DensityMatrix(_unit_trace(_wishart_grams(raw)))
+    return _random_densities(_as_rng(seed).standard_normal((1, 2, dim, rank)))[0]
+
+
+def _random_densities(raw: np.ndarray) -> list[DensityMatrix]:
+    """The :func:`random_density` state of each draw of a stack, checked and solved in one call."""
+    m = _unit_trace(_wishart_grams(raw))
+    spectrum = density_spectrum(m)
+    return [DensityMatrix._checked(m[j], spectrum[j], (m.shape[-1],)) for j in range(len(m))]
 
 
 def random_pure_state(dim: int, seed, dims=None) -> PureState:
@@ -253,11 +259,17 @@ def random_pure_state(dim: int, seed, dims=None) -> PureState:
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    rng = _as_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(_as_rng(seed).standard_normal((2, dim, dim)))
+
+
+def _haar_unitaries(raw: np.ndarray) -> np.ndarray:
+    """Q times the phases of R's diagonal, for QR = G = raw[..., 0, :, :] + i raw[..., 1, :, :].
+
+    Leading axes of ``raw`` index a stack of Ginibre draws, one Haar unitary each.
+    """
+    q, r = np.linalg.qr(raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMatrix:

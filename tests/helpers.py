@@ -1,8 +1,12 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from qcap.channels import KrausChannel
+from qcap.channels import CodingScheme, KrausChannel, compose, erasure_channel, unitary_channel
+from qcap.functionals import end_to_end_fidelity
+from qcap.states import random_density, random_unitary
 
 
 def random_kraus_channel(in_dim, out_dim, num_kraus, rng) -> KrausChannel:
@@ -63,3 +67,53 @@ def count_factorizations(monkeypatch, *names) -> dict[str, list[tuple[int, ...]]
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def demo_scheme_reference(index, rng):
+    """Scheme ``index`` of ``random_demo_schemes``, drawn and built alone: a test reference."""
+    if index % 3 == 0:  # split isometry
+        basis = random_unitary(4, rng)
+        first, second = basis[:, :2], basis[:, 2:]
+        weight = rng.uniform(0.2, 0.8)
+        encoder = KrausChannel([math.sqrt(weight) * first, math.sqrt(1.0 - weight) * second])
+        rotation = random_unitary(4, rng)
+        undo = rotation.conj().T
+        decoder = KrausChannel([first.conj().T @ undo, second.conj().T @ undo])
+        source = random_density(2, rank=2, seed=rng)
+        return CodingScheme(source, encoder, decoder, 1), unitary_channel(rotation)
+    if index % 3 == 2:  # erasure recovery
+        p = rng.uniform(0.001, 0.005)
+        encoder = unitary_channel(random_unitary(2, rng))
+        recover = KrausChannel([[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]])
+        decoder = compose(unitary_channel(encoder.kraus[0].conj().T), recover)
+        source = random_density(2, rank=2, seed=rng)
+        return CodingScheme(source, encoder, decoder, 1), erasure_channel(p)
+    dim = int(rng.integers(2, 5))  # noisy rotation
+    source = random_density(dim, rank=dim, seed=rng)
+    angle = rng.uniform(0.05, 0.15)
+    herm = _unit_hermitian(rng, dim)
+    weight = rng.uniform(0.25, 0.45)
+    main = random_unitary(dim, rng)
+    noise_angle, noise_rate = rng.uniform(0.01, 0.03), rng.uniform(0.001, 0.004)
+    wobble = main @ _rotation(noise_angle * _unit_hermitian(rng, dim))
+    channel = KrausChannel([math.sqrt(1.0 - noise_rate) * main, math.sqrt(noise_rate) * wobble])
+    decoder = unitary_channel(main.conj().T)
+    while True:
+        drift = math.sqrt(weight) * _rotation(angle * herm)
+        encoder = KrausChannel([math.sqrt(1.0 - weight) * np.eye(dim), drift])
+        scheme = CodingScheme(source, encoder, decoder, 1)
+        if 1.0 - end_to_end_fidelity(scheme, channel).value <= 0.009:
+            return scheme, channel
+        angle *= 0.5
+
+
+def _unit_hermitian(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = g + g.conj().T
+    return g / np.linalg.norm(g, 2)
+
+
+def _rotation(generator):
+    """exp(i generator) of a Hermitian matrix."""
+    values, vectors = np.linalg.eigh(generator)
+    return (vectors * np.exp(1j * values)) @ vectors.conj().T

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -38,7 +39,7 @@ from qcap.states import (
     random_density,
 )
 
-from helpers import count_factorizations
+from helpers import count_factorizations, demo_scheme_reference
 
 
 def test_trivial_scheme_eliminates_cleanly():
@@ -82,31 +83,39 @@ def test_noisy_rotation_family_obeys_doubling():
 
 
 def test_noisy_rotation_shrinks_the_drift_until_faithful(monkeypatch):
+    # the first reading of the first rotation stack calls its first member, scheme 1,
+    # unfaithful: the loop halves that member's angle and reads it again, alone
     def infidelity(scheme, channel):
         return 1.0 - end_to_end_fidelity(scheme, channel).value
 
-    seen = []
+    seen, real = [], elimination._kraus_fidelities
 
-    def first_reads_unfaithful(scheme, channel):
-        seen.append(scheme)
-        report = end_to_end_fidelity(scheme, channel)
-        return dataclasses.replace(report, value=0.98) if len(seen) == 1 else report
+    def first_reads_unfaithful(matrix, kraus):
+        seen.append((matrix, kraus))
+        fidelities = real(matrix, kraus)
+        if len(seen) == 1:
+            fidelities[0] = 0.98
+        return fidelities
 
-    monkeypatch.setattr(elimination, "end_to_end_fidelity", first_reads_unfaithful)
+    monkeypatch.setattr(elimination, "_kraus_fidelities", first_reads_unfaithful)
     rng = np.random.default_rng(4)
-    kept, channel = elimination._noisy_rotation_scheme(rng)
+    drawn = list(random_demo_schemes(30, rng))
     monkeypatch.undo()
-    assert len(seen) == 2 and seen[1] is kept
-    assert infidelity(kept, channel) < infidelity(seen[0], channel)
+    kept, channel = drawn[1]
+    chain = elimination._chain(kept.encoder.kraus, channel.kraus, kept.decoder.kraus)
+    assert len(seen) >= 2 and len(seen[1][1]) == 1 and np.array_equal(seen[1][1][0], chain)
+    assert infidelity(kept, channel) < 1.0 - real(*seen[0])[0]
     assert infidelity(kept, channel) <= 0.009
-    # the loop draws nothing, so the generator is where an unpatched run leaves it
+    # the loop draws nothing, so the generator is where an unpatched run leaves it, and
+    # only the forced member's encoder differs from the unpatched draw
     plain = np.random.default_rng(4)
-    elimination._noisy_rotation_scheme(plain)
-    got, got_channel = elimination._noisy_rotation_scheme(rng)
-    want, want_channel = elimination._noisy_rotation_scheme(plain)
-    assert np.array_equal(got.source.matrix, want.source.matrix)
-    for a, b in ((got.encoder, want.encoder), (got.decoder, want.decoder), (got_channel, want_channel)):
-        assert np.array_equal(a.kraus, b.kraus)
+    unpatched = list(random_demo_schemes(30, plain))
+    got, want = list(random_demo_schemes(30, rng)), list(random_demo_schemes(30, plain))
+    for index, ((a, a_channel), (b, b_channel)) in enumerate(zip(drawn + got, unpatched + want)):
+        assert np.array_equal(a.source.matrix, b.source.matrix)
+        assert np.array_equal(a.encoder.kraus, b.encoder.kraus) == (index != 1)
+        assert np.array_equal(a.decoder.kraus, b.decoder.kraus)
+        assert np.array_equal(a_channel.kraus, b_channel.kraus)
 
 
 def test_erasure_recovery_family_is_exact_and_near_doubling():
@@ -272,17 +281,17 @@ def _count_solves_and_decodes(monkeypatch, pairs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
-    # two eigvalsh validations, the kept branch and rho_prime: the decoded output's
-    # spectrum comes from the eigh that purifies it; the decode block maps the
-    # kept branch alone, one per instance
+    # one eigvalsh validation, rho_prime's: the kept branch is a projector onto a unit
+    # vector, with spectrum (0, ..., 0, 1), and the decoded output's spectrum comes from
+    # the eigh that purifies it; the decode block maps the kept branch alone, one per instance
     schemes = random_demo_schemes(30, seed)
     for pair in schemes:
         solves, decodes = _count_solves_and_decodes(monkeypatch, [pair])
-        assert (len(solves), decodes) == (2, [(1,)])
-    # the same two solves and one decode for a stack of 30 same-shape schemes
+        assert (len(solves), decodes) == (1, [(1,)])
+    # the same one solve and one decode for a stack of 30 same-shape schemes
     stack = list(random_demo_schemes(90, seed))[0::3]
     solves, decodes = _count_solves_and_decodes(monkeypatch, stack)
-    assert (solves, decodes) == ([(30,)] * 2, [(30,)])
+    assert (solves, decodes) == ([(30,)], [(30,)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -355,6 +364,114 @@ def test_random_demo_schemes_are_valid_and_deterministic():
     taken = itertools.islice(random_demo_schemes(10**9, seed=9), len(first))
     for (s1, _), (s2, _) in zip(first, taken):
         assert np.array_equal(s1.encoder.kraus, s2.encoder.kraus)
+
+
+# sha256 over the shape and bytes of every drawn array, scheme by scheme: the source matrix
+# and eigenvalues, then the encoder, decoder and channel Kraus stacks.  They were taken by
+# drawing and building each scheme alone, on numpy 2.4 with OpenBLAS; the stacked draw must
+# give the same bits.  The counts straddle the window edge at 256.
+_DRAW_COUNTS = (1, 2, 3, 255, 256, 257, 1000)
+_DRAW_DIGESTS = {
+    0: (
+        "7e98c0ee0274432bff1f7e9ee55ee41e31231f8cde9f1c5c52b0b811b7463176",
+        "0e3b020b225591706c0f8f3e4eda9625d02926d37c672862f611e700b7a00c9f",
+        "c09e4f63bf70f589289c74c49fa53b53cff2a363881118dbdb832b66930f5503",
+        "ad950b9f279c7b267f2eee8421ab367a1df640db07846884b82496d99079fff3",
+        "bd84b471c9de252480312b41e10792ecf506f0512bd156bad3c88dad0b29d8e1",
+        "d025e7ecbf070bf7bbbd56d2379a05709f4ba1aa349c63b3d9bdc24e1a7f841b",
+        "d42d3a58491dee02d8acb7b75ad5cb1abca0fcd7773b53a93b9e7669b43a94e1",
+    ),
+    1: (
+        "4b7818b572197b94cfeeeb48a018d87a453a9c7e549ecda9422da3fde18f2b27",
+        "8d32a185d5c9c2c78043647a0b324757087ca5588c089f5c285b914ab6a55727",
+        "cb0a74346d9a5b0c5bbe0810a7dbd4e540c39f06c1ab22ce797e030fd92a5bbe",
+        "fd1684a8badf8ecd4987b1f290a4d85dbda1b8f2d61b203db671852ce8d93837",
+        "8aae3d203054966d346f580c383b9dcdf54c60f81ae7222cd1da2ea2c6b4bf1a",
+        "69a97a33bce0e1e070256415cbbb2fc40a7930a326ec8617d46e9d1df9227d37",
+        "55b7a2f827e4439de74fdaf3dc7b6cd58c23b159d617818793c460b86347eed1",
+    ),
+    2: (
+        "debfb7f7e2777e914062fdd64c1cd26360207af043e54d542871679aa819d7a7",
+        "90b191662319f200b9e4bbc86a047dad9c0dd48baccde5da66895a184709c9fe",
+        "2032fb2fd5bbf197d4856aa372ce4b771da84ca04c76fa92aa09e5cac242422d",
+        "b75469ce4bcd5d02c8b5562fc99eab3d802c87da19ab138e7cf8a3b3d3bde718",
+        "7a49f87428855571757332bb9e7067f74f7e47e2507624f0757c77d61d496c38",
+        "9afe1e9a336d06409c6726026af89eccc813b5b2d9b5259eae87f1c5bd6da528",
+        "425c7065bc4c4326442c278b2e77b3b31afb5638a2af0c6e96eddc514c485bd6",
+    ),
+    3: (
+        "422ae1f15dd59666aab4c7876dce76c749efbc4045d50eb16d13b03042b76e15",
+        "60a2632fa75825d924561f18f92fffb18e623f81593060316ccc40e4ac6478e0",
+        "ea451e6d5265cd18e482bc7c9ba30899836725731b554e85ed16fda1591b46d8",
+        "3d6157c063895b266918005ca7882d73a7b2cd8249457c5a6cfb7c3c7a8d10ce",
+        "b0e0f3a4d5f3ee0bc4792e7355efab033cd7cccca61da76925dfea4ecefe8037",
+        "90d40b62ac9fcf060802479a3b528295add9886b3e6c796efabddf102930b1a0",
+        "8d26c0cde161df822ae43e7ddeb0487b00891693316fd8b5f4b2808775f14ab3",
+    ),
+    4: (
+        "6de8389472460c7fa8c58e1bf1b5803f8269039b8371531078f50b94a6058541",
+        "bff0e28de6cb34e84da5d70e134aa115373bba147fe4a0d418e63fb63ca4fda5",
+        "67e82fbea8120ec7fbe451e13784cbb7ceb1dbc27817f313723e3d2ca646fd7f",
+        "fb525e4d81faf99d52a1ff0e372be8eb0125e6ac159b467b9846d9f0191b44b2",
+        "60f2b69d4e0964c5b4644b949a561e4520c6197d5c9c6ca66cc3a8abc73578d5",
+        "15b6f8daf9764d1461633c759ac81091edb1bd11bee2ad0e1610a9252f808972",
+        "59082fba3b344e6e6ad580eeeb1c13112a899a5f4b956e2c5fe8c9d25c75ae23",
+    ),
+}
+
+
+def _draw_digest(count, seed):
+    digest = hashlib.sha256()
+    for scheme, channel in random_demo_schemes(count, seed):
+        for array in (scheme.source.matrix, scheme.source.eigenvalues, scheme.encoder.kraus,
+                      scheme.decoder.kraus, channel.kraus):
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_demo_draws_keep_their_pinned_bits(seed):
+    assert tuple(_draw_digest(count, seed) for count in _DRAW_COUNTS) == _DRAW_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_demo_draws_match_drawing_each_scheme_alone(seed):
+    # 300 schemes cross the window edge at 256; the stacked draw keeps every bit
+    rng = np.random.default_rng(seed)
+    for index, (scheme, channel) in enumerate(random_demo_schemes(300, seed)):
+        want, want_channel = demo_scheme_reference(index, rng)
+        assert np.array_equal(scheme.source.matrix, want.source.matrix)
+        assert np.array_equal(scheme.source.eigenvalues, want.source.eigenvalues)
+        assert np.array_equal(scheme.encoder.kraus, want.encoder.kraus)
+        assert np.array_equal(scheme.decoder.kraus, want.decoder.kraus)
+        assert np.array_equal(channel.kraus, want_channel.kraus)
+        assert scheme.encoder.kraus.flags.c_contiguous and not channel.kraus.flags.writeable
+
+
+class _ThreeLevelRotations(np.random.Generator):
+    """A generator whose ``integers`` draws as usual but returns 3: every rotation is 3 x 3."""
+
+    def integers(self, *args, **kwargs):
+        super().integers(*args, **kwargs)
+        return 3
+
+
+def test_drawing_solves_once_per_stack(monkeypatch):
+    # with every rotation three-level, three schemes and a full window fall into the same
+    # three stacks, one per family, so they make the same factorizations on stacks of
+    # 1 and of 85 or 86 members
+    calls = count_factorizations(monkeypatch, "qr", "eigh", "eigvalsh")
+    made = []
+    for count in (3, elimination._WINDOW):
+        for shapes in calls.values():
+            shapes.clear()
+        list(random_demo_schemes(count, _ThreeLevelRotations(np.random.PCG64(0))))
+        made.append({name: [shape[1:] for shape in shapes] for name, shapes in calls.items()})
+        sizes = {shape[0] for shapes in calls.values() for shape in shapes}
+        assert sizes == ({1} if count == 3 else {85, 86})
+    assert made[0] == made[1]
+    assert sum(map(len, made[0].values())) == 9
 
 
 def test_rho_prime_feeds_channel_directly():

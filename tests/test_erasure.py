@@ -504,7 +504,7 @@ def test_coherent_info_gradient_matches_finite_differences(n):
     rng = np.random.default_rng(21)
     d, block = 2**n, tensor_power(erasure_channel(0.3), n)
     rho = 0.5 * random_density(d, rank=d, seed=rng).matrix + 0.5 * np.eye(d) / d
-    value, grad, state = _coherent_info_gradient(_log(rho), 0.3, n)
+    value, grad, state, _ = _coherent_info_gradient(_log(rho), 0.3, n)
     assert np.abs(state - rho).max() < 1e-12
     assert abs(value - coherent_information(DensityMatrix(rho), block).coherent_info) < 1e-10
     assert abs(value - np.trace(grad @ rho).real) < 1e-10
@@ -540,7 +540,7 @@ def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
     rho, best = maximize_coherent_info(chan, n, restarts=2, seed=n)
     target = 1.0 - 2.0 * p
     assert target - 1e-6 <= best <= target + 1e-9
-    value, grad, _ = _coherent_info_gradient(_log(rho.matrix), p, n)
+    value, grad, _, _ = _coherent_info_gradient(_log(rho.matrix), p, n)
     assert np.linalg.eigvalsh(grad)[-1] - value <= 1e-6  # the Frank-Wolfe gap
 
 
@@ -564,9 +564,9 @@ def _recording_gradient(monkeypatch):
     values = []
 
     def recording(h, p, n):
-        value, grad, rho = _coherent_info_gradient(h, p, n)
+        value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
         values.append(value)
-        return value, grad, rho
+        return value, grad, rho, spectrum
 
     monkeypatch.setattr(erasure, "_coherent_info_gradient", recording)
     return values
@@ -591,6 +591,36 @@ def test_each_gradient_evaluation_solves_the_full_block_once(monkeypatch, n, p):
     solves = count_factorizations(monkeypatch, "eigh")["eigh"]
     maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=0)
     assert solves.count((2**n, 2**n)) == len(values) > 0
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.25), (3, 0.49), (2, 0.9)])
+def test_best_state_keeps_the_spectrum_of_its_last_evaluation(monkeypatch, n, p):
+    # the returned eigenvalues are exp(H)/Tr exp(H)'s: no eigvalsh runs beyond one
+    # Frank-Wolfe gap test per evaluation
+    values = _recording_gradient(monkeypatch)
+    solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
+    rho, _ = maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
+    assert len(solves) == len(values) > 0
+    _check_returned_state(rho, n)
+
+
+def test_pure_input_wins_with_its_known_spectrum(monkeypatch):
+    # every restart reads Ic = -1 with a certified gap, so the pure |0...0> at Ic = 0 wins
+    def below_pure(h, p, n):
+        return -1.0, -2.0 * np.eye(len(h)), None, None
+
+    monkeypatch.setattr(erasure, "_coherent_info_gradient", below_pure)
+    rho, best = maximize_coherent_info(erasure_channel(0.25), 2, restarts=3, seed=0)
+    assert best == 0.0
+    assert np.array_equal(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(rho.eigenvalues, [0.0, 0.0, 0.0, 1.0])
+    _check_returned_state(rho, 2)
+
+
+def _check_returned_state(rho, n):
+    assert np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-12
+    assert rho.dims == (2**n,) and rho.matrix.dtype == complex
+    assert not (rho.matrix.flags.writeable or rho.eigenvalues.flags.writeable)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.49])
