@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import KrausChannel, erasure_channel
 from .linalg import _check_density, entropy_of_spectrum, partial_trace, von_neumann_entropy
-from .states import DensityMatrix, maximally_mixed
+from .states import DensityMatrix
 
 PAIR_TOL = 1e-9
 
@@ -81,10 +81,14 @@ class IplusBoundReport:
         return self.iplus <= self.aggregate_bound + PAIR_TOL
 
 
-def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
+def _require_block_size(block_size: int) -> int:
     if block_size < 1:
         raise ValueError(f"block size must be at least 1, got {block_size}")
-    if rho.dim != 2**block_size:
+    return block_size
+
+
+def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
+    if rho.dim != 2 ** _require_block_size(block_size):
         raise ValueError(
             f"state dimension {rho.dim} does not match {block_size} qubits "
             f"(expected {2 ** block_size})"
@@ -259,10 +263,13 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     """Coherent information per use of the flat input along a grid of p.
 
     The flat n-qubit input gives exactly n(1-2p) for n erasure uses, so
-    ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).
+    ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).  The
+    flat state's marginal on mask i is flat on |i| qubits, so its retained-set
+    table is |i| bits per mask, read without forming a state or solving.
     """
     grid = [_require_probability(float(p)) for p in p_values]
-    table = subset_entropies(maximally_mixed(2**block_size), block_size)
+    table = _kept(_require_block_size(block_size)).astype(float)
+    table.flags.writeable = False
     points = []
     for p in grid:
         ic = coherent_info_from_decomposition(ErasureDecomposition(p, table))

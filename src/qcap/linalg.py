@@ -14,7 +14,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
-_PANEL_ROWS = 256
+_TILE = 256
 _LOG2 = math.log(2.0)
 
 
@@ -101,19 +101,25 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace."""
+    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace.
+
+    Hermiticity is read as max |m_ij - conj(m_ji)|, which is symmetric under
+    i <-> j, so each pair of 256 x 256 tiles (I, J) and (J, I) is compared
+    once, with J >= I; no d x d temporary is formed, and a matrix of at most
+    256 rows is one tile.
+    """
     bad = ~np.isfinite(m)
     where = _first_failure(bad.any(axis=(-2, -1)))
     if where is not None:
         i, j = np.argwhere(bad[where])[0]
         raise _MemberError(f"density matrix has a non-finite entry at row {i}, column {j}", where)
-    # max |m - m^dag| entry over row panels, so no d x d temporary is formed
-    b = _PANEL_ROWS
-    panels = (
-        np.abs(m[..., i : i + b, :] - m[..., :, i : i + b].conj().swapaxes(-1, -2))
-        for i in range(0, max(m.shape[-1], 1), b)
+    b, top = _TILE, max(m.shape[-1], 1)
+    tiles = (
+        np.abs(m[..., i : i + b, j : j + b] - m[..., j : j + b, i : i + b].conj().swapaxes(-1, -2))
+        for i in range(0, top, b)
+        for j in range(i, top, b)
     )
-    defect = functools.reduce(np.maximum, (p.max(axis=(-2, -1), initial=0.0) for p in panels))
+    defect = functools.reduce(np.maximum, (t.max(axis=(-2, -1), initial=0.0) for t in tiles))
     where = _first_failure(defect > HERMITICITY_TOL)
     if where is not None:
         raise _MemberError(
@@ -151,21 +157,6 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     _check_density(m)
     return _floored(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))))
-
-
-def _factor_spectrum(factor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """:func:`density_spectrum` of ``matrix = factor @ factor^dag`` for a d x r factor.
-
-    The checks run on ``matrix``.  When r < d the eigenvalues come from the
-    r x r Gram factor^dag factor, which has the same nonzero spectrum, and
-    d - r zeros go in front; otherwise ``matrix`` itself is solved.
-    """
-    d, r = factor.shape
-    if r >= d:
-        return density_spectrum(matrix)
-    _check_density(matrix)
-    values = _floored(np.linalg.eigvalsh(factor.conj().T @ factor))
-    return np.concatenate([np.zeros(d - r), values])
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:

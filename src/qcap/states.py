@@ -11,9 +11,9 @@ import numpy as np
 
 from .linalg import (
     TRACE_TOL,
+    _check_density,
     _first_failure,
     _MemberError,
-    _factor_spectrum,
     _floored,
     density_spectrum,
     entropy_of_spectrum,
@@ -38,8 +38,8 @@ class DensityMatrix:
     Construction validates the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
     ``DensityMatrix(matrix)`` takes the eigenvalues from one solve of the d x d
-    matrix; :meth:`from_factor` builds rho = F F^dag from a d x r factor F and,
-    when r < d, solves only the r x r Gram F^dag F.
+    matrix; states whose spectrum is known by construction are checked and
+    wrapped without a solve.
     """
 
     matrix: np.ndarray
@@ -54,23 +54,8 @@ class DensityMatrix:
         self._store(m, density_spectrum(m), dims)
 
     @classmethod
-    def from_factor(cls, factor, dims=None) -> "DensityMatrix":
-        """The state F F^dag of a d x r factor F, validated as the constructor validates it.
-
-        The checks and their messages are those of the constructor, run on
-        the formed matrix; the eigenvalues come from the smaller of F^dag F
-        and F F^dag, with d - r zeros in front when r < d.
-        """
-        f = np.asarray(factor, dtype=complex)
-        if f.ndim != 2:
-            raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
-        dims = _check_dims(f.shape[0], dims)
-        m = f @ f.conj().T
-        return cls._checked(m, _factor_spectrum(f, m), dims)
-
-    @classmethod
     def _checked(cls, m, eigenvalues, dims) -> "DensityMatrix":
-        """Wrap a matrix and the clamped spectrum that :func:`density_spectrum` gave it."""
+        """Wrap a matrix that passed :func:`_check_density` and its clamped, ascending spectrum."""
         state = object.__new__(cls)
         state._store(m, eigenvalues, dims)
         return state
@@ -149,8 +134,11 @@ def _check_unit(vectors: np.ndarray) -> None:
 
 
 def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
-    """Identity over its dimension, the flat state."""
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
+    """Identity over its dimension, the flat state; its spectrum is all 1/dim, so nothing is solved."""
+    m = np.eye(dim, dtype=complex) / dim
+    dims = _check_dims(m.shape[0], dims)
+    _check_density(m)
+    return DensityMatrix._checked(m, np.full(dim, 1.0 / dim), dims)
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -277,7 +265,9 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
 
     Mixes ``psi`` with the flat state on n orthonormal directions orthogonal
     to it, showing that near-unit fidelity puts no useful cap on entropy
-    once the ambient dimension is large.
+    once the ambient dimension is large.  The state is H D H^dag for a
+    Householder reflection H and a diagonal D, formed as a rank-two update
+    of D in O(d^2); its spectrum is D's diagonal, sorted, so nothing is solved.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"mixing weight {eps!r} outside [0, 1]")
@@ -289,23 +279,27 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
             f"ambient dimension {d} too small: n={n} orthogonal directions "
             f"need dimension at least {n + 1}"
         )
-    # The Householder reflection H = I - 2 w w^dag / |w|^2 with
-    # w = psi + (psi_k / |psi_k|) e_k maps e_k to a multiple of psi, so its
-    # other columns are orthonormal and orthogonal to psi.  Taking k at the
-    # largest entry keeps |w|^2 = 2 (1 + |psi_k|) away from zero.
-    v = psi.vector
-    k = int(np.argmax(np.abs(v)))
-    w = v.copy()
-    w[k] += v[k] / abs(v[k])
-    cols = [j for j in range(n + 1) if j != k][:n]
-    # rho = F F^dag with F = [sqrt(1 - eps) psi | sqrt(eps / n) H[:, cols]], of rank n + 1
-    factor = np.empty((d, n + 1), dtype=complex)
-    factor[:, 0] = math.sqrt(1.0 - eps) * v
-    others = factor[:, 1:]
-    np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj(), out=others)
-    others[cols, np.arange(n)] += 1.0
-    others *= math.sqrt(eps / n)
-    return DensityMatrix.from_factor(factor, psi.dims)
+    # H = I - beta w w^dag, beta = 2 / |w|^2, with w = u + (u_k / |u_k|) e_k for
+    # the unit u = psi / |psi|, maps e_k to a multiple of u, so its other
+    # columns are orthonormal and orthogonal to psi.  Normalizing first keeps
+    # that exact within rounding, not within psi's norm tolerance; taking k at
+    # the largest entry keeps |w|^2 = 2 (1 + |u_k|) away from zero.
+    u = psi.vector / np.linalg.norm(psi.vector)
+    k = int(np.argmax(np.abs(u)))
+    w = u.copy()
+    w[k] += u[k] / abs(u[k])
+    beta = 2.0 / np.vdot(w, w).real
+    # D holds 1 - eps at k and eps / n on n other directions;
+    # H D H^dag = D + w x^dag + x w^dag with x = -beta D w + (beta^2 / 2) (w^dag D w) w
+    diag = np.zeros(d)
+    diag[[j for j in range(n + 1) if j != k][:n]] = eps / n
+    diag[k] = 1.0 - eps
+    dw = diag * w
+    x = beta * (0.5 * beta * np.vdot(w, dw).real * w - dw)
+    m = np.stack([w, x], axis=1) @ np.stack([x, w]).conj()
+    m[np.diag_indices(d)] += diag
+    _check_density(m)
+    return DensityMatrix._checked(m, np.sort(diag), psi.dims)
 
 
 def write_density_file(path, rho: DensityMatrix) -> None:

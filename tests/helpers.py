@@ -53,6 +53,26 @@ def gaussian_unit_vector(dim, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def counterexample_reference(psi, eps, n) -> np.ndarray:
+    """rho = F F^dag of ``high_entropy_counterexample`` formed from its factor: a test reference.
+
+    F = [sqrt(1 - eps) psi | sqrt(eps / n) H[:, cols]], with H the Householder
+    reflection of psi itself, not of psi / |psi|.
+    """
+    v = psi.vector
+    k = int(np.argmax(np.abs(v)))
+    w = v.copy()
+    w[k] += v[k] / abs(v[k])
+    cols = [j for j in range(n + 1) if j != k][:n]
+    factor = np.empty((psi.dim, n + 1), dtype=complex)
+    factor[:, 0] = math.sqrt(1.0 - eps) * v
+    others = factor[:, 1:]
+    np.outer(w, (-2.0 / np.vdot(w, w).real) * w[cols].conj(), out=others)
+    others[cols, np.arange(n)] += 1.0
+    others *= math.sqrt(eps / n)
+    return factor @ factor.conj().T
+
+
 def count_factorizations(monkeypatch, *names) -> dict[str, list[tuple[int, ...]]]:
     """Record the argument shape of each call of the named ``np.linalg`` factorizations.
 

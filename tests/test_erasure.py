@@ -110,25 +110,49 @@ def test_subset_entropies_solve_each_proper_marginal_once(monkeypatch):
     assert sorted(sizes) == sorted(2 ** bin(mask).count("1") for mask in range(15))
 
 
+def _curve_tables(monkeypatch, p_values, n):
+    """The table of each decomposition ``capacity_curve`` builds, and the solves it makes."""
+    tables = []
+
+    def recorded(p, table, _real=erasure.ErasureDecomposition):
+        tables.append(table)
+        return _real(p, table)
+
+    monkeypatch.setattr(erasure, "ErasureDecomposition", recorded)
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
+    points = capacity_curve(p_values, n)
+    monkeypatch.undo()
+    assert len(points) == len(p_values)
+    return tables, solves
+
+
 def test_capacity_curve_builds_one_table(monkeypatch):
-    built = []
+    tables, solves = _curve_tables(monkeypatch, np.linspace(0.0, 1.0, 21), 3)
+    assert len(tables) == 21
+    assert all(table is tables[0] for table in tables)
+    assert not tables[0].flags.writeable
+    assert solves == {"eigh": [], "eigvalsh": []}
 
-    def counted(rho, block_size):
-        built.append(block_size)
-        return subset_entropies(rho, block_size)
 
-    monkeypatch.setattr(erasure, "subset_entropies", counted)
-    points = capacity_curve(np.linspace(0.0, 1.0, 21), 3)
-    assert len(points) == 21
-    assert built == [3]
+@pytest.mark.parametrize("n", range(1, 10))
+def test_capacity_curve_table_is_the_flat_states_bit_for_bit(monkeypatch, n):
+    (table,), _ = _curve_tables(monkeypatch, [0.3], n)
+    assert table.tobytes() == subset_entropies(maximally_mixed(2**n), n).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_capacity_curve_refuses_an_empty_block(n):
+    with pytest.raises(ValueError, match=rf"^block size must be at least 1, got {n}$"):
+        capacity_curve([0.2], n)
 
 
 @pytest.mark.parametrize("p", [1.3, float("nan")])
 def test_probability_checked_before_any_table(monkeypatch, p):
-    def refuse(rho, block_size):
+    def refuse(*args):
         raise AssertionError("table built for an invalid p")
 
     monkeypatch.setattr(erasure, "subset_entropies", refuse)
+    monkeypatch.setattr(erasure, "_kept", refuse)
     with pytest.raises(ValueError, match="outside"):
         erasure_decomposition(maximally_mixed(4, (2, 2)), p, 2)
     with pytest.raises(ValueError, match="outside"):

@@ -173,7 +173,7 @@ def _flat_with_defect(d, row, col, size):
 
 
 def test_hermiticity_defect_found_in_the_last_row_panel():
-    # 300 rows span two 256-row panels; the only asymmetric pair lies in the second
+    # 300 rows span two 256-row tiles; the only asymmetric pair lies in the last diagonal tile
     d = 300
     m = _flat_with_defect(d, 280, 299, 1e-6)
     assert np.abs(m - m.conj().T).max() == 1e-6
@@ -195,6 +195,39 @@ def test_hermiticity_defect_found_in_the_last_row_panel():
     ):
         density_spectrum(stack)
     assert density_spectrum(stack[:2]).shape == (2, d)
+
+
+def _not_hermitian(m):
+    """The message of a Hermiticity failure, its deviation read off the whole d x d matrix."""
+    return f"density matrix is not Hermitian: max deviation {np.abs(m - m.conj().T).max():.3e}"
+
+
+@pytest.mark.parametrize("d", [300, 2048])
+@pytest.mark.parametrize(
+    "big, small",
+    [
+        (lambda d: (5, d - 1), lambda d: (d - 1, 9)),
+        (lambda d: (d - 1, 5), lambda d: (9, d - 1)),
+        (lambda d: (255, 256), lambda d: (3, 7)),
+        (lambda d: (256, 255), lambda d: (d - 2, d - 40)),
+    ],
+    ids=["above", "below", "above-at-tile-edge", "below-at-tile-edge"],
+)
+def test_hermiticity_defect_is_the_largest_over_every_tile(d, big, small):
+    # entry deviations are symmetric in (i, j), so tiles on and above the diagonal see them all
+    m = np.eye(d, dtype=complex) / d
+    m[big(d)] = 3.217e-6 + 1.9e-6j
+    m[small(d)] = 2.5e-6
+    expected = _not_hermitian(m)
+    assert expected.endswith("3.736e-06")
+    with pytest.raises(ValueError) as caught:
+        density_spectrum(m)
+    assert str(caught.value) == expected
+    if d == 300:
+        stack = np.array([np.eye(d) / d, _flat_with_defect(d, *small(d), 1e-10), m])
+        with pytest.raises(ValueError) as caught:
+            density_spectrum(stack)
+        assert str(caught.value) == expected + " at stack index 2"
 
 
 def test_density_spectrum_of_a_single_matrix_is_unchanged():

@@ -23,6 +23,7 @@ from qcap.states import (
 from helpers import (
     bell_vector,
     count_factorizations,
+    counterexample_reference,
     fidelity,
     gaussian_unit_vector,
     wishart_gram,
@@ -108,82 +109,20 @@ def test_flattened_sets_one_factor_without_solving(monkeypatch):
             array[0] = 0.0
 
 
-def _unit_factor(rng, d, r):
-    f = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    return f / np.linalg.norm(f)
-
-
-@pytest.mark.parametrize(
-    "d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1), (16, 20), (16, 1), (1, 20), (11, 7)]
-)
-def test_from_factor_agrees_with_the_formed_matrix(d, r):
-    f = _unit_factor(np.random.default_rng(10 * d + r), d, r)
-    rho = DensityMatrix.from_factor(f)
-    ref = DensityMatrix(f @ f.conj().T)
-    assert np.array_equal(rho.matrix, ref.matrix)
-    assert rho.eigenvalues.shape == (d,)
-    assert np.all(np.diff(rho.eigenvalues) >= 0.0)
-    assert np.abs(rho.eigenvalues - ref.eigenvalues).max() < 1e-12
-    assert abs(rho.entropy() - ref.entropy()) < 1e-12
-    assert rho.dims == (d,)
-
-
-def test_from_factor_solves_the_gram_below_full_rank(monkeypatch):
-    f = _unit_factor(np.random.default_rng(1), 8, 3)
-    solves = count_factorizations(monkeypatch, "eigvalsh")
-    DensityMatrix.from_factor(f, (2, 4))
-    assert solves["eigvalsh"] == [(3, 3)]
-
-
-def test_from_factor_arrays_are_read_only():
-    f = _unit_factor(np.random.default_rng(2), 4, 2)
-    rho = DensityMatrix.from_factor(f)
-    for array in (rho.matrix, rho.eigenvalues):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.5
-    assert f.flags.writeable
-
-
-def _message(build):
-    with pytest.raises(ValueError) as caught:
-        build()
-    return str(caught.value)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
-def test_from_factor_rejects_what_the_constructor_rejects():
-    f = _unit_factor(np.random.default_rng(3), 4, 2)
-    nan = f.copy()
-    nan[1, 0] = np.nan
-    inf = f.copy()
-    inf[2, 1] = np.inf
-    for factor, dims, match in [
-        (nan, None, "non-finite entry at row 0, column 1"),
-        (inf, None, "non-finite entry"),
-        (np.sqrt(2.0) * f, None, "density matrix trace 2"),
-        (f, (3,), "do not multiply to 4"),
-        (f, (2, 0, 2), "must be positive"),
-    ]:
-        message = _message(lambda: DensityMatrix.from_factor(factor, dims))
-        assert match in message
-        assert message == _message(lambda: DensityMatrix(factor @ factor.conj().T, dims))
-    with pytest.raises(ValueError, match="factor must be a matrix"):
-        DensityMatrix.from_factor(np.ones(4) / 2.0)
-
-
-@pytest.mark.parametrize("shift, raises", [(1e-9, True), (1e-12, False)])
-def test_from_factor_floors_the_gram_spectrum(monkeypatch, shift, raises):
-    # rank one in a rank-two factor: the Gram spectrum is {0, 1}, moved down by the shift
-    f = np.zeros((4, 2), dtype=complex)
-    f[0, 0] = 1.0
-    solver = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solver(m) - shift)
-    if raises:
-        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-09 below the floor"):
-            DensityMatrix.from_factor(f)
-    else:
-        values = DensityMatrix.from_factor(f).eigenvalues
-        assert values.tolist() == [0.0, 0.0, 0.0, 1.0 - shift]
+def test_maximally_mixed_keeps_the_solved_spectrum_without_a_solve(monkeypatch):
+    dims = [2**j for j in range(11)] + [3, 5, 6, 7, 12, 100]
+    solved = [DensityMatrix(np.eye(d, dtype=complex) / d).eigenvalues for d in dims]
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
+    for d, ref in zip(dims, solved):
+        rho = maximally_mixed(d)
+        assert rho.eigenvalues.tobytes() == ref.tobytes()
+        assert rho.matrix.tobytes() == (np.eye(d, dtype=complex) / d).tobytes()
+    assert solves == {"eigh": [], "eigvalsh": []}
+    assert maximally_mixed(6, (3, 2)).dims == (3, 2)
+    with pytest.raises(ValueError, match="do not multiply to 4"):
+        maximally_mixed(4, (3,))
+    with pytest.raises(ValueError, match=r"must be positive, got \(0,\)"):
+        maximally_mixed(0)
 
 
 def test_states_reject_non_finite_entries():
@@ -406,6 +345,51 @@ def test_high_entropy_counterexample_spectrum(d, n):
     rho = high_entropy_counterexample(random_pure_state(d, seed=d), eps, n)
     expected = np.concatenate([np.zeros(d - n - 1), np.full(n, eps / n), [1.0 - eps]])
     assert np.abs(rho.eigenvalues - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, n, eps, norm",
+    [
+        (2, 1, 0.0, 1.0),
+        (2, 1, 0.9, 1.0),
+        (2, 1, 1.0, 1.0),
+        (5, 1, 0.9, 1.0 + 5e-10),
+        (5, 1, 1.0, 1.0 - 5e-10),
+        (16, 4, 0.1, 1.0 + 5e-10),
+        (16, 15, 0.5, 1.0 - 5e-10),
+        (64, 7, 0.3, 1.0),
+        (64, 63, 0.999, 1.0),
+        (256, 100, 0.05, 1.0 + 5e-10),
+    ],
+)
+def test_high_entropy_counterexample_spectrum_matches_a_solve(monkeypatch, d, n, eps, norm):
+    # eps / n can exceed 1 - eps, so the stored spectrum must be sorted; for a psi off unit
+    # norm within the pure-state tolerance, psi / |psi| must still be the eigenvector of 1 - eps
+    psi = PureState(norm * random_pure_state(d, seed=7 * d + n).vector)
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh", "svd")
+    rho = high_entropy_counterexample(psi, eps, n)
+    assert solves == {"eigh": [], "eigvalsh": [], "svd": []}
+    monkeypatch.undo()
+    assert np.all(np.diff(rho.eigenvalues) >= 0.0)
+    assert np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)).max() < 1e-12
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
+    unit = psi.vector / np.linalg.norm(psi.vector)
+    assert np.abs(rho.matrix @ unit - (1.0 - eps) * unit).max() < 1e-14
+    for array in (rho.matrix, rho.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_high_entropy_counterexample_matches_its_factor_form(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(8, 300))
+    n = int(rng.integers(1, d))
+    eps = float(rng.uniform())
+    psi = random_pure_state(d, seed=rng)
+    rho = high_entropy_counterexample(psi, eps, n)
+    assert np.abs(rho.matrix - counterexample_reference(psi, eps, n)).max() < 1e-14
+    assert rho.dims == (d,)
 
 
 def test_high_entropy_counterexample_entropy_grows_without_bound():
