@@ -37,9 +37,9 @@ class DensityMatrix:
 
     Construction validates the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
-    ``DensityMatrix(matrix)`` takes the eigenvalues from one solve of the d x d
-    matrix; states whose spectrum is known by construction are checked and
-    wrapped without a solve.
+    ``DensityMatrix(matrix)`` and :meth:`from_factor` take the eigenvalues from
+    one solve of the d x d matrix; states whose spectrum is known by
+    construction are checked and wrapped without a solve.
     """
 
     matrix: np.ndarray
@@ -52,6 +52,14 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dims = _check_dims(m.shape[0], self.dims)
         self._store(m, density_spectrum(m), dims)
+
+    @classmethod
+    def from_factor(cls, factor, dims=None) -> "DensityMatrix":
+        """The state F F^dag of a d x r factor F, checked and solved as the constructor does."""
+        f = np.asarray(factor, dtype=complex)
+        if f.ndim != 2:
+            raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
+        return cls(f @ f.conj().T, dims)
 
     @classmethod
     def _checked(cls, m, eigenvalues, dims) -> "DensityMatrix":

@@ -125,6 +125,62 @@ def test_maximally_mixed_keeps_the_solved_spectrum_without_a_solve(monkeypatch):
         maximally_mixed(0)
 
 
+def _unit_factor(rng, d, r):
+    f = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return f / np.linalg.norm(f)
+
+
+@pytest.mark.parametrize(
+    "d, r", [(6, 2), (6, 6), (6, 9), (1, 1), (5, 1), (16, 20), (16, 1), (1, 20), (11, 7)]
+)
+def test_from_factor_agrees_with_the_formed_matrix(d, r):
+    f = _unit_factor(np.random.default_rng(10 * d + r), d, r)
+    rho = DensityMatrix.from_factor(f)
+    ref = DensityMatrix(f @ f.conj().T)
+    assert np.array_equal(rho.matrix, ref.matrix)
+    assert rho.eigenvalues.shape == (d,)
+    assert np.all(np.diff(rho.eigenvalues) >= 0.0)
+    assert np.abs(rho.eigenvalues - ref.eigenvalues).max() < 1e-12
+    assert abs(rho.entropy() - ref.entropy()) < 1e-12
+    assert rho.dims == (d,)
+
+
+def test_from_factor_arrays_are_read_only():
+    f = _unit_factor(np.random.default_rng(2), 4, 2)
+    rho = DensityMatrix.from_factor(f)
+    for array in (rho.matrix, rho.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert f.flags.writeable
+
+
+def _message(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_from_factor_rejects_what_the_constructor_rejects():
+    f = _unit_factor(np.random.default_rng(3), 4, 2)
+    nan = f.copy()
+    nan[1, 0] = np.nan
+    inf = f.copy()
+    inf[2, 1] = np.inf
+    for factor, dims, match in [
+        (nan, None, "non-finite entry at row 0, column 1"),
+        (inf, None, "non-finite entry"),
+        (np.sqrt(2.0) * f, None, "density matrix trace 2"),
+        (f, (3,), "do not multiply to 4"),
+        (f, (2, 0, 2), "must be positive"),
+    ]:
+        message = _message(lambda: DensityMatrix.from_factor(factor, dims))
+        assert match in message
+        assert message == _message(lambda: DensityMatrix(factor @ factor.conj().T, dims))
+    with pytest.raises(ValueError, match="factor must be a matrix"):
+        DensityMatrix.from_factor(np.ones(4) / 2.0)
+
+
 def test_states_reject_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite entry at row 0, column 0"):
         DensityMatrix(np.full((2, 2), np.nan))
