@@ -1,7 +1,8 @@
 """Command-line front end emitting deterministic 9-decimal CSV.
 
-Exit codes: 0 on success, 1 on validation or usage errors, 2 when an
-invariant check reports violations.
+Each subcommand imports the qcap layer it runs when it is called, so a
+command loads only its own modules.  Exit codes: 0 on success, 1 on
+validation or usage errors, 2 when an invariant check reports violations.
 """
 from __future__ import annotations
 
@@ -11,30 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import erasure_channel
-from .continuity import (
-    check_fannes,
-    check_mixed_overlap_continuity,
-    check_mixing_bounds,
-    check_pure_overlap_continuity,
-)
-from .elimination import eliminate_encoders, random_demo_schemes
-from .erasure import (
-    capacity_curve,
-    coherent_info_from_decomposition,
-    erasure_decomposition,
-    maximize_coherent_info,
-    output_entropy_from_decomposition,
-)
-from .states import maximally_mixed, random_density, read_density_file
-
 MAX_BLOCK_SIZE = 10
 
+# each selector and the name of its suite in qcap.continuity
 LEMMA_CHECKS = {
-    "fannes": check_fannes,
-    "lemma1": check_pure_overlap_continuity,
-    "lemma2": check_mixed_overlap_continuity,
-    "mixing": check_mixing_bounds,
+    "fannes": "check_fannes",
+    "lemma1": "check_pure_overlap_continuity",
+    "lemma2": "check_mixed_overlap_continuity",
+    "mixing": "check_mixing_bounds",
 }
 
 
@@ -81,6 +66,8 @@ def _check_block_size(n: int) -> None:
 
 
 def _cmd_capacity_curve(args) -> int:
+    from .erasure import capacity_curve
+
     _check_block_size(args.n)
     points = capacity_curve(_grid(args.p_start, args.p_end, args.steps), args.n)
     lines = ["p,N,ic_per_use,capacity_bound"]
@@ -93,6 +80,8 @@ def _cmd_capacity_curve(args) -> int:
 
 
 def _resolve_state(args, dim: int):
+    from .states import maximally_mixed, random_density, read_density_file
+
     if args.state_file is not None:
         rho = read_density_file(args.state_file)
         if rho.dim != dim:
@@ -107,6 +96,12 @@ def _resolve_state(args, dim: int):
 
 
 def _cmd_coherent_info(args) -> int:
+    from .erasure import (
+        coherent_info_from_decomposition,
+        erasure_decomposition,
+        output_entropy_from_decomposition,
+    )
+
     _check_block_size(args.n)
     rho = _resolve_state(args, 2**args.n)
     decomp = erasure_decomposition(rho, args.p, args.n)
@@ -121,6 +116,9 @@ def _cmd_coherent_info(args) -> int:
 
 
 def _cmd_maximize(args) -> int:
+    from .channels import erasure_channel
+    from .erasure import maximize_coherent_info
+
     _check_block_size(args.n)
     _, best = maximize_coherent_info(
         erasure_channel(args.p), args.n, restarts=args.restarts, seed=args.seed
@@ -134,6 +132,8 @@ def _cmd_maximize(args) -> int:
 
 
 def _cmd_theorem_demo(args) -> int:
+    from .elimination import eliminate_encoders, random_demo_schemes
+
     lines = ["instance,eps_in,eps_out,entropy_gap,entropy_bound,marginal_gap,flagged"]
     violations = 0
     # schemes are drawn and eliminated one window at a time, never all held at once
@@ -155,7 +155,9 @@ def _cmd_theorem_demo(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    report = LEMMA_CHECKS[args.lemma](trials=args.trials, seed=args.seed)
+    from . import continuity
+
+    report = getattr(continuity, LEMMA_CHECKS[args.lemma])(trials=args.trials, seed=args.seed)
     lines = [
         "lemma,trials,violations,max_slack",
         f"{args.lemma},{report.trials},{report.violations},{_fmt(report.max_slack)}",

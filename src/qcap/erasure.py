@@ -9,13 +9,14 @@ per p weights, and the erasure-only input search lifts their -log2 into the grad
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel, erasure_channel
 from .linalg import _check_density, entropy_of_spectrum, partial_trace, von_neumann_entropy
-from .states import DensityMatrix
+from .states import DensityMatrix, _as_rng
 
 PAIR_TOL = 1e-9
 
@@ -81,19 +82,24 @@ class IplusBoundReport:
         return self.iplus <= self.aggregate_bound + PAIR_TOL
 
 
-def _require_block_size(block_size: int) -> int:
-    if block_size < 1:
-        raise ValueError(f"block size must be at least 1, got {block_size}")
-    return block_size
+def _require_block_size(block_size: int, limit: int | None = None) -> int:
+    """``block_size`` as a Python int; a non-integer, or one outside 1..limit, is refused."""
+    try:
+        n = operator.index(block_size)
+    except TypeError:
+        raise ValueError(f"block size must be an integer, got {block_size!r}") from None
+    if limit is not None and not 1 <= n <= limit:
+        raise ValueError(f"block size {n} is outside the searched 1..{limit}")
+    if n < 1:
+        raise ValueError(f"block size must be at least 1, got {n}")
+    return n
 
 
 def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
-    if rho.dim != 2 ** _require_block_size(block_size):
-        raise ValueError(
-            f"state dimension {rho.dim} does not match {block_size} qubits "
-            f"(expected {2 ** block_size})"
-        )
-    return block_size
+    n = _require_block_size(block_size)
+    if rho.dim != 2**n:
+        raise ValueError(f"state dimension {rho.dim} does not match {n} qubits (expected {2**n})")
+    return n
 
 
 def _require_probability(p: float, what: str = "erasure probability") -> float:
@@ -268,12 +274,13 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     table is |i| bits per mask, read without forming a state or solving.
     """
     grid = [_require_probability(float(p)) for p in p_values]
-    table = _kept(_require_block_size(block_size)).astype(float)
+    n = _require_block_size(block_size)
+    table = _kept(n).astype(float)
     table.flags.writeable = False
     points = []
     for p in grid:
         ic = coherent_info_from_decomposition(ErasureDecomposition(p, table))
-        points.append(CapacityPoint(p, block_size, ic / block_size, max(1.0 - 2.0 * p, 0.0)))
+        points.append(CapacityPoint(p, n, ic / n, max(1.0 - 2.0 * p, 0.0)))
     return points
 
 
@@ -336,27 +343,26 @@ def maximize_coherent_info(
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    if not 1 <= block_size <= SEARCH_BLOCK_LIMIT:
-        raise ValueError(f"block size {block_size} is outside the searched 1..{SEARCH_BLOCK_LIMIT}")
+    n = _require_block_size(block_size, SEARCH_BLOCK_LIMIT)
     ops = channel.kraus  # p read back from erasure_channel(p)'s stack, exact at 0, 1/2 and 1
     kept, erased = np.abs(ops[[0, 1], [0, 2], 0]) ** 2 if ops.shape == (3, 3, 2) else (0.0, 0.0)
     p = float(erased / (kept + erased)) if kept + erased > 0.0 else -1.0
     if not 0.0 <= p <= 1.0 or not np.allclose(ops, erasure_channel(p).kraus, rtol=0.0, atol=1e-12):
         raise ValueError(f"only erasure_channel(p) is searched; this {ops.shape} stack is not one")
-    w = _weights(block_size, p)
+    w = _weights(n, p)
     smooth = float(np.clip(w - w[::-1], 0.0, None).sum())  # L_n(p)
-    d = 2**block_size
-    rng = np.random.default_rng(seed)
+    d = 2**n
+    rng = _as_rng(seed)
     found = [(0.0, np.diag(np.eye(d, dtype=complex)[0]), np.eye(d)[-1])]  # the pure input |0...0>
     for _ in range(restarts):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = 0.5 * (g + g.conj().T)
         for _ in range(ASCENT_CAP):
-            value, grad, rho, spectrum = _coherent_info_gradient(h, p, block_size)
+            value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
             h = h + math.log(2.0) / smooth * grad  # L = 0 only at p = 1/2, where G = 0
         found.append((value, rho, spectrum))
     best_val, best_rho, best_spectrum = max(found, key=lambda item: item[0])
     _check_density(best_rho)
-    return DensityMatrix._checked(best_rho, best_spectrum, (d,)), best_val / block_size
+    return DensityMatrix._checked(best_rho, best_spectrum, (d,)), best_val / n

@@ -213,6 +213,9 @@ def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """The Generator ``seed``, or a new one seeded by it; a negative integer seed is refused."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 

@@ -229,12 +229,13 @@ def test_theorem_demo_reports_instances(capsys):
 
 
 def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
-    real = qcap.cli.eliminate_encoders
+    real = qcap.elimination.eliminate_encoders
 
     def tripled(pairs):
         return (dataclasses.replace(inst, eps_out=3 * inst.eps_out) for inst in real(pairs))
 
-    monkeypatch.setattr(qcap.cli, "eliminate_encoders", tripled)
+    # the command looks the function up in its layer when it runs
+    monkeypatch.setattr(qcap.elimination, "eliminate_encoders", tripled)
     code, _, _ = run_cli(capsys, ["theorem-demo", "--trials", "30"])
     assert code == 2
 
@@ -246,6 +247,22 @@ def test_theorem_demo_exits_2_on_a_flagged_instance(capsys, monkeypatch):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 6
     assert all(row.endswith(",true") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma-check", "lemma1"],
+        ["theorem-demo"],
+        ["maximize-ci", "--p", "0.25"],
+        ["coherent-info", "--p", "0.25", "--state", "random"],
+    ],
+    ids=["lemma-check", "theorem-demo", "maximize-ci", "coherent-info-random"],
+)
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "qcap: error: seed must be a non-negative integer, got -1\n"
 
 
 def test_lemma_check_runs_each_suite(capsys):
@@ -369,7 +386,11 @@ def test_negative_coherent_info_formats_with_sign(capsys):
 def test_numpy_is_the_only_dependency():
     src = str(Path(qcap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, qcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # every layer is loaded, since each subcommand imports its own only when it runs
+    probe = (
+        "import sys, qcap.cli; from qcap import *; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -146,6 +146,30 @@ def test_capacity_curve_refuses_an_empty_block(n):
         capacity_curve([0.2], n)
 
 
+BLOCK_SIZE_CALLS = {
+    "capacity_curve": lambda n: capacity_curve([0.1], n),
+    "subset_entropies": lambda n: subset_entropies(maximally_mixed(4, (2, 2)), n),
+    "erasure_decomposition": lambda n: erasure_decomposition(maximally_mixed(4, (2, 2)), 0.1, n),
+    "maximize_coherent_info": lambda n: maximize_coherent_info(erasure_channel(0.2), n, 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BLOCK_SIZE_CALLS))
+@pytest.mark.parametrize("n", [1.5, 2.0])
+def test_non_integer_block_size_is_refused_by_name(call, n):
+    with pytest.raises(ValueError, match=rf"^block size must be an integer, got {n}$"):
+        BLOCK_SIZE_CALLS[call](n)
+
+
+def test_numpy_integer_block_size_is_kept_as_int():
+    (point,) = capacity_curve([0.1], np.int64(2))
+    assert type(point.block_size) is int and type(point.ic_per_use) is float
+    assert point == capacity_curve([0.1], 2)[0]
+    assert erasure_decomposition(maximally_mixed(4, (2, 2)), 0.1, np.int64(2)).block_size == 2
+    a = maximize_coherent_info(erasure_channel(0.2), np.int64(2), 1, 0)[1]
+    assert a == maximize_coherent_info(erasure_channel(0.2), 2, 1, 0)[1]
+
+
 @pytest.mark.parametrize("p", [1.3, float("nan")])
 def test_probability_checked_before_any_table(monkeypatch, p):
     def refuse(*args):

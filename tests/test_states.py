@@ -71,6 +71,15 @@ def test_density_matrix_factors_and_entropy():
         rho.reduced([2])
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+def test_negative_seed_is_refused_by_name(seed):
+    draws = [lambda: random_density(2, 2, seed), lambda: random_pure_state(2, seed),
+             lambda: random_unitary(2, seed)]
+    for draw in draws:
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+            draw()
+
+
 def test_reduced_keeps_original_factor_order():
     rng = np.random.default_rng(2)
     r1 = random_density(2, rank=2, seed=rng)
