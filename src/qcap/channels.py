@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _MemberError, _first_failure
+from .linalg import _MemberError, _first_failure, _require_block_size, _require_probability
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -117,9 +117,7 @@ def erasure_channel(p: float) -> KrausChannel:
     Kraus operators: sqrt(1-p) (|0><0| + |1><1|), sqrt(p) |2><0|,
     sqrt(p) |2><1|.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p!r} outside [0, 1]")
-    return KrausChannel(_erasure_kraus(p))
+    return KrausChannel(_erasure_kraus(_require_probability(p)))
 
 
 def _erasure_kraus(p) -> np.ndarray:
@@ -193,8 +191,7 @@ def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
 
 def _tensor_power(ops: np.ndarray, n: int) -> np.ndarray:
     """Kraus products of :func:`tensor_power`, unchecked; leading axes index a stack."""
-    if n < 1:
-        raise ValueError(f"tensor power needs n >= 1, got {n}")
+    n = _require_block_size(n)
     count = ops.shape[-3] ** n
     if count > KRAUS_LIMIT:
         raise ValueError(
@@ -259,7 +256,7 @@ def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) ->
 
 @dataclass(frozen=True, eq=False)
 class CodingScheme:
-    """Source state, encoder, decoder, and the number of channel uses."""
+    """Source state, encoder, decoder, and the number of channel uses, kept as a Python int."""
 
     source: DensityMatrix
     encoder: KrausChannel
@@ -267,8 +264,7 @@ class CodingScheme:
     block_size: int
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block size must be at least 1, got {self.block_size}")
+        object.__setattr__(self, "block_size", _require_block_size(self.block_size))
         if self.encoder.in_dim != self.source.dim:
             raise ValueError(
                 f"encoder input dimension {self.encoder.in_dim} does not match "

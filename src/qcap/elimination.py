@@ -20,10 +20,10 @@ instance, flagged or not.
 :func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and work
 one window of ``_WINDOW`` schemes at a time, so a stream of any length holds
 one window.  The first groups each window by shape (source, encoder, decoder
-and channel stacks, and block size) and runs each group in chunks of at most
-``_CHUNK`` instances.  Every step, every validation included, is one call on
-the chunk, so the number of solves per chunk does not depend on its size.  A
-failed check names the instance by its position in the input.  The second
+and channel stacks, and block size) and runs each group as one stack.  Every
+step, every validation included, is one call on the stack, so the number of
+solves per group does not depend on its size.  A failed check names the
+instance by its position in the input.  The second
 takes a window's raw generator draws in stream order, scheme by scheme, then
 builds and checks the schemes on one stack per family and dimension, the
 rotation family's drift-shrinking loop included, so the number of solves per
@@ -75,8 +75,7 @@ FIDELITY_WINDOW = 1.0 / 72.0
 FIDELITY_SLACK = 1e-7
 BRANCH_CUTOFF = 1e-12
 MARGINAL_GAP_TOL = 1e-8
-_CHUNK = 32
-_WINDOW = 8 * _CHUNK
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,9 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
 def eliminate_encoders(pairs) -> Iterator[EliminationInstance]:
     """:func:`eliminate_encoder` of each (scheme, channel) pair, yielded in input order.
 
-    Reads ``_WINDOW`` pairs at a time and runs same-shape pairs in chunks of at
-    most ``_CHUNK``.  An error names the first failing instance by its input
-    position; a check on shapes alone names the first instance of its chunk.
+    Reads ``_WINDOW`` pairs at a time and runs the same-shape pairs of a window
+    as one stack.  An error names the first failing instance by its input
+    position; a check on shapes alone names the first instance of its stack.
     """
     stream = iter(pairs)
     start = 0
@@ -145,17 +144,15 @@ def eliminate_encoders(pairs) -> Iterator[EliminationInstance]:
             groups.setdefault(key, []).append(i)
         results: list[EliminationInstance] = [None] * len(window)
         for members in groups.values():
-            for first in range(0, len(members), _CHUNK):
-                chunk = members[first : first + _CHUNK]
-                try:
-                    done = _eliminate_stack([window[i] for i in chunk])
-                except _MemberError as exc:
-                    where = start + chunk[exc.where[0]]
-                    raise ValueError(f"{exc.reason} at instance {where}") from None
-                except ValueError as exc:
-                    raise ValueError(f"{exc} at instance {start + chunk[0]}") from None
-                for i, instance in zip(chunk, done):
-                    results[i] = instance
+            try:
+                done = _eliminate_stack([window[i] for i in members])
+            except _MemberError as exc:
+                where = start + members[exc.where[0]]
+                raise ValueError(f"{exc.reason} at instance {where}") from None
+            except ValueError as exc:
+                raise ValueError(f"{exc} at instance {start + members[0]}") from None
+            for i, instance in zip(members, done):
+                results[i] = instance
         yield from results
         start += len(window)
 

@@ -9,13 +9,15 @@ per p weights, and the erasure-only input search lifts their -log2 into the grad
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, erasure_channel
-from .linalg import _check_density, entropy_of_spectrum, partial_trace, von_neumann_entropy
+from .channels import KrausChannel, _read_only, erasure_channel
+from .linalg import (
+    _check_density, _require_block_size, _require_int, _require_probability, entropy_of_spectrum,
+    partial_trace, von_neumann_entropy,
+)
 from .states import DensityMatrix, _as_rng
 
 PAIR_TOL = 1e-9
@@ -26,16 +28,17 @@ class ErasureDecomposition:
     """One erasure probability p and the (shared, read-only) table of :func:`subset_entropies`.
 
     The table has one entry per retained mask, so ``block_size`` is read from
-    its length 2^n.  A p outside [0, 1], a table that is not 1-D of length 2^n
-    with n >= 1, and a non-finite or negative entropy are refused.
+    its length 2^n.  A p not in [0, 1], a table that is not 1-D of length 2^n
+    with n >= 1, and a non-finite or negative entropy are refused.  The fields
+    keep what was checked: p as a float and the table as a read-only float array.
     """
 
     p: float
     subset_entropies: np.ndarray
 
     def __post_init__(self):
-        _require_probability(self.p)
-        table = np.asarray(self.subset_entropies)
+        object.__setattr__(self, "p", _require_probability(self.p))
+        table = np.asarray(self.subset_entropies, dtype=float)
         if table.ndim != 1:
             raise ValueError(f"retained-set table has shape {table.shape}, expected one dimension")
         size = len(table)
@@ -46,6 +49,7 @@ class ErasureDecomposition:
             raise ValueError(
                 f"retained-set mask {bad[0]} holds {float(table[bad[0]])}, not a finite entropy >= 0"
             )
+        object.__setattr__(self, "subset_entropies", _read_only(table))
 
     @property
     def block_size(self) -> int:
@@ -82,32 +86,6 @@ class IplusBoundReport:
         return self.iplus <= self.aggregate_bound + PAIR_TOL
 
 
-def _require_block_size(block_size: int, limit: int | None = None) -> int:
-    """``block_size`` as a Python int; a non-integer, or one outside 1..limit, is refused."""
-    try:
-        n = operator.index(block_size)
-    except TypeError:
-        raise ValueError(f"block size must be an integer, got {block_size!r}") from None
-    if limit is not None and not 1 <= n <= limit:
-        raise ValueError(f"block size {n} is outside the searched 1..{limit}")
-    if n < 1:
-        raise ValueError(f"block size must be at least 1, got {n}")
-    return n
-
-
-def _require_qubits(rho: DensityMatrix, block_size: int) -> int:
-    n = _require_block_size(block_size)
-    if rho.dim != 2**n:
-        raise ValueError(f"state dimension {rho.dim} does not match {n} qubits (expected {2**n})")
-    return n
-
-
-def _require_probability(p: float, what: str = "erasure probability") -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{what} {p!r} outside [0, 1]")
-    return float(p)
-
-
 def _marginals(matrix: np.ndarray, qubits: list[int], below: int | None = None):
     """Yield (mask, marginal) for each proper subset of ``qubits``, the factors of ``matrix``.
 
@@ -124,7 +102,9 @@ def _marginals(matrix: np.ndarray, qubits: list[int], below: int | None = None):
 
 def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
     """Read-only table of every retained-set marginal entropy in bits, indexed by mask."""
-    n = _require_qubits(rho, block_size)
+    n = _require_block_size(block_size)
+    if rho.dim != 2**n:
+        raise ValueError(f"state dimension {rho.dim} does not match {n} qubits (expected {2**n})")
     table = np.empty(1 << n)
     table[-1] = rho.entropy()  # the full mask: the state's stored spectrum
     for mask, sub in _marginals(rho.matrix, list(range(n))):
@@ -227,6 +207,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
 
 def binomial_mean(n: int, p: float) -> float:
     """Mean of Binomial(n, p); tests compare against the explicit sum."""
+    n = _require_int(n, "n")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     _require_probability(p, "probability")

@@ -1,12 +1,14 @@
 """Dense linear algebra helpers shared by the whole package.
 
 All entropies are in bits (logarithms base 2).  Matrices are plain numpy
-arrays; the typed wrappers live in :mod:`qcap.states`.
+arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
+this module, so it owns the integer, block-size and probability input rules.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -16,6 +18,31 @@ TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
 _TILE = 256
 _LOG2 = math.log(2.0)
+
+
+def _require_int(value, what: str) -> int:
+    """``value`` as a Python int; a non-integer, 2.0 included, is refused with its name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _require_block_size(block_size: int, limit: int | None = None) -> int:
+    """``block_size`` as a Python int; a non-integer, or one outside 1..limit, is refused."""
+    n = _require_int(block_size, "block size")
+    if limit is not None and not 1 <= n <= limit:
+        raise ValueError(f"block size {n} is outside the searched 1..{limit}")
+    if n < 1:
+        raise ValueError(f"block size must be at least 1, got {n}")
+    return n
+
+
+def _require_probability(p: float, what: str = "erasure probability") -> float:
+    """``p`` as a float; one outside [0, 1], NaN included, is refused by ``what``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{what} {p!r} outside [0, 1]")
+    return float(p)
 
 
 def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
@@ -55,8 +82,8 @@ def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) 
     returns the 1x1 matrix holding the trace.  Leading axes of ``matrix``
     index a stack of matrices, each reduced alike.
     """
-    dims = tuple(int(d) for d in dims)
-    keep = sorted({int(k) for k in keep})
+    dims = tuple(_require_int(d, "factor dimension") for d in dims)
+    keep = sorted({_require_int(k, "factor index") for k in keep})
     m = np.asarray(matrix, dtype=complex)
     total = math.prod(dims)
     if m.shape[-2:] != (total, total):
@@ -175,8 +202,7 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
 
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2(1-x) on [0, 1], 0 at the endpoints."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
+    x = _require_probability(x, "binary entropy argument")
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))

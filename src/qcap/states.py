@@ -15,6 +15,8 @@ from .linalg import (
     _first_failure,
     _MemberError,
     _floored,
+    _require_int,
+    _require_probability,
     density_spectrum,
     entropy_of_spectrum,
     partial_trace,
@@ -23,7 +25,7 @@ from .linalg import (
 
 
 def _check_dims(total: int, dims) -> tuple[int, ...]:
-    dims = (total,) if dims is None else tuple(int(d) for d in dims)
+    dims = (total,) if dims is None else tuple(_require_int(d, "factor dimension") for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
@@ -280,8 +282,7 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     Householder reflection H and a diagonal D, formed as a rank-two update
     of D in O(d^2); its spectrum is D's diagonal, sorted, so nothing is solved.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"mixing weight {eps!r} outside [0, 1]")
+    eps = _require_probability(eps, "mixing weight")
     if n < 1:
         raise ValueError(f"need at least one orthogonal direction, got {n}")
     d = psi.dim

@@ -190,7 +190,7 @@ def test_tensor_power_stack_order_matches_explicit_kron(n):
 def test_tensor_power_trivial_and_guard():
     chan = erasure_channel(0.2)
     assert tensor_power(chan, 1) is chan
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match="^block size must be at least 1, got 0$"):
         tensor_power(chan, 0)
     with pytest.raises(ValueError, match="limit"):
         tensor_power(chan, 7)

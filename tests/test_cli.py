@@ -145,6 +145,25 @@ def test_coherent_info_state_file_with_nan_exits_1(capsys, tmp_path):
     assert err == "qcap: error: density matrix has a non-finite entry at row 0, column 0\n"
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("dims a b", "unreadable dims line 'dims a b'"),
+        ("dims 2.5", "unreadable dims line 'dims 2.5'"),
+        ("dims", "dims line lists no factor dimensions"),
+    ],
+    ids=["letters", "float", "bare"],
+)
+def test_coherent_info_state_file_with_a_bad_dims_line_exits_1(capsys, tmp_path, header, message):
+    path = tmp_path / "state.txt"
+    path.write_text(f"{header}\n0.5 0 0 0\n0 0 0.5 0\n")
+    code, out, err = run_cli(
+        capsys, ["coherent-info", "--p", "0.25", "--n", "1", "--state-file", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"qcap: error: {message}\n"
+
+
 def test_coherent_info_missing_state_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -238,6 +257,24 @@ def test_theorem_demo_exits_2_on_a_wrong_eps_out(capsys, monkeypatch):
     monkeypatch.setattr(qcap.elimination, "eliminate_encoders", tripled)
     code, _, _ = run_cli(capsys, ["theorem-demo", "--trials", "30"])
     assert code == 2
+
+
+def test_theorem_demo_exits_2_on_an_entropy_gap_above_its_bound(capsys, monkeypatch):
+    real = qcap.elimination.eliminate_encoders
+
+    def widened(pairs):
+        for index, inst in enumerate(real(pairs)):
+            if index == 4:
+                inst = dataclasses.replace(inst, entropy_gap=inst.entropy_bound + 1.0)
+                assert inst.fidelity_ok and not inst.flagged and not inst.entropy_ok
+            yield inst
+
+    monkeypatch.setattr(qcap.elimination, "eliminate_encoders", widened)
+    code, out, _ = run_cli(capsys, ["theorem-demo", "--trials", "6"])
+    assert code == 2
+    rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+    assert len(rows) == 6
+    assert [float(row[3]) > float(row[4]) for row in rows] == [False] * 4 + [True, False]
 
 
 def test_theorem_demo_exits_2_on_a_flagged_instance(capsys, monkeypatch):

@@ -485,11 +485,11 @@ def test_rho_prime_feeds_channel_directly():
     assert abs((1.0 - direct.value) - instance.eps_out) < 1e-12
 
 
-@pytest.mark.parametrize("chunk", [elimination._CHUNK, 7])
+@pytest.mark.parametrize("window", [elimination._WINDOW, 7])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, chunk):
-    # 60 schemes fall into five shape groups; a chunk of 7 splits each group
-    monkeypatch.setattr(elimination, "_CHUNK", chunk)
+def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, window):
+    # 60 schemes fall into five shape groups; a window of 7 splits each group
+    monkeypatch.setattr(elimination, "_WINDOW", window)
     pairs = list(random_demo_schemes(60, seed))
     batch = list(eliminate_encoders(pairs))
     assert len(batch) == len(pairs)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from qcap import erasure
-from qcap.channels import apply_channel, compose, erasure_channel, tensor_power, unitary_channel
+from qcap.channels import (
+    CodingScheme,
+    apply_channel,
+    compose,
+    erasure_channel,
+    identity_channel,
+    tensor_power,
+    unitary_channel,
+)
 from qcap.erasure import (
     PAIR_TOL,
     ErasureDecomposition,
@@ -151,6 +159,10 @@ BLOCK_SIZE_CALLS = {
     "subset_entropies": lambda n: subset_entropies(maximally_mixed(4, (2, 2)), n),
     "erasure_decomposition": lambda n: erasure_decomposition(maximally_mixed(4, (2, 2)), 0.1, n),
     "maximize_coherent_info": lambda n: maximize_coherent_info(erasure_channel(0.2), n, 1, 0),
+    "tensor_power": lambda n: tensor_power(erasure_channel(0.1), n),
+    "CodingScheme": lambda n: CodingScheme(
+        maximally_mixed(2), identity_channel(2), identity_channel(2), n
+    ),
 }
 
 
@@ -166,6 +178,8 @@ def test_numpy_integer_block_size_is_kept_as_int():
     assert type(point.block_size) is int and type(point.ic_per_use) is float
     assert point == capacity_curve([0.1], 2)[0]
     assert erasure_decomposition(maximally_mixed(4, (2, 2)), 0.1, np.int64(2)).block_size == 2
+    scheme = CodingScheme(maximally_mixed(2), identity_channel(2), identity_channel(2), np.int64(1))
+    assert type(scheme.block_size) is int
     a = maximize_coherent_info(erasure_channel(0.2), np.int64(2), 1, 0)[1]
     assert a == maximize_coherent_info(erasure_channel(0.2), 2, 1, 0)[1]
 
@@ -208,6 +222,24 @@ def test_decomposition_refuses_table_of_non_power_of_two_length(size):
 def test_decomposition_refuses_table_that_is_not_entropies(table, message):
     with pytest.raises(ValueError, match=message):
         ErasureDecomposition(0.25, table)
+
+
+def test_decomposition_keeps_the_checked_table():
+    listed = ErasureDecomposition(0.2, [0.0, 1.0, 1.0, 2.0])
+    assert listed.subset_entropies.dtype == float
+    assert not listed.subset_entropies.flags.writeable
+    flat = maximally_mixed(4, (2, 2))
+    assert coherent_info_from_decomposition(listed) == coherent_info_from_decomposition(
+        erasure_decomposition(flat, 0.2, 2)
+    )
+    table = np.array([0.0, 1.0, 1.0, 2.0])
+    decomp = ErasureDecomposition(np.float64(0.2), table)
+    assert type(decomp.p) is float
+    with pytest.raises(ValueError, match="read-only"):
+        decomp.subset_entropies[0] = 5.0
+    # a view, not a copy: the caller's array is shared and stays writeable
+    assert np.shares_memory(decomp.subset_entropies, table)
+    table[0] = 0.0
 
 
 def test_decomposition_reads_block_size_from_table():
@@ -398,6 +430,20 @@ def test_verify_iplus_bound_on_optimized_states(n, p):
     assert report.aggregate_ok
 
 
+@pytest.mark.parametrize("table", [np.array([0.0, 0.0, 0.0, 3.0]), [0, 0, 0, 3]],
+                         ids=["array", "list"])
+def test_verify_iplus_bound_counts_a_planted_pair_violation(table):
+    # S(full) = 3 exceeds S(nothing) = 0 by more than the cap n - 2k = 2 of the
+    # full mask with nothing erased: the pair (3, 0) breaks subadditivity by 1
+    report = verify_iplus_bound(ErasureDecomposition(0.2, table))
+    assert report.pair_violations == 1
+    assert report.max_pair_slack == 1.0
+    assert report.witness == (3, 0)
+    # the full mask's empty subset, and each one-qubit mask's one singleton
+    assert report.pairs_checked == 3
+    assert not report.aggregate_ok
+
+
 def test_aggregate_ok_follows_iplus():
     flat = maximally_mixed(8, (2, 2, 2))
     report = verify_iplus_bound(erasure_decomposition(flat, 0.3, 3))
@@ -416,6 +462,9 @@ def test_binomial_mean_matches_explicit_sum():
         assert abs(binomial_mean(n, p) - explicit) < 1e-12
     with pytest.raises(ValueError, match="n >= 0"):
         binomial_mean(-1, 0.5)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 10.5$"):
+        binomial_mean(10.5, 0.1)
+    assert binomial_mean(np.int64(10), 0.1) == 10 * 0.1
     with pytest.raises(ValueError, match="outside"):
         binomial_mean(3, 1.5)
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,31 @@ def test_partial_trace_preserves_trace_and_handles_empty_keep():
 def test_partial_trace_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(6) / 6.0, (2, 2), [0])
+
+
+def test_partial_trace_refuses_non_integer_dimensions_and_indices():
+    flat = np.eye(4) / 4.0
+    with pytest.raises(ValueError, match=r"^factor dimension must be an integer, got 2.9$"):
+        partial_trace(flat, (2.9, 2), [0])
+    for keep, bad in (([0.5], "0.5"), ([1, 0.0], "0.0")):
+        with pytest.raises(ValueError, match=rf"^factor index must be an integer, got {bad}$"):
+            partial_trace(flat, (2, 2), keep)
+    # numpy integers are integers
+    red = partial_trace(flat, (np.int64(2), 2), [np.int64(0)])
+    assert np.array_equal(red, np.eye(2) / 2.0)
+
+
+def test_input_rules_have_one_owner():
+    # the integer and probability rules live in linalg alone, and elimination
+    # stacks each shape group of a window once, with no second batch size
+    src = Path(__file__).resolve().parents[1] / "src" / "qcap"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name != "linalg.py":
+            assert "outside [0, 1]" not in text, path.name
+            assert "operator.index" not in text, path.name
+        if path.name == "elimination.py":
+            assert "_CHUNK" not in text
 
 
 def test_trace_norm_basics():

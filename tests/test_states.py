@@ -105,6 +105,24 @@ def test_density_matrix_arrays_are_read_only_views():
     m[1, 1] = 0.5
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0)])
+def test_non_integer_factor_dimension_is_refused_by_name(dims):
+    bad = next(d for d in dims if isinstance(d, float))
+    message = rf"^factor dimension must be an integer, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(np.eye(4) / 4, dims=dims)
+    with pytest.raises(ValueError, match=message):
+        PureState(np.full(4, 0.5), dims)
+    with pytest.raises(ValueError, match=message):
+        maximally_mixed(4, dims)
+
+
+def test_numpy_integer_factor_dimensions_are_kept_as_int():
+    rho = DensityMatrix(np.eye(4) / 4, dims=(np.int64(2), np.int32(2)))
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+    assert rho.reduced([np.int64(1)]).dims == (2,)
+
+
 def test_flattened_sets_one_factor_without_solving(monkeypatch):
     pair = DensityMatrix(random_density(4, rank=3, seed=8).matrix, (2, 2))
     solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
@@ -507,6 +525,22 @@ def test_read_density_file_rejects_malformed_input(tmp_path):
     unphysical.write_text("dims 2\n1 0 0 0 0 0 1 0\n")
     with pytest.raises(ValueError, match="trace"):
         read_density_file(str(unphysical))
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("dims a b", r"^unreadable dims line 'dims a b'$"),
+        ("dims 2.5", r"^unreadable dims line 'dims 2.5'$"),
+        ("dims", r"^dims line lists no factor dimensions$"),
+    ],
+    ids=["letters", "float", "bare"],
+)
+def test_read_density_file_refuses_a_bad_dims_line(tmp_path, header, message):
+    path = tmp_path / "state.txt"
+    path.write_text(f"{header}\n0.5 0 0 0\n0 0 0.5 0\n")
+    with pytest.raises(ValueError, match=message):
+        read_density_file(str(path))
 
 
 def test_trace_norm_zero_for_equal_marginals_sanity():
