@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _MemberError, _first_failure, _require_block_size, _require_probability
+from .linalg import _MemberError, _first_failure, _require_int, _require_probability
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -102,7 +102,7 @@ def _check_kraus(ops: np.ndarray) -> None:
 
 
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel(np.eye(dim, dtype=complex)[None])
+    return KrausChannel(np.eye(_require_int(dim, "dim", 1), dtype=complex)[None])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -191,7 +191,7 @@ def tensor_power(channel: KrausChannel, n: int) -> KrausChannel:
 
 def _tensor_power(ops: np.ndarray, n: int) -> np.ndarray:
     """Kraus products of :func:`tensor_power`, unchecked; leading axes index a stack."""
-    n = _require_block_size(n)
+    n = _require_int(n, "block size", 1)
     count = ops.shape[-3] ** n
     if count > KRAUS_LIMIT:
         raise ValueError(
@@ -264,7 +264,7 @@ class CodingScheme:
     block_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "block_size", _require_block_size(self.block_size))
+        object.__setattr__(self, "block_size", _require_int(self.block_size, "block size", 1))
         if self.encoder.in_dim != self.source.dim:
             raise ValueError(
                 f"encoder input dimension {self.encoder.in_dim} does not match "

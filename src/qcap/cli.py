@@ -1,8 +1,12 @@
 """Command-line front end emitting deterministic 9-decimal CSV.
 
 Each subcommand imports the qcap layer it runs when it is called, so a
-command loads only its own modules.  Exit codes: 0 on success, 1 on
-validation or usage errors, 2 when an invariant check reports violations.
+command loads only its own modules.  Every input rule is :mod:`qcap.linalg`'s.
+The CLI applies those rules only to what no library call sees: ``--steps``,
+the grid endpoints, and ``--n`` against ``MAX_BLOCK_SIZE``.  Every other
+refusal is the library's own message, printed as ``qcap: error: ...``.
+Exit codes: 0 on success, 1 on validation or usage errors, 2 when an
+invariant check reports violations.
 """
 from __future__ import annotations
 
@@ -12,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-MAX_BLOCK_SIZE = 10
+from .linalg import _require_int, _require_probability
+
+MAX_BLOCK_SIZE = 10  # the largest --n whose 2^n x 2^n input fits in memory
 
 # each selector and the name of its suite in qcap.continuity
 LEMMA_CHECKS = {
@@ -46,29 +52,18 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _grid(p_start: float, p_end: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise ValueError(f"need at least one grid point, got steps={steps}")
-    if not 0.0 <= p_start <= 1.0 or not 0.0 <= p_end <= 1.0:
-        raise ValueError(
-            f"grid endpoints ({p_start!r}, {p_end!r}) must lie in [0, 1]"
-        )
+    _require_int(steps, "--steps", 1)
+    _require_probability(p_start, "--p-start")
+    _require_probability(p_end, "--p-end")
     if p_end < p_start:
         raise ValueError(f"grid end {p_end!r} precedes start {p_start!r}")
     return np.linspace(p_start, p_end, steps).tolist()
 
 
-def _check_block_size(n: int) -> None:
-    """Refuse block sizes whose 2^n x 2^n input would not fit in memory."""
-    if not 1 <= n <= MAX_BLOCK_SIZE:
-        raise ValueError(
-            f"--n {n} is outside the supported block sizes 1..{MAX_BLOCK_SIZE}"
-        )
-
-
 def _cmd_capacity_curve(args) -> int:
     from .erasure import capacity_curve
 
-    _check_block_size(args.n)
+    _require_int(args.n, "--n", 1, MAX_BLOCK_SIZE)
     points = capacity_curve(_grid(args.p_start, args.p_end, args.steps), args.n)
     lines = ["p,N,ic_per_use,capacity_bound"]
     lines += [
@@ -83,13 +78,7 @@ def _resolve_state(args, dim: int):
     from .states import maximally_mixed, random_density, read_density_file
 
     if args.state_file is not None:
-        rho = read_density_file(args.state_file)
-        if rho.dim != dim:
-            raise ValueError(
-                f"state file holds dimension {rho.dim}, but {args.n} channel "
-                f"uses need dimension {dim}"
-            )
-        return rho
+        return read_density_file(args.state_file)
     if args.state == "random":
         return random_density(dim, rank=dim, seed=args.seed)
     return maximally_mixed(dim)
@@ -102,7 +91,7 @@ def _cmd_coherent_info(args) -> int:
         output_entropy_from_decomposition,
     )
 
-    _check_block_size(args.n)
+    _require_int(args.n, "--n", 1, MAX_BLOCK_SIZE)
     rho = _resolve_state(args, 2**args.n)
     decomp = erasure_decomposition(rho, args.p, args.n)
     s_out = output_entropy_from_decomposition(decomp)
@@ -119,7 +108,7 @@ def _cmd_maximize(args) -> int:
     from .channels import erasure_channel
     from .erasure import maximize_coherent_info
 
-    _check_block_size(args.n)
+    _require_int(args.n, "--n", 1, MAX_BLOCK_SIZE)
     _, best = maximize_coherent_info(
         erasure_channel(args.p), args.n, restarts=args.restarts, seed=args.seed
     )

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _require_int,
     density_spectrum,
     entropy_of_spectrum,
     partial_trace,
@@ -81,13 +82,6 @@ def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
     return TrialReport(trials, violations, max_slack, eps_max, dim, worst)
 
 
-def _check_sizes(trials: int, dim: int, what: str) -> None:
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if dim < 2:
-        raise ValueError(f"need {what} >= 2, got {dim}")
-
-
 def _gram_factor(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """The draw of ``random_density(dim, rank, rng)``, padded so that trials of any rank stack.
 
@@ -128,7 +122,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     The mixing weight is halved until t < 1/3.  epsilon_max records the
     largest trace distance tested.
     """
-    _check_sizes(trials, dim, "dimension")
+    trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "dimension", 2)
     log_dim = math.log2(dim)
 
     def draw(rng):
@@ -166,7 +160,7 @@ def check_pure_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) ->
     with eps drawn uniformly below ``PURE_EPS_CAP`` = 1/36.  Each
     marginal entropy difference must stay below 2 sqrt(eps) log2(dim) + 1.
     """
-    _check_sizes(trials, dim, "local dimension")
+    trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "local dimension", 2)
     total_dim = dim * dim
 
     def draw(rng):
@@ -197,7 +191,7 @@ def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -
     |S(rho_left) - S(rho_right)| <= 2 b log2(dim) + 4, and as a side
     condition that the top eigenvalue of rho is at least 1 - eps.
     """
-    _check_sizes(trials, dim, "local dimension")
+    trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "local dimension", 2)
     total_dim = dim * dim
     log_dim = math.log2(dim)
 
@@ -236,7 +230,7 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
     ``_MAX_PARTS`` with zero weights and zero matrices, which add
     exact zeros to every sum.
     """
-    _check_sizes(trials, dim, "dimension")
+    trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "dimension", 2)
 
     def draw(rng):
         count = int(rng.integers(2, _MAX_PARTS + 1))

@@ -54,6 +54,7 @@ from .linalg import (
     _MemberError,
     _check_density,
     _first_failure,
+    _require_int,
     density_spectrum,
     entropy_of_spectrum,
     partial_trace,
@@ -412,8 +413,7 @@ def random_demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausC
     schemes on per-family, per-dimension stacks; the arrays are those of
     drawing and building each scheme alone.
     """
-    if count < 1:
-        raise ValueError(f"need at least one scheme, got {count}")
+    count = _require_int(count, "count", 1)
     rng = _as_rng(seed)
     starts = range(0, count, _WINDOW)
     windows = (_demo_window(rng, first, min(_WINDOW, count - first)) for first in starts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import KrausChannel, _read_only, erasure_channel
 from .linalg import (
-    _check_density, _require_block_size, _require_int, _require_probability, entropy_of_spectrum,
+    _check_density, _require_int, _require_probability, entropy_of_spectrum,
     partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
@@ -56,7 +56,9 @@ class ErasureDecomposition:
         return len(self.subset_entropies).bit_length() - 1
 
     def entropy(self, mask: int) -> float:
-        return float(self.subset_entropies[mask])
+        """Entropy of the marginal on retained mask ``mask``, one of 0..2^n - 1."""
+        table = self.subset_entropies
+        return float(table[_require_int(mask, "mask", 0, len(table) - 1)])
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def _marginals(matrix: np.ndarray, qubits: list[int], below: int | None = None):
 
 def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
     """Read-only table of every retained-set marginal entropy in bits, indexed by mask."""
-    n = _require_block_size(block_size)
+    n = _require_int(block_size, "block size", 1)
     if rho.dim != 2**n:
         raise ValueError(f"state dimension {rho.dim} does not match {n} qubits (expected {2**n})")
     table = np.empty(1 << n)
@@ -176,6 +178,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
     sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
     """
     n = decomp.block_size
+    entropies = decomp.subset_entropies.tolist()  # masks made here need no range check
     erased = n - _kept(n)
     low = erased <= n // 2
     pairs = 0
@@ -186,7 +189,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
         k = int(erased[mask])
         cap = float(n - 2 * k)
         for inner in _submasks_of_size(mask, k):
-            slack = decomp.entropy(mask) - decomp.entropy(inner) - cap
+            slack = entropies[mask] - entropies[inner] - cap
             pairs += 1
             if slack > max_slack:
                 max_slack = slack
@@ -207,9 +210,7 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
 
 def binomial_mean(n: int, p: float) -> float:
     """Mean of Binomial(n, p); tests compare against the explicit sum."""
-    n = _require_int(n, "n")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = _require_int(n, "n", 0)
     _require_probability(p, "probability")
     return n * p
 
@@ -224,8 +225,7 @@ def half_sum_fraction(n: int, p: float) -> float:
     p >= 1/2 the terms rise up to k = n//2, so the sum runs from there down
     and stops the same way.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _require_int(n, "n", 1)
     _require_probability(p, "probability")
     if p in (0.0, 1.0):
         return 0.0  # only k = 0 or k = n > n//2 has weight
@@ -255,7 +255,7 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     table is |i| bits per mask, read without forming a state or solving.
     """
     grid = [_require_probability(float(p)) for p in p_values]
-    n = _require_block_size(block_size)
+    n = _require_int(block_size, "block size", 1)
     table = _kept(n).astype(float)
     table.flags.writeable = False
     points = []
@@ -322,9 +322,8 @@ def maximize_coherent_info(
     (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0.  The best
     state keeps the spectrum its last evaluation formed, so it is checked but not solved again.
     """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    n = _require_block_size(block_size, SEARCH_BLOCK_LIMIT)
+    restarts = _require_int(restarts, "restarts", 1)
+    n = _require_int(block_size, "block size", 1, SEARCH_BLOCK_LIMIT)
     ops = channel.kraus  # p read back from erasure_channel(p)'s stack, exact at 0, 1/2 and 1
     kept, erased = np.abs(ops[[0, 1], [0, 2], 0]) ** 2 if ops.shape == (3, 3, 2) else (0.0, 0.0)
     p = float(erased / (kept + erased)) if kept + erased > 0.0 else -1.0

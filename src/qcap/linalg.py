@@ -2,7 +2,7 @@
 
 All entropies are in bits (logarithms base 2).  Matrices are plain numpy
 arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
-this module, so it owns the integer, block-size and probability input rules.
+this module, so it owns the integer and probability input rules.
 """
 from __future__ import annotations
 
@@ -20,21 +20,21 @@ _TILE = 256
 _LOG2 = math.log(2.0)
 
 
-def _require_int(value, what: str) -> int:
-    """``value`` as a Python int; a non-integer, 2.0 included, is refused with its name."""
+def _require_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as a Python int, refused by ``what`` unless it is an integer in least..most.
+
+    2.0 is not an integer.  A bound left as None is not checked; ``most``
+    is only given with ``least``.
+    """
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _require_block_size(block_size: int, limit: int | None = None) -> int:
-    """``block_size`` as a Python int; a non-integer, or one outside 1..limit, is refused."""
-    n = _require_int(block_size, "block size")
-    if limit is not None and not 1 <= n <= limit:
-        raise ValueError(f"block size {n} is outside the searched 1..{limit}")
-    if n < 1:
-        raise ValueError(f"block size must be at least 1, got {n}")
+    if most is not None and not least <= n <= most:
+        raise ValueError(f"{what} {n} is outside {least}..{most}")
+    if least is not None and n < least:
+        bound = "a non-negative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {n}")
     return n
 
 

@@ -145,8 +145,8 @@ def _check_unit(vectors: np.ndarray) -> None:
 
 def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
     """Identity over its dimension, the flat state; its spectrum is all 1/dim, so nothing is solved."""
+    dims = _check_dims(_require_int(dim, "dim"), dims)
     m = np.eye(dim, dtype=complex) / dim
-    dims = _check_dims(m.shape[0], dims)
     _check_density(m)
     return DensityMatrix._checked(m, np.full(dim, 1.0 / dim), dims)
 
@@ -215,10 +215,10 @@ def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_rng(seed) -> np.random.Generator:
-    """The Generator ``seed``, or a new one seeded by it; a negative integer seed is refused."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    """The Generator ``seed``, or a new one seeded by None or a non-negative integer."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(None if seed is None else _require_int(seed, "seed", 0))
 
 
 def _wishart_grams(raw: np.ndarray) -> np.ndarray:
@@ -240,8 +240,8 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Wishart-style random state G G^dag / Tr with a d x rank Gaussian G."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} outside the valid range 1..{dim}")
+    dim = _require_int(dim, "dim", 1)
+    rank = _require_int(rank, "rank", 1, dim)
     return _random_densities(_as_rng(seed).standard_normal((1, 2, dim, rank)))[0]
 
 
@@ -254,12 +254,14 @@ def _random_densities(raw: np.ndarray) -> list[DensityMatrix]:
 
 def random_pure_state(dim: int, seed, dims=None) -> PureState:
     """Normalized complex Gaussian vector: a Haar-random pure state."""
+    dim = _require_int(dim, "dim", 1)
     raw = _as_rng(seed).standard_normal((2, dim))
     return PureState(_normalized(raw[0] + 1j * raw[1]), dims)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
+    dim = _require_int(dim, "dim", 1)
     return _haar_unitaries(_as_rng(seed).standard_normal((2, dim, dim)))
 
 
@@ -283,8 +285,7 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     of D in O(d^2); its spectrum is D's diagonal, sorted, so nothing is solved.
     """
     eps = _require_probability(eps, "mixing weight")
-    if n < 1:
-        raise ValueError(f"need at least one orthogonal direction, got {n}")
+    n = _require_int(n, "n (orthogonal directions)", 1)
     d = psi.dim
     if d < n + 1:
         raise ValueError(

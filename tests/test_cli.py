@@ -10,7 +10,7 @@ import pytest
 
 import qcap
 from qcap.cli import main
-from qcap.states import DensityMatrix, maximally_mixed, write_density_file
+from qcap.states import DensityMatrix, maximally_mixed, random_density, write_density_file
 
 
 def run_cli(capsys, argv):
@@ -79,7 +79,7 @@ def test_block_size_outside_range_is_refused(capsys):
             code, out, err = run_cli(capsys, command + ["--n", n])
             assert code == 1
             assert out == ""
-            assert f"--n {n} is outside the supported block sizes 1..10" in err
+            assert err == f"qcap: error: --n {n} is outside 1..10\n"
 
 
 def test_coherent_info_random_state_deterministic(capsys):
@@ -226,7 +226,7 @@ def test_maximize_ci_refuses_blocks_above_six_before_searching(capsys, monkeypat
     for n in ("7", "10"):
         code, out, err = run_cli(capsys, ["maximize-ci", "--p", "0.25", "--n", n])
         assert (code, out) == (1, "")
-        assert err == f"qcap: error: block size {n} is outside the searched 1..6\n"
+        assert err == f"qcap: error: block size {n} is outside 1..6\n"
 
 
 def test_theorem_demo_reports_instances(capsys):
@@ -385,7 +385,7 @@ def test_out_file_unwritable_path(capsys, tmp_path):
 def test_grid_validation_errors(capsys):
     code, _, err = run_cli(capsys, ["capacity-curve", "--steps", "0"])
     assert code == 1
-    assert "grid point" in err
+    assert err == "qcap: error: --steps must be at least 1, got 0\n"
 
     code, _, err = run_cli(
         capsys, ["capacity-curve", "--p-start", "0.8", "--p-end", "0.2"]
@@ -395,7 +395,146 @@ def test_grid_validation_errors(capsys):
 
     code, _, err = run_cli(capsys, ["capacity-curve", "--p-end", "1.4"])
     assert code == 1
-    assert "must lie in" in err
+    assert err == "qcap: error: --p-end 1.4 outside [0, 1]\n"
+
+
+def _wrong_dimension_state(tmp_path):
+    path = tmp_path / "two-qubit.txt"
+    write_density_file(str(path), maximally_mixed(4, (2, 2)))
+    return ["coherent-info", "--p", "0.25", "--state-file", str(path)]
+
+
+# each refused input and its one error line: the CLI checks --n, --steps and the
+# grid ends with qcap.linalg's rules, and every other refusal is the library's
+ERASURE_COMMANDS = (
+    ["capacity-curve"], ["coherent-info", "--p", "0.25"], ["maximize-ci", "--p", "0.25"]
+)
+REFUSALS = {
+    **{
+        f"{command[0]}--n{n}": (command + ["--n", n], f"--n {n} is outside 1..10")
+        for command in ERASURE_COMMANDS
+        for n in ("0", "11")
+    },
+    "maximize-ci--n7": (["maximize-ci", "--p", "0.25", "--n", "7"], "block size 7 is outside 1..6"),
+    "steps0": (["capacity-curve", "--steps", "0"], "--steps must be at least 1, got 0"),
+    "p-start-1": (["capacity-curve", "--p-start", "-1"], "--p-start -1.0 outside [0, 1]"),
+    "p-end1.4": (["capacity-curve", "--p-end", "1.4"], "--p-end 1.4 outside [0, 1]"),
+    "lemma-check--trials0": (
+        ["lemma-check", "fannes", "--trials", "0"], "trials must be at least 1, got 0"
+    ),
+    "theorem-demo--trials0": (["theorem-demo", "--trials", "0"], "count must be at least 1, got 0"),
+    "restarts0": (
+        ["maximize-ci", "--p", "0.25", "--restarts", "0"], "restarts must be at least 1, got 0"
+    ),
+    "state-file-dimension": (
+        _wrong_dimension_state, "state dimension 4 does not match 1 qubits (expected 2)"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
+def test_each_refusal_exits_1_with_one_error_line(capsys, tmp_path, argv, message):
+    if callable(argv):
+        argv = argv(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"qcap: error: {message}\n"
+
+
+# sha256 of stdout and the exit code for succeeding commands of every subcommand,
+# taken before the input rules moved into qcap.linalg: a refusal rule must not move
+# a byte of any run it lets through.  "STATE" stands for a state file holding
+# random_density(4, 4, seed=3).
+SUCCESS_SHA256 = [
+    (["capacity-curve"], "adad001368293a2f948c43b3df5aad6068ff923123a683a603015ffbe55a849b"),
+    (
+        ["capacity-curve", "--p-start", "0.1", "--p-end", "0.9", "--steps", "9", "--n", "3"],
+        "b6e66100edd143cab0e904b1c278f8998c613ecf14df302428e3e22430311b5f",
+    ),
+    (
+        ["capacity-curve", "--p-start", "0.08", "--p-end", "1.0", "--steps", "4"],
+        "9e06e7cf6ea85f25c39b52bd8a9010625169796aa52ee23ad4960e0891d26894",
+    ),
+    (
+        ["capacity-curve", "--p-start", "0.5", "--p-end", "0.5", "--steps", "1", "--n", "10"],
+        "6bf90ab211561732cdabc7858af763c17b5dba374474b984529644c5cfeb2085",
+    ),
+    (
+        ["coherent-info", "--p", "0.25"],
+        "3d823a3fcc03110dbc83a5a8eab65470cfb6325885ab18e0e9c1a95335d21f6b",
+    ),
+    (
+        ["coherent-info", "--p", "0.0", "--n", "2"],
+        "c433c6dbda69829a6a2e8aee6f2f68175a0e54e122c9341c3ee37b08d0307265",
+    ),
+    (
+        ["coherent-info", "--p", "1.0", "--n", "3"],
+        "2f523b07b95ec25694f95ce6623b6ef2028d46bda92de8be428d219c595d1c54",
+    ),
+    (
+        ["coherent-info", "--p", "0.3", "--n", "4", "--state", "random", "--seed", "5"],
+        "86e74b4e227e4e221e35851760aa833afe51971f95d1f4602310e03e5d8531e3",
+    ),
+    (
+        ["coherent-info", "--p", "0.9", "--n", "2", "--state", "maximally-mixed"],
+        "877f83e8e18a0c73f068f6b0523eefd6ea1c3ed465ab262469433f47701f3456",
+    ),
+    (
+        ["coherent-info", "--p", "0.2", "--n", "2", "--state-file", "STATE"],
+        "8650494222161abd7617a47708abb6923a7245b75fc39ff68fb8ac28bd49b03d",
+    ),
+    (
+        ["maximize-ci", "--p", "0.25", "--restarts", "3"],
+        "2b467daec3f9a2a6e9fa3271d12328b1d92566dc4a8848961710ce245e842007",
+    ),
+    (
+        ["maximize-ci", "--p", "0.1", "--n", "2", "--restarts", "2", "--seed", "4"],
+        "31e74da80d11b6c62b3d640b1f8c5169e3abad31dcccc95605ab045f72b05c42",
+    ),
+    (
+        ["maximize-ci", "--p", "0.6", "--n", "2", "--restarts", "1", "--seed", "1"],
+        "6239a674b09098826e396854ed475d8e825423035b912013077a79c50e16c8a5",
+    ),
+    (
+        ["theorem-demo", "--trials", "5"],
+        "dc462aed763dfd04c368fe9e81099b07f95cb150c1eb9404ffae29dcbcba1788",
+    ),
+    (
+        ["theorem-demo", "--trials", "12", "--seed", "7"],
+        "34399d025b8f8fa65f2cb753c0142b4d64e5863c3858846cbf86a13546eb6f70",
+    ),
+    (
+        ["lemma-check", "fannes", "--trials", "50", "--seed", "1"],
+        "76945171ba140eb303b0a8adedd268f4390b9295208863daed9593a1ed65076e",
+    ),
+    (
+        ["lemma-check", "lemma1", "--trials", "50", "--seed", "2"],
+        "25d8aed13fc2cfb38ae9fba0eb6cbf3f0f10fd766cf18094189e681715c9623c",
+    ),
+    (
+        ["lemma-check", "lemma2", "--trials", "20", "--seed", "3"],
+        "52963a125b1d2471656200016d6f6974a270a57706b6565ba14463cff6a36726",
+    ),
+    (
+        ["lemma-check", "mixing", "--trials", "50", "--seed", "4"],
+        "02f086c787774f16f054dab40dbef452c659ae12b98e3a4ef008319b9c8edc14",
+    ),
+    (
+        ["lemma-check", "mixing", "--trials", "1"],
+        "caea3ff409b21e9fcdd713d05a92296c5595b3c6245f235dbf506dbfaf00834f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", SUCCESS_SHA256, ids=[" ".join(argv) for argv, _ in SUCCESS_SHA256]
+)
+def test_succeeding_commands_keep_their_bytes(capsys, tmp_path, argv, digest):
+    state = tmp_path / "state.txt"
+    write_density_file(str(state), random_density(4, 4, seed=3))
+    code, out, err = run_cli(capsys, [str(state) if a == "STATE" else a for a in argv])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors_exit_one(capsys):

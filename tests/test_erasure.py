@@ -242,6 +242,18 @@ def test_decomposition_keeps_the_checked_table():
     table[0] = 0.0
 
 
+def test_decomposition_entropy_refuses_a_mask_outside_its_table():
+    decomp = ErasureDecomposition(0.25, [0.0, 1.0, 0.5, 2.0])
+    assert decomp.entropy(np.int64(2)) == 0.5
+    assert decomp.entropy(3) == 2.0
+    # -1 would read the full mask from the end, and 4 or 2.0 would fail inside numpy
+    for mask in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0\.\.3$"):
+            decomp.entropy(mask)
+    with pytest.raises(ValueError, match=r"^mask must be an integer, got 2\.0$"):
+        decomp.entropy(2.0)
+
+
 def test_decomposition_reads_block_size_from_table():
     decomp = erasure_decomposition(maximally_mixed(8, (2, 2, 2)), 0.25, 3)
     assert decomp.block_size == 3
@@ -460,7 +472,7 @@ def test_binomial_mean_matches_explicit_sum():
             math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * k for k in range(n + 1)
         )
         assert abs(binomial_mean(n, p) - explicit) < 1e-12
-    with pytest.raises(ValueError, match="n >= 0"):
+    with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got -1$"):
         binomial_mean(-1, 0.5)
     with pytest.raises(ValueError, match=r"^n must be an integer, got 10.5$"):
         binomial_mean(10.5, 0.1)
@@ -477,7 +489,7 @@ def test_half_sum_fraction_values_and_trend():
         near = abs(half_sum_fraction(200, p) - p)
         far = abs(half_sum_fraction(20, p) - p)
         assert near < far
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
         half_sum_fraction(0, 0.3)
     with pytest.raises(ValueError, match="outside"):
         half_sum_fraction(10, -0.2)

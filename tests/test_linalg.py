@@ -1,10 +1,21 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcap.channels import erasure_channel, identity_channel
+from qcap.continuity import (
+    check_fannes,
+    check_mixed_overlap_continuity,
+    check_mixing_bounds,
+    check_pure_overlap_continuity,
+)
+from qcap.elimination import random_demo_schemes
+from qcap.erasure import binomial_mean, half_sum_fraction, maximize_coherent_info
 from qcap.linalg import (
+    _require_int,
     binary_entropy,
     density_spectrum,
     entropy_of_spectrum,
@@ -12,7 +23,13 @@ from qcap.linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from qcap.states import random_density, random_pure_state, random_unitary
+from qcap.states import (
+    high_entropy_counterexample,
+    maximally_mixed,
+    random_density,
+    random_pure_state,
+    random_unitary,
+)
 
 from helpers import bell_vector, fidelity
 
@@ -73,16 +90,100 @@ def test_partial_trace_refuses_non_integer_dimensions_and_indices():
 
 
 def test_input_rules_have_one_owner():
-    # the integer and probability rules live in linalg alone, and elimination
-    # stacks each shape group of a window once, with no second batch size
+    # the integer and probability rules live in linalg alone, the CLI bounds no
+    # input by hand, and elimination stacks each shape group of a window once,
+    # with no second batch size
     src = Path(__file__).resolve().parents[1] / "src" / "qcap"
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
+        assert "_check_block_size" not in text, path.name
         if path.name != "linalg.py":
-            assert "outside [0, 1]" not in text, path.name
-            assert "operator.index" not in text, path.name
+            for copy in ("outside [0, 1]", "operator.index", "need at least", ">= 1, got"):
+                assert copy not in text, (path.name, copy)
+            assert not re.search(r"if \w+ < [0-9]:\s+raise", text), path.name
+        if path.name == "cli.py":
+            assert not re.search(r"\[0, 1\]|0(\.0)? <=|<= 1(\.0)?\b", text)
+            n_bound = r"args\.n [<>]|[<>]=? args\.n|<= MAX_BLOCK_SIZE|block sizes 1"
+            assert not re.search(n_bound, text)
         if path.name == "elimination.py":
             assert "_CHUNK" not in text
+
+
+def test_integer_rule_messages():
+    assert _require_int(np.int64(3), "trials") == 3
+    assert type(_require_int(np.int64(3), "trials", 1, 5)) is int
+    assert _require_int(-7, "offset") == -7
+    cases = [
+        ((2.0, "trials", 1), "trials must be an integer, got 2.0"),
+        (("2", "trials"), "trials must be an integer, got '2'"),
+        ((0, "trials", 1), "trials must be at least 1, got 0"),
+        ((1, "dimension", 2), "dimension must be at least 2, got 1"),
+        ((-1, "seed", 0), "seed must be a non-negative integer, got -1"),
+        ((7, "block size", 1, 6), "block size 7 is outside 1..6"),
+        ((0, "block size", 1, 6), "block size 0 is outside 1..6"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_int(*args)
+
+
+def _report(check, **sizes):
+    report = check(**{"trials": 2, "seed": 0, **sizes})
+    return report.trials, report.dim, report.violations
+
+
+def _kinds(value):
+    if isinstance(value, (tuple, list)):
+        return tuple(_kinds(v) for v in value)
+    return type(value)
+
+
+_PSI = random_pure_state(4, seed=6)
+
+# every count, dimension and seed a public call takes: the call on one value,
+# the name its refusal starts with, the least value it takes, and a value it takes
+COUNT_RULES = {
+    "check_fannes-trials": (lambda v: _report(check_fannes, trials=v), "trials", 1, 2),
+    "check_fannes-dim": (lambda v: _report(check_fannes, dim=v), "dimension", 2, 3),
+    "lemma1-trials": (lambda v: _report(check_pure_overlap_continuity, trials=v), "trials", 1, 2),
+    "lemma1-dim": (
+        lambda v: _report(check_pure_overlap_continuity, dim=v), "local dimension", 2, 2
+    ),
+    "lemma2-trials": (lambda v: _report(check_mixed_overlap_continuity, trials=v), "trials", 1, 2),
+    "lemma2-dim": (
+        lambda v: _report(check_mixed_overlap_continuity, dim=v), "local dimension", 2, 2
+    ),
+    "mixing-trials": (lambda v: _report(check_mixing_bounds, trials=v), "trials", 1, 2),
+    "mixing-dim": (lambda v: _report(check_mixing_bounds, dim=v), "dimension", 2, 2),
+    "random_demo_schemes-count": (lambda v: len(list(random_demo_schemes(v, 0))), "count", 1, 2),
+    "maximize_coherent_info-restarts": (
+        lambda v: maximize_coherent_info(erasure_channel(0.25), 1, v, 0)[1], "restarts", 1, 1
+    ),
+    "half_sum_fraction-n": (lambda v: half_sum_fraction(v, 0.3), "n", 1, 5),
+    "binomial_mean-n": (lambda v: binomial_mean(v, 0.5), "n", 0, 3),
+    "random_density-rank": (lambda v: random_density(3, v, 0).eigenvalues.tolist(), "rank", 1, 2),
+    "random_density-dim": (lambda v: random_density(v, 1, 0).dims, "dim", 1, 3),
+    "high_entropy_counterexample-n": (
+        lambda v: high_entropy_counterexample(_PSI, 0.1, v).eigenvalues.tolist(), "n", 1, 2
+    ),
+    # a dimension below 1 keeps the factor-dimension message
+    "maximally_mixed-dim": (lambda v: maximally_mixed(v).dims, "dim|factor dimensions", 1, 2),
+    "random_unitary-dim": (lambda v: random_unitary(v, 0).tolist(), "dim", 1, 2),
+    "random_pure_state-dim": (lambda v: random_pure_state(v, 0).vector.tolist(), "dim", 1, 2),
+    "identity_channel-dim": (lambda v: identity_channel(v).kraus.shape, "dim", 1, 2),
+    "seed": (lambda v: random_density(2, 2, v).eigenvalues.tolist(), "seed", 0, 3),
+}
+
+
+@pytest.mark.parametrize("call, name, least, good", COUNT_RULES.values(), ids=COUNT_RULES)
+def test_every_count_is_an_integer_from_its_least(call, name, least, good):
+    for bad in (2.0, least - 1):
+        with pytest.raises(ValueError, match=rf"^({name}) "):
+            call(bad)
+    # a numpy integer is read as the Python int: the same result, of the same types
+    got, want = call(np.int64(good)), call(good)
+    assert got == want
+    assert _kinds(got) == _kinds(want)
 
 
 def test_trace_norm_basics():
