@@ -170,8 +170,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def apply_to_subsystem(channel: KrausChannel, rho: DensityMatrix, factor: int) -> DensityMatrix:
     """Apply the channel to the factor at position ``factor``, leaving the others alone."""
     dims = rho.dims
-    if not 0 <= factor < len(dims):
-        raise ValueError(f"factor {factor} out of range for {len(dims)} factors")
+    factor = _require_int(factor, "factor", 0, len(dims) - 1)
     if dims[factor] != channel.in_dim:
         raise ValueError(
             f"factor {factor} has dimension {dims[factor]}, channel expects {channel.in_dim}"

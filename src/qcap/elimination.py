@@ -401,20 +401,20 @@ def _demo_window(
     return window
 
 
-def random_demo_schemes(count: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
+def random_demo_schemes(trials: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
     """Seeded mixed bag of high-fidelity schemes for the elimination demo, drawn a window at a time.
 
     Cycles through three families: classically mixed orthogonal isometries
     (exactly decodable, so the elimination is exact), mixed near-identity
     rotations through a noisy unitary, and low-rate erasure with a recovery
-    decoder.  Every scheme has end-to-end fidelity at least 0.99.  ``count``
+    decoder.  Every scheme has end-to-end fidelity at least 0.99.  ``trials``
     is checked at the call.  When the iterator reaches a window of ``_WINDOW``
     schemes, it takes that window's raw draws in stream order and builds the
     schemes on per-family, per-dimension stacks; the arrays are those of
     drawing and building each scheme alone.
     """
-    count = _require_int(count, "count", 1)
+    trials = _require_int(trials, "trials", 1)
     rng = _as_rng(seed)
-    starts = range(0, count, _WINDOW)
-    windows = (_demo_window(rng, first, min(_WINDOW, count - first)) for first in starts)
+    starts = range(0, trials, _WINDOW)
+    windows = (_demo_window(rng, first, min(_WINDOW, trials - first)) for first in starts)
     return itertools.chain.from_iterable(windows)

@@ -4,7 +4,7 @@ For n parallel erasure uses the receiver sees each subset of the input qubits wi
 binomial weight, so output entropy and coherent information reduce to sums over the 2^n
 marginals of the input state (mask bit j set: qubit j reached the receiver).  One depth-first
 walk traces them: the p-free entropy table keeps their entropies, which one binomial vector
-per p weights, and the erasure-only input search lifts their -log2 into the gradient of Ic.
+per p weights, and the erasure-only input search folds their -log2 into the gradient of Ic.
 """
 from __future__ import annotations
 
@@ -107,12 +107,13 @@ def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
     n = _require_int(block_size, "block size", 1)
     if rho.dim != 2**n:
         raise ValueError(f"state dimension {rho.dim} does not match {n} qubits (expected {2**n})")
+    if rho.eigenvalues[0] == rho.eigenvalues[-1]:
+        return _kept(n)  # rho = I/d, whose table is read, not solved
     table = np.empty(1 << n)
     table[-1] = rho.entropy()  # the full mask: the state's stored spectrum
     for mask, sub in _marginals(rho.matrix, list(range(n))):
         table[mask] = von_neumann_entropy(sub, validate=False)
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 def erasure_decomposition(rho: DensityMatrix, p: float, block_size: int) -> ErasureDecomposition:
@@ -122,7 +123,8 @@ def erasure_decomposition(rho: DensityMatrix, p: float, block_size: int) -> Eras
 
 
 def _kept(n: int) -> np.ndarray:
-    return np.array([mask.bit_count() for mask in range(1 << n)])
+    """Read-only |i| of each mask i: the flat state's table, its marginals flat on |i| qubits."""
+    return _read_only(np.array([mask.bit_count() for mask in range(1 << n)], dtype=float))
 
 
 def _weights(n: int, p: float) -> np.ndarray:
@@ -251,13 +253,11 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
 
     The flat n-qubit input gives exactly n(1-2p) for n erasure uses, so
     ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).  The
-    flat state's marginal on mask i is flat on |i| qubits, so its retained-set
-    table is |i| bits per mask, read without forming a state or solving.
+    flat state's retained-set table is read from :func:`_kept`, with no state formed.
     """
     grid = [_require_probability(float(p)) for p in p_values]
     n = _require_int(block_size, "block size", 1)
-    table = _kept(n).astype(float)
-    table.flags.writeable = False
+    table = _kept(n)
     points = []
     for p in grid:
         ic = coherent_info_from_decomposition(ErasureDecomposition(p, table))
@@ -276,13 +276,11 @@ def _neg_log2(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarra
     return entropy_of_spectrum(values), (vectors * logs) @ vectors.conj().T
 
 
-def _lift(matrix: np.ndarray, mask: int, n: int) -> np.ndarray:
-    """Adjoint of partial_trace: ``matrix`` on the qubits of ``mask``, the identity on the rest."""
-    kept = [j for j in range(n) if mask >> j & 1]
-    # matrix (x) I holds the kept qubits first; axes moves every qubit back to its place
-    axes = np.argsort(kept + [j for j in range(n) if not mask >> j & 1])
-    lifted = np.kron(matrix, np.eye(1 << n - len(kept))).reshape((2,) * 2 * n)
-    return lifted.transpose(*axes, *(axes + n)).reshape(1 << n, -1)
+def _widen(matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """Adjoint of tracing out factor ``qubit``: ``matrix`` with I_2 inserted as that factor."""
+    d, left = len(matrix), 1 << qubit
+    blocks = matrix.reshape(left, 1, d // left, left, 1, d // left)
+    return (blocks * np.eye(2).reshape(1, 2, 1, 1, 2, 1)).reshape(2 * d, 2 * d)
 
 
 def _coherent_info_gradient(
@@ -293,7 +291,9 @@ def _coherent_info_gradient(
     Over masks A, Ic = sum c(A) S(rho_A) and G = sum c(A) (-log2 rho_A) (x) I_Abar with
     c(A) = w(A) - w(Abar), so Ic = Tr(G rho); each entropy's -1/ln 2 derivative term cancels,
     as sum c(A) = 0.  rho shares the eigenvectors of H, so one solve of H gives rho, its
-    ascending spectrum, S(rho) and -log2 rho.
+    ascending spectrum, S(rho) and -log2 rho.  The walk traced A from its parent A | (A + 1)
+    by dropping A's lowest unset bit b, so b, with every bit below it set, is that qubit's
+    factor there.  Ascending, each term holds its children's when it is widened into its parent.
     """
     values, vectors = np.linalg.eigh(h)
     weights = np.exp(values - values[-1])
@@ -301,12 +301,16 @@ def _coherent_info_gradient(
     rho = (vectors * spectrum) @ vectors.conj().T
     w = _weights(n, p)
     signed = w - w[::-1]
-    value, grad = _neg_log2(spectrum, vectors)
-    value, grad = signed[-1] * value, signed[-1] * grad
+    value, neg_log = _neg_log2(spectrum, vectors)
+    value, terms = signed[-1] * value, {len(w) - 1: signed[-1] * neg_log}
     for mask, sub in _marginals(rho, list(range(n))):
         entropy, neg_log = _neg_log2(*np.linalg.eigh(sub))
         value += signed[mask] * entropy
-        grad += signed[mask] * _lift(neg_log, mask, n)
+        terms[mask] = signed[mask] * neg_log
+    for mask in range(len(w) - 1):
+        parent = mask | (mask + 1)
+        terms[parent] += _widen(terms.pop(mask), (parent ^ mask).bit_length() - 1)
+    (grad,) = terms.values()  # the full mask, all others folded into it
     return float(value), 0.5 * (grad + grad.conj().T), rho, spectrum
 
 

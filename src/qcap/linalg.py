@@ -190,14 +190,14 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
     """Von Neumann entropy in bits, -Tr(rho log2 rho).
 
     With ``validate`` the input is checked by :func:`density_spectrum`;
-    without it, negative eigenvalues are clamped to zero unchecked.  Leading
-    axes index a stack of matrices, giving one entropy per member.
+    without it, the eigenvalues are read unchecked, and negative ones get no
+    weight, as in :func:`entropy_of_spectrum`.  Leading axes index a stack of
+    matrices, giving one entropy per member.
     """
     if validate:
         return entropy_of_spectrum(density_spectrum(rho))
     m = np.asarray(rho, dtype=complex)
-    values = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    return entropy_of_spectrum(np.clip(values, 0.0, None))
+    return entropy_of_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))))
 
 
 def binary_entropy(x: float) -> float:

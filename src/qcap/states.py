@@ -25,9 +25,8 @@ from .linalg import (
 
 
 def _check_dims(total: int, dims) -> tuple[int, ...]:
-    dims = (total,) if dims is None else tuple(_require_int(d, "factor dimension") for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    dims = (total,) if dims is None else dims
+    dims = tuple(_require_int(d, "factor dimension", 1) for d in dims)
     if math.prod(dims) != total:
         raise ValueError(f"factor dimensions {dims} do not multiply to {total}")
     return dims
@@ -145,7 +144,7 @@ def _check_unit(vectors: np.ndarray) -> None:
 
 def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
     """Identity over its dimension, the flat state; its spectrum is all 1/dim, so nothing is solved."""
-    dims = _check_dims(_require_int(dim, "dim"), dims)
+    dims = _check_dims(_require_int(dim, "dim", 1), dims)
     m = np.eye(dim, dtype=complex) / dim
     _check_density(m)
     return DensityMatrix._checked(m, np.full(dim, 1.0 / dim), dims)
@@ -285,13 +284,8 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     of D in O(d^2); its spectrum is D's diagonal, sorted, so nothing is solved.
     """
     eps = _require_probability(eps, "mixing weight")
-    n = _require_int(n, "n (orthogonal directions)", 1)
     d = psi.dim
-    if d < n + 1:
-        raise ValueError(
-            f"ambient dimension {d} too small: n={n} orthogonal directions "
-            f"need dimension at least {n + 1}"
-        )
+    n = _require_int(n, "n (orthogonal directions)", 1, d - 1)
     # H = I - beta w w^dag, beta = 2 / |w|^2, with w = u + (u_k / |u_k|) e_k for
     # the unit u = psi / |psi|, maps e_k to a multiple of u, so its other
     # columns are orthonormal and orthogonal to psi.  Normalizing first keeps

@@ -162,8 +162,10 @@ def test_apply_to_subsystem_full_erasure_decouples():
 def test_apply_to_subsystem_position_and_dimension_errors():
     rho = maximally_mixed(4, (2, 2))
     for factor in (2, -1):
-        with pytest.raises(ValueError, match=f"^factor {factor} out of range for 2 factors$"):
+        with pytest.raises(ValueError, match=f"^factor {factor} is outside 0..1$"):
             apply_to_subsystem(erasure_channel(0.1), rho, factor)
+    with pytest.raises(ValueError, match="^factor must be an integer, got 0.0$"):
+        apply_to_subsystem(erasure_channel(0.1), rho, 0.0)
     rho3 = maximally_mixed(6, (2, 3))
     with pytest.raises(ValueError, match="^factor 1 has dimension 3, channel expects 2$"):
         apply_to_subsystem(erasure_channel(0.1), rho3, 1)

@@ -422,7 +422,7 @@ REFUSALS = {
     "lemma-check--trials0": (
         ["lemma-check", "fannes", "--trials", "0"], "trials must be at least 1, got 0"
     ),
-    "theorem-demo--trials0": (["theorem-demo", "--trials", "0"], "count must be at least 1, got 0"),
+    "theorem-demo--trials0": (["theorem-demo", "--trials", "0"], "trials must be at least 1, got 0"),
     "restarts0": (
         ["maximize-ci", "--p", "0.25", "--restarts", "0"], "restarts must be at least 1, got 0"
     ),

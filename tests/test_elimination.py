@@ -358,8 +358,8 @@ def test_random_demo_schemes_are_valid_and_deterministic():
         fid = end_to_end_fidelity(s1, c1).value
         assert fid > 1.0 - 1.0 / 72.0
 
-    # the count is checked at the call, and each scheme is drawn as it is taken
-    with pytest.raises(ValueError, match=r"^count must be at least 1, got 0$"):
+    # the trial count is checked at the call, and each scheme is drawn as it is taken
+    with pytest.raises(ValueError, match=r"^trials must be at least 1, got 0$"):
         random_demo_schemes(0, seed=1)
     taken = itertools.islice(random_demo_schemes(10**9, seed=9), len(first))
     for (s1, _), (s2, _) in zip(first, taken):

@@ -37,6 +37,8 @@ from qcap.states import (
     maximally_mixed,
     random_density,
     random_pure_state,
+    read_density_file,
+    write_density_file,
 )
 
 from helpers import count_factorizations, random_kraus_channel
@@ -145,7 +147,52 @@ def test_capacity_curve_builds_one_table(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_capacity_curve_table_is_the_flat_states_bit_for_bit(monkeypatch, n):
     (table,), _ = _curve_tables(monkeypatch, [0.3], n)
-    assert table.tobytes() == subset_entropies(maximally_mixed(2**n), n).tobytes()
+    rho = maximally_mixed(2**n)
+    solved = [
+        von_neumann_entropy(partial_trace(rho.matrix, (2,) * n, _qubits(mask, n)), validate=False)
+        for mask in range(2**n - 1)
+    ]
+    assert table.tobytes() == np.array(solved + [rho.entropy()]).tobytes()
+
+
+def _qubits(mask, n):
+    return [j for j in range(n) if mask >> j & 1]
+
+
+def _gaussian(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _flat_from_file(path, n):
+    write_density_file(path, DensityMatrix(np.eye(2**n, dtype=complex) / 2**n, (2,) * n))
+    return read_density_file(path)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_flat_spectrum_table_is_read_without_a_solve(monkeypatch, tmp_path, n):
+    states = [maximally_mixed(2**n), _flat_from_file(tmp_path / "flat.txt", n)]
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
+    for rho in states:
+        table = subset_entropies(rho, n)
+        assert table.tolist() == [bin(mask).count("1") for mask in range(2**n)]
+        assert not table.flags.writeable
+    assert solves == {"eigh": [], "eigvalsh": []}
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_nearly_flat_state_is_solved_mask_by_mask(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    d = 2**n
+    x = _gaussian(rng, d)
+    x = x + x.conj().T
+    x -= np.trace(x) / d * np.eye(d)
+    rho = DensityMatrix(np.eye(d) / d + 1e-6 * x / np.abs(x).max(), (2,) * n)
+    assert rho.eigenvalues[0] < rho.eigenvalues[-1]
+    solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
+    table = subset_entropies(rho, n)
+    assert len(solves) == d - 1
+    assert np.abs(table - [bin(mask).count("1") for mask in range(d)]).max() < 1e-6
+    assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -628,18 +675,52 @@ def test_coherent_info_gradient_matches_finite_differences(n):
         assert abs((up - down) / (2 * step) - np.trace(grad @ x).real) < 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_lift_is_adjoint_of_partial_trace(n):
-    # Tr(lift(M) X) = Tr(M X_A) on every proper mask A, the qubit order included
+@pytest.mark.parametrize("n", range(1, 7))
+def test_widen_is_adjoint_of_partial_trace(n):
+    # Tr(widen(M, q) X) = Tr(M Tr_q X) at every factor position q of n qubits
     rng = np.random.default_rng(n)
-    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    for mask in range(1, (1 << n) - 1):
-        kept = [j for j in range(n) if mask >> j & 1]
-        m = rng.standard_normal((2 ** len(kept),) * 2) + 1j * rng.standard_normal((2 ** len(kept),) * 2)
-        lifted = erasure._lift(m, mask, n)
-        assert lifted.shape == (2**n, 2**n)
-        expected = np.trace(m @ partial_trace(x, (2,) * n, kept))
-        assert abs(np.trace(lifted @ x) - expected) <= 1e-12 * np.abs(m).sum() * np.abs(x).sum()
+    x = _gaussian(rng, 2**n)
+    for qubit in range(n):
+        m = _gaussian(rng, 2 ** (n - 1))
+        widened = erasure._widen(m, qubit)
+        assert widened.shape == (2**n, 2**n)
+        assert np.array_equal(widened, _lift(m, 2**n - 1 - 2**qubit, n))
+        expected = np.trace(m @ partial_trace(x, (2,) * n, [k for k in range(n) if k != qubit]))
+        assert abs(np.trace(widened @ x) - expected) <= 1e-12 * np.abs(m).sum() * np.abs(x).sum()
+
+
+def _lift(matrix, mask, n):
+    """Adjoint of partial_trace in one step: ``matrix`` on the qubits of ``mask``, I on the rest."""
+    kept = _qubits(mask, n)
+    # matrix (x) I holds the kept qubits first; axes moves every qubit back to its place
+    axes = np.argsort(kept + [j for j in range(n) if not mask >> j & 1])
+    lifted = np.kron(matrix, np.eye(1 << n - len(kept))).reshape((2,) * 2 * n)
+    return lifted.transpose(*axes, *(axes + n)).reshape(1 << n, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("p", [0.1, 0.49, 0.75])
+def test_folded_gradient_matches_each_term_lifted_alone(monkeypatch, n, p):
+    # H is scaled so that every marginal is well conditioned, and the reference's direct
+    # traces solve to the walk's -log2 within rounding
+    rng = np.random.default_rng(n)
+    d = 2**n
+    g = _gaussian(rng, d)
+    h = 0.5 * (g + g.conj().T) / np.sqrt(d)
+    rho = erasure._coherent_info_gradient(h, p, n)[2]
+    w = erasure._weights(n, p)
+    ref = np.zeros((d, d), dtype=complex)
+    for mask in range(d):
+        marginal = partial_trace(rho, (2,) * n, _qubits(mask, n))
+        _, neg_log = erasure._neg_log2(*np.linalg.eigh(marginal))
+        ref += (w[mask] - w[-1 - mask]) * _lift(neg_log, mask, n)
+
+    def refuse(*args):
+        raise AssertionError("the gradient lifts a term with np.kron")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    grad = erasure._coherent_info_gradient(h, p, n)[1]
+    assert np.abs(grad - 0.5 * (ref + ref.conj().T)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

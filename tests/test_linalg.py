@@ -98,7 +98,9 @@ def test_input_rules_have_one_owner():
         text = path.read_text()
         assert "_check_block_size" not in text, path.name
         if path.name != "linalg.py":
-            for copy in ("outside [0, 1]", "operator.index", "need at least", ">= 1, got"):
+            copies = ("outside [0, 1]", "operator.index", "need at least", ">= 1, got",
+                      "out of range for", "must be positive", "too small")
+            for copy in copies:
                 assert copy not in text, (path.name, copy)
             assert not re.search(r"if \w+ < [0-9]:\s+raise", text), path.name
         if path.name == "cli.py":
@@ -155,7 +157,7 @@ COUNT_RULES = {
     ),
     "mixing-trials": (lambda v: _report(check_mixing_bounds, trials=v), "trials", 1, 2),
     "mixing-dim": (lambda v: _report(check_mixing_bounds, dim=v), "dimension", 2, 2),
-    "random_demo_schemes-count": (lambda v: len(list(random_demo_schemes(v, 0))), "count", 1, 2),
+    "random_demo_schemes-count": (lambda v: len(list(random_demo_schemes(v, 0))), "trials", 1, 2),
     "maximize_coherent_info-restarts": (
         lambda v: maximize_coherent_info(erasure_channel(0.25), 1, v, 0)[1], "restarts", 1, 1
     ),
@@ -166,8 +168,7 @@ COUNT_RULES = {
     "high_entropy_counterexample-n": (
         lambda v: high_entropy_counterexample(_PSI, 0.1, v).eigenvalues.tolist(), "n", 1, 2
     ),
-    # a dimension below 1 keeps the factor-dimension message
-    "maximally_mixed-dim": (lambda v: maximally_mixed(v).dims, "dim|factor dimensions", 1, 2),
+    "maximally_mixed-dim": (lambda v: maximally_mixed(v).dims, "dim", 1, 2),
     "random_unitary-dim": (lambda v: random_unitary(v, 0).tolist(), "dim", 1, 2),
     "random_pure_state-dim": (lambda v: random_pure_state(v, 0).vector.tolist(), "dim", 1, 2),
     "identity_channel-dim": (lambda v: identity_channel(v).kraus.shape, "dim", 1, 2),
@@ -242,6 +243,23 @@ def test_von_neumann_entropy_rejects_invalid_input():
 def test_entropy_of_spectrum_ignores_zeros():
     assert abs(entropy_of_spectrum(np.array([0.5, 0.5, 0.0]))) == 1.0
     assert entropy_of_spectrum(np.array([1.0, 0.0])) == 0.0
+
+
+def test_unchecked_entropy_gives_negative_eigenvalues_no_weight():
+    # unchecked entropies of spectra down to -1e-12 read as those of the spectra clamped at 0
+    rng = np.random.default_rng(12)
+    spectra = rng.dirichlet(np.ones(4), size=(2, 3))
+    spectra[0, :, 0] = [-1e-12, -3e-13, 0.0]
+    spectra[1, :, :2] = [-1e-12, -1e-16]
+    # the first row is diagonal, so its eigenvalues are exact; the second is rotated
+    rotations = np.stack([np.eye(4), random_unitary(4, seed=rng)])[:, None]
+    stack = (rotations * spectra[..., None, :]) @ rotations.conj().swapaxes(-1, -2)
+    m = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    values = np.linalg.eigvalsh(m)
+    assert values.min() < -5e-13
+    clamped = entropy_of_spectrum(np.clip(values, 0.0, None))
+    assert von_neumann_entropy(stack, validate=False).tobytes() == clamped.tobytes()
+    assert von_neumann_entropy(stack[0, 2], validate=False) == float(clamped[0, 2])
 
 
 def test_binary_entropy_values_and_validation():

@@ -148,7 +148,7 @@ def test_maximally_mixed_keeps_the_solved_spectrum_without_a_solve(monkeypatch):
     assert maximally_mixed(6, (3, 2)).dims == (3, 2)
     with pytest.raises(ValueError, match="do not multiply to 4"):
         maximally_mixed(4, (3,))
-    with pytest.raises(ValueError, match=r"must be positive, got \(0,\)"):
+    with pytest.raises(ValueError, match="^dim must be at least 1, got 0$"):
         maximally_mixed(0)
 
 
@@ -199,7 +199,7 @@ def test_from_factor_rejects_what_the_constructor_rejects():
         (inf, None, "non-finite entry"),
         (np.sqrt(2.0) * f, None, "density matrix trace 2"),
         (f, (3,), "do not multiply to 4"),
-        (f, (2, 0, 2), "must be positive"),
+        (f, (2, 0, 2), "factor dimension must be at least 1, got 0"),
     ]:
         message = _message(lambda: DensityMatrix.from_factor(factor, dims))
         assert match in message
@@ -490,7 +490,7 @@ def test_high_entropy_counterexample_validation():
         high_entropy_counterexample(psi, 1.5, 2)
     with pytest.raises(ValueError, match="orthogonal direction"):
         high_entropy_counterexample(psi, 0.1, 0)
-    with pytest.raises(ValueError, match="ambient dimension"):
+    with pytest.raises(ValueError, match=r"^n \(orthogonal directions\) 4 is outside 1..3$"):
         high_entropy_counterexample(psi, 0.1, 4)
 
 
