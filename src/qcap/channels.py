@@ -30,8 +30,11 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
-            raise ValueError("a channel needs at least one Kraus operator")
+        try:
+            if len(self.kraus) == 0:
+                raise ValueError("a channel needs at least one Kraus operator")
+        except TypeError:  # a number, a 0-d array or None has no length
+            raise ValueError(f"Kraus operators must be a sequence, got {self.kraus!r}") from None
         shape = np.shape(self.kraus[0])
         if len(shape) != 2:
             raise ValueError(
@@ -126,6 +129,15 @@ def _erasure_kraus(p) -> np.ndarray:
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(1.0 - p)
     ops[..., 1, 2, 0] = ops[..., 2, 2, 1] = np.sqrt(p)
     return ops
+
+
+def _erasure_probability(ops: np.ndarray) -> float:
+    """p of an :func:`erasure_channel` stack, exact at 0, 1/2 and 1; any other stack is refused."""
+    kept, erased = np.abs(ops[[0, 1], [0, 2], 0]) ** 2 if ops.shape == (3, 3, 2) else (0.0, 0.0)
+    p = float(erased / (kept + erased)) if kept + erased > 0.0 else -1.0
+    if not 0.0 <= p <= 1.0 or not np.allclose(ops, _erasure_kraus(p), rtol=0.0, atol=1e-12):
+        raise ValueError(f"only erasure_channel(p) is searched; this {ops.shape} stack is not one")
+    return p
 
 
 def _conjugate(kraus: np.ndarray, matrix: np.ndarray, dims=None, idx: int = 0) -> np.ndarray:

@@ -145,7 +145,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
             dist[far] = trace_norm(rho[far] - other[far])
             far = dist >= 1.0 / 3.0
         diff = np.abs(entropy_of_spectrum(spectrum) - von_neumann_entropy(other, validate=False))
-        eta = -dist * np.log2(np.where(dist > 0.0, dist, 1.0))
+        eta = entropy_of_spectrum(dist[:, None])  # -t log2 t, 0 at t = 0
         bounds = np.stack([dist * log_dim + eta, dist * log_dim + 1.0], axis=1)
         return diff[:, None] - bounds, 0, dist
 

@@ -17,18 +17,17 @@ records their trace-norm mismatch as ``marginal_gap`` and is flagged if it
 exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
 instance, flagged or not.
 
-:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and work
-one window of ``_WINDOW`` schemes at a time, so a stream of any length holds
-one window.  The first groups each window by shape (source, encoder, decoder
-and channel stacks, and block size) and runs each group as one stack.  Every
-step, every validation included, is one call on the stack, so the number of
-solves per group does not depend on its size.  A failed check names the
-instance by its position in the input.  The second
-takes a window's raw generator draws in stream order, scheme by scheme, then
-builds and checks the schemes on one stack per family and dimension, the
-rotation family's drift-shrinking loop included, so the number of solves per
-window does not depend on its size either.  The arrays are bit for bit those
-of drawing and building each scheme alone.
+:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and share
+one window engine, ``_windowed``: it reads ``_WINDOW`` items of a stream at a
+time, so a stream of any length holds one window, groups a window's items by
+shape and runs each group as one stack.  The elimination groups pairs by the
+shapes of their encoder, decoder and channel stacks and block size; the demo
+groups raw draws, taken in stream order scheme by scheme, by family and
+dimension, the rotation family's drift-shrinking loop included.  Every step,
+every validation included, is one call on the stack, so the number of solves
+per group does not depend on its size.  A failed check names the instance by
+its stream position, and the demo's arrays are bit for bit those of drawing
+and building each scheme alone.
 """
 from __future__ import annotations
 
@@ -131,30 +130,41 @@ def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> Eliminatio
 def eliminate_encoders(pairs) -> Iterator[EliminationInstance]:
     """:func:`eliminate_encoder` of each (scheme, channel) pair, yielded in input order.
 
-    Reads ``_WINDOW`` pairs at a time and runs the same-shape pairs of a window
-    as one stack.  An error names the first failing instance by its input
-    position; a check on shapes alone names the first instance of its stack.
+    The pairs of a window whose stacks and block size have equal shapes run as
+    one stack; an error names the failing instance by its input position.
     """
-    stream = iter(pairs)
-    start = 0
+
+    def shape(pair):
+        scheme, channel = pair
+        ops = scheme.encoder, scheme.decoder, channel
+        return (scheme.block_size,) + tuple(op.kraus.shape for op in ops)
+
+    return _windowed(pairs, shape, _eliminate_stack)
+
+
+def _windowed(items, key, run) -> Iterator:
+    """``run`` on each same-``key`` group of ``_WINDOW`` stream items, yielded in input order.
+
+    A stream of any length holds one window, and a group is one call.  An error
+    names an item as ``instance`` by its stream position: a failed member check
+    (:class:`qcap.linalg._MemberError`) its member, any other its group's first.
+    """
+    stream, start = iter(items), 0
     while window := list(itertools.islice(stream, _WINDOW)):
         groups: dict[tuple, list[int]] = {}
-        for i, (scheme, channel) in enumerate(window):
-            key = (scheme.encoder.kraus.shape, scheme.decoder.kraus.shape, channel.kraus.shape,
-                   scheme.block_size)
-            groups.setdefault(key, []).append(i)
-        results: list[EliminationInstance] = [None] * len(window)
+        for i, item in enumerate(window):
+            groups.setdefault(key(item), []).append(i)
         for members in groups.values():
             try:
-                done = _eliminate_stack([window[i] for i in members])
+                done = run([window[i] for i in members])
             except _MemberError as exc:
                 where = start + members[exc.where[0]]
                 raise ValueError(f"{exc.reason} at instance {where}") from None
             except ValueError as exc:
                 raise ValueError(f"{exc} at instance {start + members[0]}") from None
-            for i, instance in zip(members, done):
-                results[i] = instance
-        yield from results
+            for i, result in zip(members, done):
+                window[i] = result
+        yield from window
         start += len(window)
 
 
@@ -372,33 +382,16 @@ def _rotations(generators: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(1j * values)[..., None, :]) @ _adjoint(vectors)
 
 
-def _demo_window(
-    rng: np.random.Generator, first: int, size: int
-) -> list[tuple[CodingScheme, KrausChannel]]:
-    """Demo schemes ``first`` to ``first + size - 1``: drawn in stream order, then built by stack.
-
-    Scheme i is of family i mod 3 and takes its raw draws in the order its family's draw
-    lists them, so the stream does not depend on the window.  Schemes whose draws have equal
-    shapes (one family and dimension) are built on one stack, every step and check one call.
-    """
-    groups: dict[tuple, list] = {}
-    for i in range(first, first + size):
-        family = i % len(_DEMO_FAMILIES)
-        draw = _DEMO_FAMILIES[family][0](rng)
-        key = (family,) + tuple(np.shape(value) for value in draw)
-        groups.setdefault(key, []).append((i - first, draw))
-    window = [None] * size
-    for (family, *_), members in groups.items():
-        columns = (np.array(values) for values in zip(*(draw for _, draw in members)))
-        states, encoder, decoder, channel = _DEMO_FAMILIES[family][1](*columns)
-        for ops in (encoder, decoder, channel):
-            _check_kraus(ops)
-        for j, ((at, _), source) in enumerate(zip(members, states)):
-            scheme = CodingScheme(
-                source, KrausChannel._checked(encoder[j]), KrausChannel._checked(decoder[j]), 1
-            )
-            window[at] = scheme, KrausChannel._checked(channel[j])
-    return window
+def _demo_group(draws) -> list[tuple[CodingScheme, KrausChannel]]:
+    """The schemes of (family, raw draws) items of one family and draw shape, built on one stack."""
+    family = draws[0][0]
+    columns = (np.array(values) for values in zip(*(draw for _, draw in draws)))
+    states, encoder, decoder, channel = _DEMO_FAMILIES[family][1](*columns)
+    for ops in (encoder, decoder, channel):
+        _check_kraus(ops)
+    wrap = KrausChannel._checked
+    return [(CodingScheme(source, wrap(encoder[j]), wrap(decoder[j]), 1), wrap(channel[j]))
+            for j, source in enumerate(states)]
 
 
 def random_demo_schemes(trials: int, seed) -> Iterator[tuple[CodingScheme, KrausChannel]]:
@@ -408,13 +401,11 @@ def random_demo_schemes(trials: int, seed) -> Iterator[tuple[CodingScheme, Kraus
     (exactly decodable, so the elimination is exact), mixed near-identity
     rotations through a noisy unitary, and low-rate erasure with a recovery
     decoder.  Every scheme has end-to-end fidelity at least 0.99.  ``trials``
-    is checked at the call.  When the iterator reaches a window of ``_WINDOW``
-    schemes, it takes that window's raw draws in stream order and builds the
-    schemes on per-family, per-dimension stacks; the arrays are those of
-    drawing and building each scheme alone.
+    is checked at the call.  Scheme i is of family i mod 3 and takes its raw
+    draws in its family's order, so the stream does not depend on the window.
     """
     trials = _require_int(trials, "trials", 1)
     rng = _as_rng(seed)
-    starts = range(0, trials, _WINDOW)
-    windows = (_demo_window(rng, first, min(_WINDOW, trials - first)) for first in starts)
-    return itertools.chain.from_iterable(windows)
+    families = itertools.islice(itertools.cycle(enumerate(_DEMO_FAMILIES)), trials)
+    draws = ((family, draw(rng)) for family, (draw, _) in families)
+    return _windowed(draws, lambda item: (item[0],) + tuple(map(np.shape, item[1])), _demo_group)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _read_only, erasure_channel
+from .channels import KrausChannel, _erasure_probability, _read_only
 from .linalg import (
-    _check_density, _require_int, _require_probability, entropy_of_spectrum,
+    _check_density, _log2, _require_int, _require_probability, entropy_of_spectrum,
     partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
@@ -272,8 +272,7 @@ ASCENT_CAP = 500
 
 def _neg_log2(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarray]:
     """Entropy in bits and -log2 of the PSD matrix with this eigendecomposition, 0 on its kernel."""
-    logs = -np.log2(np.where(values > 0.0, values, 1.0))
-    return entropy_of_spectrum(values), (vectors * logs) @ vectors.conj().T
+    return entropy_of_spectrum(values), (vectors * -_log2(values)) @ vectors.conj().T
 
 
 def _widen(matrix: np.ndarray, qubit: int) -> np.ndarray:
@@ -328,11 +327,7 @@ def maximize_coherent_info(
     """
     restarts = _require_int(restarts, "restarts", 1)
     n = _require_int(block_size, "block size", 1, SEARCH_BLOCK_LIMIT)
-    ops = channel.kraus  # p read back from erasure_channel(p)'s stack, exact at 0, 1/2 and 1
-    kept, erased = np.abs(ops[[0, 1], [0, 2], 0]) ** 2 if ops.shape == (3, 3, 2) else (0.0, 0.0)
-    p = float(erased / (kept + erased)) if kept + erased > 0.0 else -1.0
-    if not 0.0 <= p <= 1.0 or not np.allclose(ops, erasure_channel(p).kraus, rtol=0.0, atol=1e-12):
-        raise ValueError(f"only erasure_channel(p) is searched; this {ops.shape} stack is not one")
+    p = _erasure_probability(channel.kraus)
     w = _weights(n, p)
     smooth = float(np.clip(w - w[::-1], 0.0, None).sum())  # L_n(p)
     d = 2**n

@@ -46,7 +46,7 @@ class CoherentInfoReport:
 
 
 def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """sum_k |Tr(rho A_k)|^2 clamped to [0, 1]; leading axes index a stack."""
+    """sum_k |Tr(rho A_k)|^2 clamped to [0, 1] for sqrt(1 - F); leading axes index a stack."""
     amps = np.trace(kraus @ matrix[..., None, :, :], axis1=-2, axis2=-1)
     return np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)
 
@@ -58,8 +58,7 @@ def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
     d, m = rho.dim, min(channel.in_dim, channel.out_dim)
     shared = eta.vector.reshape(d, channel.in_dim)[:, :m].reshape(-1)
     block = out.matrix.reshape(d, channel.out_dim, d, channel.out_dim)[:, :m, :, :m]
-    value = float(np.vdot(shared, block.reshape(d * m, d * m) @ shared).real)
-    return min(max(value, 0.0), 1.0)
+    return float(np.vdot(shared, block.reshape(d * m, d * m) @ shared).real)
 
 
 def entanglement_fidelity(
@@ -69,7 +68,7 @@ def entanglement_fidelity(
 
     The Kraus route evaluates sum_k |Tr(rho A_k)|^2; the purification route
     purifies rho, sends the system half through the channel, and takes the
-    overlap with the original purification.  Both agree to 1e-10.
+    overlap with the original purification, unclamped.  Both agree to 1e-10.
     """
     _check_input(channel, rho)
     if method not in (KRAUS_METHOD, PURIFICATION_METHOD):

@@ -24,14 +24,15 @@ def _require_int(value, what: str, least: int | None = None, most: int | None = 
     """``value`` as a Python int, refused by ``what`` unless it is an integer in least..most.
 
     2.0 is not an integer.  A bound left as None is not checked; ``most``
-    is only given with ``least``.
+    is only given with ``least``; ``most < least`` leaves no value valid.
     """
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if most is not None and not least <= n <= most:
-        raise ValueError(f"{what} {n} is outside {least}..{most}")
+        span = f"outside {least}..{most}" if least <= most else "refused: no value is valid"
+        raise ValueError(f"{what} {n} is {span}")
     if least is not None and n < least:
         bound = "a non-negative integer" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {bound}, got {n}")
@@ -83,16 +84,14 @@ def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) 
     index a stack of matrices, each reduced alike.
     """
     dims = tuple(_require_int(d, "factor dimension") for d in dims)
-    keep = sorted({_require_int(k, "factor index") for k in keep})
+    n = len(dims)
+    keep = sorted({_require_int(k, "factor index", 0, n - 1) for k in keep})
     m = np.asarray(matrix, dtype=complex)
     total = math.prod(dims)
     if m.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {m.shape} does not match factor dimensions {dims}"
         )
-    n = len(dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
     lead = m.shape[:-2]
     if not keep:
         return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
@@ -116,6 +115,11 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     return _scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(-1))
 
 
+def _log2(values: np.ndarray) -> np.ndarray:
+    """log2 of each entry, 0 where an entry is not positive: a zero weight adds nothing."""
+    return np.log2(np.where(values > 0.0, values, 1.0))
+
+
 def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in bits of a nonnegative eigenvalue vector.
 
@@ -123,8 +127,7 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     stack of spectra, giving one entropy per member.
     """
     values = np.asarray(values, dtype=float)
-    logs = np.log2(np.where(values > 0.0, values, 1.0))
-    return _scalar_or_stack(np.abs((values * logs).sum(-1)))
+    return _scalar_or_stack(np.abs((values * _log2(values)).sum(-1)))
 
 
 def _check_density(m: np.ndarray) -> None:

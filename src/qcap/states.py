@@ -160,9 +160,9 @@ def purify(rho: DensityMatrix) -> PureState:
 
 
 def _purification(matrix: np.ndarray) -> np.ndarray:
-    """Vector of :func:`purify` for a density matrix; leading axes index a stack."""
+    """Vector of :func:`purify`, eigenvalues floored as a density's; leading axes index a stack."""
     values, vectors = np.linalg.eigh(matrix)
-    amps = np.sqrt(np.clip(values[..., ::-1], 0.0, None))
+    amps = np.sqrt(_floored(values)[..., ::-1])
     # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
     table = amps[..., :, None] * vectors[..., :, ::-1].swapaxes(-1, -2)
     return table.reshape(matrix.shape[:-2] + (-1,))
@@ -181,7 +181,7 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     tau = Tr_B rho - l_max Tr_B |phi><phi|, positive semidefinite because
     rho >= l_max |phi><phi|.  Its A marginal equals Tr_B rho to rounding,
     and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.  The
-    eigenvalues of its one solve of rho get the floor check of
+    eigenvalues of rho and of tau get the floor check of
     :func:`qcap.linalg.density_spectrum`.  Leading axes of ``matrix`` index a stack.
     """
     lead = matrix.shape[:-2]
@@ -192,7 +192,7 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     values, vectors = np.linalg.eigh(tau)
     table = np.zeros(lead + (da, db, da + 1), dtype=complex)
     table[..., 0] = head
-    table[..., :, 0, 1:] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    table[..., :, 0, 1:] = vectors * np.sqrt(_floored(values))[..., None, :]
     return table.reshape(lead + (-1,)), l_max
 
 

@@ -42,6 +42,10 @@ def test_kraus_channel_validation():
         KrausChannel([])
     with pytest.raises(ValueError, match="shape"):
         KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)))
+    # what has no length is refused by name, not by a TypeError from len()
+    for ops, shown in ((5, "5"), (np.array(1.0), r"array\(1\.\)"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^Kraus operators must be a sequence, got {shown}$"):
+            KrausChannel(ops)
 
 
 def test_kraus_channel_rejects_non_finite_operator():

@@ -84,6 +84,9 @@ def test_partial_trace_refuses_non_integer_dimensions_and_indices():
     for keep, bad in (([0.5], "0.5"), ([1, 0.0], "0.0")):
         with pytest.raises(ValueError, match=rf"^factor index must be an integer, got {bad}$"):
             partial_trace(flat, (2, 2), keep)
+    for keep, bad in (([2], 2), ([0, -1], -1)):
+        with pytest.raises(ValueError, match=rf"^factor index {bad} is outside 0..1$"):
+            partial_trace(flat, (2, 2), keep)
     # numpy integers are integers
     red = partial_trace(flat, (np.int64(2), 2), [np.int64(0)])
     assert np.array_equal(red, np.eye(2) / 2.0)
@@ -97,9 +100,10 @@ def test_input_rules_have_one_owner():
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         assert "_check_block_size" not in text, path.name
+        assert "out of range for" not in text, path.name
         if path.name != "linalg.py":
             copies = ("outside [0, 1]", "operator.index", "need at least", ">= 1, got",
-                      "out of range for", "must be positive", "too small")
+                      "must be positive", "too small")
             for copy in copies:
                 assert copy not in text, (path.name, copy)
             assert not re.search(r"if \w+ < [0-9]:\s+raise", text), path.name
@@ -108,7 +112,44 @@ def test_input_rules_have_one_owner():
             n_bound = r"args\.n [<>]|[<>]=? args\.n|<= MAX_BLOCK_SIZE|block sizes 1"
             assert not re.search(n_bound, text)
         if path.name == "elimination.py":
-            assert "_CHUNK" not in text
+            # one window-and-group engine serves the elimination and the demo draws
+            assert "_CHUNK" not in text and "_demo_window" not in text
+            assert text.count("setdefault(") == 1 and text.count("_WINDOW))") == 1
+
+
+# the range clamps that stay outside linalg, each one line, by module
+RANGE_CLAMPS = {
+    # entropy_bound takes sqrt(eps_in), so eps_in = 1 - F must not go below 0
+    "functionals.py": "np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)",
+    # lemma2's eps window [0, 1/72]; forming eps otherwise would move lemma2's bytes
+    "continuity.py": "np.clip(eps, 0.0, MIXED_EPS_CAP)",
+    # the positive part that forms L_n(p), not a repair
+    "erasure.py": "np.clip(w - w[::-1], 0.0, None)",
+}
+
+
+def test_each_numerical_repair_has_one_owner():
+    # linalg owns the eigenvalue floor (_floored) and the zero-weight log (_log2); outside
+    # it there is no masked log, no min/max clamp, and np.clip only at the named range clamps
+    src = Path(__file__).resolve().parents[1] / "src" / "qcap"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        text = path.read_text()
+        assert "np.log2(np.where(" not in text, path.name
+        assert "min(max(" not in text, path.name
+        clamp = RANGE_CLAMPS.get(path.name)
+        assert text.count("np.clip(") == (0 if clamp is None else 1), path.name
+        assert clamp is None or clamp in text, path.name
+
+
+def test_zero_weight_log_gives_fannes_eta_bit_for_bit():
+    t = np.concatenate([[0.0, 1e-300, 1e-12, 0.25, 1.0 / 3.0, 0.5, 1.0],
+                        np.random.default_rng(5).random(1000) / 3.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(t > 0.0, -t * np.log2(t), 0.0)
+    # + 0.0 reads -0.0 as 0.0; no other bit may move
+    assert (entropy_of_spectrum(t[:, None]) + 0.0).tobytes() == (eta + 0.0).tobytes()
 
 
 def test_integer_rule_messages():
@@ -123,6 +164,8 @@ def test_integer_rule_messages():
         ((-1, "seed", 0), "seed must be a non-negative integer, got -1"),
         ((7, "block size", 1, 6), "block size 7 is outside 1..6"),
         ((0, "block size", 1, 6), "block size 0 is outside 1..6"),
+        ((1, "n", 1, 0), "n 1 is refused: no value is valid"),
+        ((0, "factor index", 0, -1), "factor index 0 is refused: no value is valid"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

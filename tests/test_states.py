@@ -67,7 +67,7 @@ def test_density_matrix_factors_and_entropy():
     assert rho.dims == (2, 2)
     assert abs(rho.entropy() - 2.0) < 1e-12
     assert rho.flattened().dims == (4,)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^factor index 2 is outside 0..1$"):
         rho.reduced([2])
 
 
@@ -287,6 +287,28 @@ def test_max_overlap_purification_marginal_gap_shrinks_with_purity():
     assert gaps[2] < 5e-3
 
 
+def test_purifications_refuse_eigenvalues_below_the_floor():
+    # the square-root amplitudes are floored as a density's spectrum is: -1e-9 is refused,
+    # -1e-11 reads as 0
+    low = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]).astype(complex)
+    message = r"^density matrix has negative eigenvalue -1\.000e-09 below the floor -1e-10"
+    with pytest.raises(ValueError, match=message + "$"):
+        _purification(low)
+    with pytest.raises(ValueError, match=message + " at stack index 1$"):
+        _purification(np.stack([np.eye(4) / 4.0, low]))
+    with pytest.raises(ValueError, match=message + "$"):
+        _max_overlap_vector(low, 2, 2)
+    # each eigenvalue of rho passes, but the residual marginal tau sums two of them on A = 1
+    residual = np.diag([1.0 + 2.7e-10, -0.9e-10, -0.9e-10, -0.9e-10]).astype(complex)
+    with pytest.raises(ValueError, match=r"negative eigenvalue -1\.800e-10 below the floor"):
+        _max_overlap_vector(residual, 2, 2)
+    tiny = np.diag([1.0 + 1e-11, 0.0, 0.0, -1e-11]).astype(complex)
+    vector = _purification(tiny)
+    assert np.isfinite(vector).all() and abs(np.linalg.norm(vector) - 1.0) < 1e-10
+    table, l_max = _max_overlap_vector(tiny, 2, 2)
+    assert np.isfinite(table).all() and l_max == 1.0 + 1e-11
+
+
 def test_max_overlap_purification_keeps_first_marginal():
     bell = np.outer(bell_vector(), bell_vector().conj())
     states = [
@@ -492,6 +514,10 @@ def test_high_entropy_counterexample_validation():
         high_entropy_counterexample(psi, 0.1, 0)
     with pytest.raises(ValueError, match=r"^n \(orthogonal directions\) 4 is outside 1..3$"):
         high_entropy_counterexample(psi, 0.1, 4)
+    # a one-dimensional psi leaves no orthogonal direction, so no n is valid
+    message = r"^n \(orthogonal directions\) 1 is refused: no value is valid$"
+    with pytest.raises(ValueError, match=message):
+        high_entropy_counterexample(PureState(np.ones(1)), 0.1, 1)
 
 
 def test_density_file_roundtrip(tmp_path):
