@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _MemberError, _first_failure, _require_int, _require_probability
+from .linalg import _MemberError, _first_failure, _read_only, _require_int, _require_probability
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -69,12 +69,6 @@ class KrausChannel:
     @property
     def in_dim(self) -> int:
         return self.kraus.shape[2]
-
-
-def _read_only(ops: np.ndarray) -> np.ndarray:
-    ops = ops.view()  # read-only without touching the caller's array
-    ops.flags.writeable = False
-    return ops
 
 
 def _check_kraus(ops: np.ndarray) -> None:

@@ -38,10 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    rounded = round(float(value), 9)
-    if rounded == 0.0:
-        rounded = 0.0
-    return f"{rounded:.9f}"
+    return f"{round(float(value), 9) + 0.0:.9f}"  # + 0.0 prints -0.0 as 0.0
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -128,12 +125,7 @@ def _cmd_theorem_demo(args) -> int:
     # schemes are drawn and eliminated one window at a time, never all held at once
     instances = eliminate_encoders(random_demo_schemes(args.trials, args.seed))
     for index, inst in enumerate(instances):
-        if not inst.fidelity_ok:
-            violations += 1
-        if not inst.entropy_ok:
-            violations += 1
-        if inst.flagged:
-            violations += 1
+        violations += (not inst.fidelity_ok) + (not inst.entropy_ok) + inst.flagged
         lines.append(
             f"{index},{_fmt(inst.eps_in)},{_fmt(inst.eps_out)},"
             f"{_fmt(inst.entropy_gap)},{_fmt(inst.entropy_bound)},"

@@ -130,20 +130,15 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
         sigma = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
         return rho, sigma, 0.22 * rng.random()
 
-    def mix(rho, sigma, t):
-        return (1.0 - t)[:, None, None] * rho + t[:, None, None] * sigma
-
     def measure(rho, sigma, t_mix):
         rho, sigma = _unit_trace(_wishart_grams(rho)), _unit_trace(_wishart_grams(sigma))
         spectrum = density_spectrum(rho)
-        other = mix(rho, sigma, t_mix)
-        dist = trace_norm(rho - other)
-        far = dist >= 1.0 / 3.0
-        while far.any():
+        # rho - ((1 - t) rho + t sigma) = t (rho - sigma): one trace norm, halved exactly with t
+        dist = t_mix * trace_norm(rho - sigma)
+        while (far := dist >= 1.0 / 3.0).any():
             t_mix[far] /= 2.0
-            other[far] = mix(rho[far], sigma[far], t_mix[far])
-            dist[far] = trace_norm(rho[far] - other[far])
-            far = dist >= 1.0 / 3.0
+            dist[far] /= 2.0
+        other = (1.0 - t_mix)[:, None, None] * rho + t_mix[:, None, None] * sigma
         diff = np.abs(entropy_of_spectrum(spectrum) - von_neumann_entropy(other, validate=False))
         eta = entropy_of_spectrum(dist[:, None])  # -t log2 t, 0 at t = 0
         bounds = np.stack([dist * log_dim + eta, dist * log_dim + 1.0], axis=1)

@@ -51,6 +51,7 @@ from .channels import (
 from .functionals import _chain, _kraus_fidelities
 from .linalg import (
     _MemberError,
+    _adjoint,
     _check_density,
     _first_failure,
     _require_int,
@@ -243,7 +244,7 @@ def _kept_branch(encoder, decode, phi, d_src) -> tuple[np.ndarray, np.ndarray]:
     branches = vectors / np.sqrt(np.where(kept, probs, 1.0))[..., None]
     # a dropped branch is no state: a unit placeholder keeps it out of the norm check
     _check_unit(np.where(kept[..., None], branches, 1.0 / math.sqrt(branches.shape[-1])))
-    y = _conjugate(decode.conj().swapaxes(-1, -2), _projectors(phi), (d_src, d_src), 1)
+    y = _conjugate(_adjoint(decode), _projectors(phi), (d_src, d_src), 1)
     scores = np.einsum("...bi,...ij,...bj->...b", branches.conj(), y, branches).real
     # a dropped branch, left unnormalized, scores at most its probability, below the kept best
     best = np.argmax(scores, axis=-1)
@@ -358,10 +359,6 @@ _DEMO_FAMILIES = (
     (_draw_noisy_rotation, _noisy_rotation_schemes),
     (_draw_erasure_recovery, _erasure_recovery_schemes),
 )
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
 
 
 def _scaled(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _erasure_probability, _read_only
+from .channels import KrausChannel, _erasure_probability
 from .linalg import (
-    _check_density, _log2, _require_int, _require_probability, entropy_of_spectrum,
-    partial_trace, von_neumann_entropy,
+    _adjoint, _check_density, _hermitian, _log2, _read_only, _require_int, _require_probability,
+    entropy_of_spectrum, partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
 
@@ -255,7 +255,7 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).  The
     flat state's retained-set table is read from :func:`_kept`, with no state formed.
     """
-    grid = [_require_probability(float(p)) for p in p_values]
+    grid = [_require_probability(p) for p in p_values]
     n = _require_int(block_size, "block size", 1)
     table = _kept(n)
     points = []
@@ -272,7 +272,7 @@ ASCENT_CAP = 500
 
 def _neg_log2(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarray]:
     """Entropy in bits and -log2 of the PSD matrix with this eigendecomposition, 0 on its kernel."""
-    return entropy_of_spectrum(values), (vectors * -_log2(values)) @ vectors.conj().T
+    return entropy_of_spectrum(values), (vectors * -_log2(values)) @ _adjoint(vectors)
 
 
 def _widen(matrix: np.ndarray, qubit: int) -> np.ndarray:
@@ -297,7 +297,7 @@ def _coherent_info_gradient(
     values, vectors = np.linalg.eigh(h)
     weights = np.exp(values - values[-1])
     spectrum = weights / weights.sum()
-    rho = (vectors * spectrum) @ vectors.conj().T
+    rho = (vectors * spectrum) @ _adjoint(vectors)
     w = _weights(n, p)
     signed = w - w[::-1]
     value, neg_log = _neg_log2(spectrum, vectors)
@@ -310,7 +310,7 @@ def _coherent_info_gradient(
         parent = mask | (mask + 1)
         terms[parent] += _widen(terms.pop(mask), (parent ^ mask).bit_length() - 1)
     (grad,) = terms.values()  # the full mask, all others folded into it
-    return float(value), 0.5 * (grad + grad.conj().T), rho, spectrum
+    return float(value), _hermitian(grad), rho, spectrum
 
 
 def maximize_coherent_info(
@@ -335,7 +335,7 @@ def maximize_coherent_info(
     found = [(0.0, np.diag(np.eye(d, dtype=complex)[0]), np.eye(d)[-1])]  # the pure input |0...0>
     for _ in range(restarts):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = 0.5 * (g + g.conj().T)
+        h = _hermitian(g)
         for _ in range(ASCENT_CAP):
             value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
             if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:

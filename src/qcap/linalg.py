@@ -2,12 +2,14 @@
 
 All entropies are in bits (logarithms base 2).  Matrices are plain numpy
 arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
-this module, so it owns the integer and probability input rules.
+this module, so it owns the integer and probability input rules and the
+shared array rules: the adjoint, the Hermitian part and the read-only view.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from typing import Iterable
 
@@ -40,10 +42,29 @@ def _require_int(value, what: str, least: int | None = None, most: int | None = 
 
 
 def _require_probability(p: float, what: str = "erasure probability") -> float:
-    """``p`` as a float; one outside [0, 1], NaN included, is refused by ``what``."""
+    """``p`` as a float, refused by ``what`` unless it is a real number in [0, 1] (NaN is not)."""
+    if not isinstance(p, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{what} {p!r} outside [0, 1]")
     return float(p)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes: each matrix of a stack alike."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M^dag) / 2 of each matrix of a stack."""
+    return 0.5 * (m + _adjoint(m))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the caller's array keeps its own flag."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
@@ -145,7 +166,7 @@ def _check_density(m: np.ndarray) -> None:
         raise _MemberError(f"density matrix has a non-finite entry at row {i}, column {j}", where)
     b, top = _TILE, max(m.shape[-1], 1)
     tiles = (
-        np.abs(m[..., i : i + b, j : j + b] - m[..., j : j + b, i : i + b].conj().swapaxes(-1, -2))
+        np.abs(m[..., i : i + b, j : j + b] - _adjoint(m[..., j : j + b, i : i + b]))
         for i in range(0, top, b)
         for j in range(i, top, b)
     )
@@ -186,7 +207,7 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(rho, dtype=complex)
     _check_density(m)
-    return _floored(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))))
+    return _floored(np.linalg.eigvalsh(_hermitian(m)))
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
@@ -199,8 +220,7 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
     """
     if validate:
         return entropy_of_spectrum(density_spectrum(rho))
-    m = np.asarray(rho, dtype=complex)
-    return entropy_of_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))))
+    return entropy_of_spectrum(np.linalg.eigvalsh(_hermitian(np.asarray(rho, dtype=complex))))
 
 
 def binary_entropy(x: float) -> float:

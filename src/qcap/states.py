@@ -14,7 +14,9 @@ from .linalg import (
     _check_density,
     _first_failure,
     _MemberError,
+    _adjoint,
     _floored,
+    _read_only,
     _require_int,
     _require_probability,
     density_spectrum,
@@ -60,7 +62,7 @@ class DensityMatrix:
         f = np.asarray(factor, dtype=complex)
         if f.ndim != 2:
             raise ValueError(f"density factor must be a matrix, got shape {f.shape}")
-        return cls(f @ f.conj().T, dims)
+        return cls(f @ _adjoint(f), dims)
 
     @classmethod
     def _checked(cls, m, eigenvalues, dims) -> "DensityMatrix":
@@ -70,9 +72,7 @@ class DensityMatrix:
         return state
 
     def _store(self, m, eigenvalues, dims):
-        m = m.view()  # read-only without touching the caller's array
-        m.flags.writeable = eigenvalues.flags.writeable = False
-        vars(self).update(matrix=m, eigenvalues=eigenvalues, dims=dims)
+        vars(self).update(matrix=_read_only(m), eigenvalues=_read_only(eigenvalues), dims=dims)
 
     @property
     def dim(self) -> int:
@@ -188,7 +188,7 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     values, vectors = np.linalg.eigh(matrix)
     l_max = _floored(values)[..., -1]
     head = np.sqrt(l_max)[..., None, None] * vectors[..., -1].reshape(lead + (da, db))
-    tau = partial_trace(matrix, (da, db), [0]) - head @ head.conj().swapaxes(-1, -2)
+    tau = partial_trace(matrix, (da, db), [0]) - head @ _adjoint(head)
     values, vectors = np.linalg.eigh(tau)
     table = np.zeros(lead + (da, db, da + 1), dtype=complex)
     table[..., 0] = head
@@ -208,8 +208,8 @@ def _uhlmann(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The gap is the trace-norm mismatch of those marginals; callers decide
     how much gap they tolerate.  Leading axes index a stack.
     """
-    gap = trace_norm(v1 @ v1.conj().swapaxes(-1, -2) - v2 @ v2.conj().swapaxes(-1, -2))
-    w, _, vh = np.linalg.svd(v2.conj().swapaxes(-1, -2) @ v1, full_matrices=False)
+    gap = trace_norm(v1 @ _adjoint(v1) - v2 @ _adjoint(v2))
+    w, _, vh = np.linalg.svd(_adjoint(v2) @ v1, full_matrices=False)
     return (w @ vh).conj(), gap
 
 
@@ -223,7 +223,7 @@ def _as_rng(seed) -> np.random.Generator:
 def _wishart_grams(raw: np.ndarray) -> np.ndarray:
     """Stacked G G^dag, unnormalized, for G = raw[..., 0, :, :] + i raw[..., 1, :, :]."""
     g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
-    return g @ g.conj().swapaxes(-1, -2)
+    return g @ _adjoint(g)
 
 
 def _normalized(vectors: np.ndarray) -> np.ndarray:
@@ -311,7 +311,8 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
 
 def write_density_file(path, rho: DensityMatrix) -> None:
     """Serialize a density matrix as a dims header plus re/im entry pairs."""
-    lines = ["dims " + " ".join(str(d) for d in rho.dims)]
+    # a state with no factors is written as one factor of size 1: a bare dims line is refused
+    lines = ["dims " + " ".join(str(d) for d in rho.dims or (1,))]
     for row in rho.matrix:
         lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -329,7 +330,7 @@ def read_density_file(path) -> DensityMatrix:
         raise ValueError(f"unreadable dims line {lines[0]!r}") from None
     if not dims:
         raise ValueError("dims line lists no factor dimensions")
-    total = math.prod(dims)
+    total = math.prod(_require_int(d, "factor dimension", 1) for d in dims)
     tokens = " ".join(lines[1:]).split()
     if len(tokens) != 2 * total * total:
         raise ValueError(

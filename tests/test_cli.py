@@ -151,8 +151,10 @@ def test_coherent_info_state_file_with_nan_exits_1(capsys, tmp_path):
         ("dims a b", "unreadable dims line 'dims a b'"),
         ("dims 2.5", "unreadable dims line 'dims 2.5'"),
         ("dims", "dims line lists no factor dimensions"),
+        ("dims -2", "factor dimension must be at least 1, got -2"),
+        ("dims 2 -1", "factor dimension must be at least 1, got -1"),
     ],
-    ids=["letters", "float", "bare"],
+    ids=["letters", "float", "bare", "negative", "negative-second"],
 )
 def test_coherent_info_state_file_with_a_bad_dims_line_exits_1(capsys, tmp_path, header, message):
     path = tmp_path / "state.txt"

@@ -270,8 +270,22 @@ def test_batched_suites_match_per_trial_reference(suite, dim):
             assert abs(report.epsilon_max - eps_max) <= 1e-12
             assert report.worst_trial == worst
         if suite == "fannes" and seed == 0:
-            # the masked re-run of the shrink loop is exercised on this seed
+            # the shrink loop is exercised on this seed
             assert halvings > 0
+
+
+def test_fannes_solves_each_trace_distance_once(monkeypatch):
+    # seed 0 halves some mixing weights (see the per-trial reference above); the
+    # distance is halved with them, never solved again
+    solved = []
+
+    def counted(matrix):
+        solved.append(len(matrix))
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(continuity, "trace_norm", counted)
+    report = check_fannes(trials=1000, dim=6, seed=0)
+    assert sum(solved) == report.trials == 1000
 
 
 @pytest.mark.parametrize(

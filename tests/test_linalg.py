@@ -13,8 +13,18 @@ from qcap.continuity import (
     check_pure_overlap_continuity,
 )
 from qcap.elimination import random_demo_schemes
-from qcap.erasure import binomial_mean, half_sum_fraction, maximize_coherent_info
+from qcap.erasure import (
+    ErasureDecomposition,
+    binomial_mean,
+    capacity_curve,
+    erasure_decomposition,
+    half_sum_fraction,
+    maximize_coherent_info,
+)
 from qcap.linalg import (
+    _adjoint,
+    _hermitian,
+    _read_only,
     _require_int,
     binary_entropy,
     density_spectrum,
@@ -128,11 +138,20 @@ RANGE_CLAMPS = {
 }
 
 
+# a spelling, outside linalg, of an array rule linalg owns: the adjoint (_adjoint), the
+# Hermitian part (_hermitian) and the read-only view (_read_only), or a second owner of one
+ARRAY_RULE_COPY = re.compile(
+    r"\.conj\(\)\.(?:T\b|swapaxes\(|transpose\()|\.T\.conj\(\)|flags\.writeable"
+    r"|\((\w+) \+ (?:\1\.conj\(\)|_adjoint\(\1\))|def _(?:adjoint|hermitian|read_only)\b"
+)
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcap"
+
+
 def test_each_numerical_repair_has_one_owner():
-    # linalg owns the eigenvalue floor (_floored) and the zero-weight log (_log2); outside
-    # it there is no masked log, no min/max clamp, and np.clip only at the named range clamps
-    src = Path(__file__).resolve().parents[1] / "src" / "qcap"
-    for path in sorted(src.glob("*.py")):
+    # linalg owns the eigenvalue floor (_floored), the zero-weight log (_log2) and the array
+    # rules; outside it there is no masked log, no min/max clamp, np.clip only at the named
+    # range clamps, and no adjoint, Hermitian part or read-only flag spelled by hand
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "linalg.py":
             continue
         text = path.read_text()
@@ -141,6 +160,46 @@ def test_each_numerical_repair_has_one_owner():
         clamp = RANGE_CLAMPS.get(path.name)
         assert text.count("np.clip(") == (0 if clamp is None else 1), path.name
         assert clamp is None or clamp in text, path.name
+        assert ARRAY_RULE_COPY.search(text) is None, (path.name, ARRAY_RULE_COPY.search(text))
+
+
+@pytest.mark.parametrize(
+    "module, copy",
+    [
+        ("erasure.py", "        h = 0.5 * (g + g.conj().T)"),
+        ("erasure.py", "    return float(value), 0.5 * (grad + _adjoint(grad)), rho, spectrum"),
+        ("erasure.py", "    rho = (vectors * spectrum) @ vectors.conj().T"),
+        ("states.py", "    tau = matrix - head @ head.conj().swapaxes(-1, -2)"),
+        ("states.py", "        m.flags.writeable = eigenvalues.flags.writeable = False"),
+        ("states.py", "    return g @ g.T.conj()"),
+        ("elimination.py", "def _adjoint(stack):\n    return np.conj(stack).swapaxes(-1, -2)"),
+        ("elimination.py", "    y = decode.conj().transpose(0, 1, 3, 2)"),
+        ("channels.py", "def _read_only(ops):\n    return ops.view()"),
+        ("channels.py", "    ops.flags.writeable = False"),
+    ],
+    ids=["erasure-hermitian", "erasure-hermitian-adjoint", "erasure-conj-T", "states-swapaxes",
+         "states-writeable", "states-T-conj", "elimination-def-adjoint",
+         "elimination-transpose", "channels-def-read-only", "channels-writeable"],
+)
+def test_the_array_rule_guard_finds_a_planted_copy(module, copy):
+    text = (SRC / module).read_text()
+    assert ARRAY_RULE_COPY.search(text) is None
+    assert ARRAY_RULE_COPY.search(text + "\n\n" + copy + "\n") is not None
+
+
+def test_array_rules_keep_their_arithmetic_bit_for_bit():
+    rng = np.random.default_rng(29)
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    for m in stack:
+        assert _adjoint(m).tobytes() == m.conj().T.tobytes()
+        assert _hermitian(m).tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+    for j, part in enumerate(_hermitian(stack)):
+        assert part.tobytes() == _hermitian(stack[j]).tobytes()
+    assert _adjoint(stack[:, :2]).shape == (3, 5, 2)
+    view = _read_only(stack)
+    assert np.shares_memory(view, stack) and stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0, 0] = 1.0
 
 
 def test_zero_weight_log_gives_fannes_eta_bit_for_bit():
@@ -228,6 +287,36 @@ def test_every_count_is_an_integer_from_its_least(call, name, least, good):
     got, want = call(np.int64(good)), call(good)
     assert got == want
     assert _kinds(got) == _kinds(want)
+
+
+PROBABILITY_RULES = {
+    "erasure_channel": (erasure_channel, "erasure probability"),
+    "ErasureDecomposition": (lambda p: ErasureDecomposition(p, np.zeros(4)), "erasure probability"),
+    "erasure_decomposition": (
+        lambda p: erasure_decomposition(maximally_mixed(4, (2, 2)), p, 2), "erasure probability"
+    ),
+    "capacity_curve": (lambda p: capacity_curve([p], 2), "erasure probability"),
+    "binary_entropy": (binary_entropy, "binary entropy argument"),
+    "binomial_mean": (lambda p: binomial_mean(3, p), "probability"),
+    "half_sum_fraction": (lambda p: half_sum_fraction(3, p), "probability"),
+    "high_entropy_counterexample": (
+        lambda p: high_entropy_counterexample(random_pure_state(4, seed=1), p, 2), "mixing weight"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", PROBABILITY_RULES.values(), ids=PROBABILITY_RULES)
+def test_every_probability_is_a_real_number(call, name):
+    bad = [("0.5", "'0.5'"), (None, "None"), (0.5 + 0j, "(0.5+0j)"),
+           (np.array([0.1, 0.2]), "array([0.1, 0.2])")]
+    for value, shown in bad:
+        message = f"{name} must be a real number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    for good in (0, 1, 0.25, np.float64(0.25), np.float32(0.5)):
+        call(good)
+    with pytest.raises(ValueError, match=f"^{name} 1.5 outside \\[0, 1\\]$"):
+        call(1.5)
 
 
 def test_trace_norm_basics():

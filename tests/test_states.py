@@ -103,6 +103,11 @@ def test_density_matrix_arrays_are_read_only_views():
     # a view, not a copy: the caller's array is shared and stays writeable
     assert np.shares_memory(rho.matrix, m)
     m[1, 1] = 0.5
+    # a state wrapped with a known spectrum leaves both of the caller's arrays writeable
+    values = np.full(2, 0.5)
+    known = DensityMatrix._checked(m, values, (2,))
+    assert np.shares_memory(known.eigenvalues, values) and values.flags.writeable
+    assert not (known.matrix.flags.writeable or known.eigenvalues.flags.writeable)
 
 
 @pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0)])
@@ -531,6 +536,19 @@ def test_density_file_roundtrip(tmp_path):
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [maximally_mixed(4, (2, 2)).reduced([]), random_density(4, rank=4, seed=9)],
+    ids=["no-factors", "two-qubit"],
+)
+def test_every_written_state_reads_back_bit_for_bit(tmp_path, rho):
+    path = tmp_path / "state.txt"
+    write_density_file(str(path), rho)
+    back = read_density_file(str(path))
+    assert back.matrix.tobytes() == rho.matrix.tobytes()
+    assert back.dims == (rho.dims or (1,))
+
+
 def test_read_density_file_rejects_malformed_input(tmp_path):
     bad_header = tmp_path / "a.txt"
     bad_header.write_text("2 2\n1 0 0 0\n")
@@ -559,8 +577,10 @@ def test_read_density_file_rejects_malformed_input(tmp_path):
         ("dims a b", r"^unreadable dims line 'dims a b'$"),
         ("dims 2.5", r"^unreadable dims line 'dims 2.5'$"),
         ("dims", r"^dims line lists no factor dimensions$"),
+        ("dims -2", r"^factor dimension must be at least 1, got -2$"),
+        ("dims 2 -1", r"^factor dimension must be at least 1, got -1$"),
     ],
-    ids=["letters", "float", "bare"],
+    ids=["letters", "float", "bare", "negative", "negative-second"],
 )
 def test_read_density_file_refuses_a_bad_dims_line(tmp_path, header, message):
     path = tmp_path / "state.txt"
