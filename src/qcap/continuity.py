@@ -13,8 +13,9 @@ unit vector is built on the stack: Wishart Grams, normalization, mixing,
 validation, partial traces, eigensolves and slacks run once on the whole
 chunk through the stack-aware kernels of :mod:`qcap.linalg` and
 :mod:`qcap.states`; the Gram and normalization kernels are the ones that
-``random_density`` and ``random_pure_state`` run.  The chunk bounds the
-memory a check holds while keeping per-call overhead small.
+``random_density`` and ``random_pure_state`` run, and every eigensolve,
+lemma2's side condition included, solves the Hermitian part.  The chunk
+bounds the memory a check holds while keeping per-call overhead small.
 """
 from __future__ import annotations
 
@@ -24,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _require_int,
-    density_spectrum,
-    entropy_of_spectrum,
-    partial_trace,
-    trace_norm,
+    _eigvalsh, _require_int, density_spectrum, entropy_of_spectrum, partial_trace, trace_norm,
     von_neumann_entropy,
 )
 from .states import _as_rng, _dot, _normalized, _projectors, _unit_trace, _wishart_grams
@@ -208,7 +205,7 @@ def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -
         base = 2.0 * np.sqrt(2.0 * eps)
         sides = np.abs(s_rho - s_phi[:, None]) - (base * log_dim + 2.0)[:, None]
         cross = np.abs(s_rho[:, 0] - s_rho[:, 1]) - (2.0 * base * log_dim + 4.0)
-        top = np.linalg.eigvalsh(dense)[:, -1]
+        top = _eigvalsh(dense)[:, -1]
         misses = int(np.count_nonzero(top < 1.0 - eps - FP_TOL))
         return np.column_stack([sides, cross]), misses, eps
 

@@ -53,6 +53,7 @@ from .linalg import (
     _MemberError,
     _adjoint,
     _check_density,
+    _eigh,
     _first_failure,
     _require_int,
     density_spectrum,
@@ -375,7 +376,7 @@ def _unit_hermitian(raw: np.ndarray) -> np.ndarray:
 
 def _rotations(generators: np.ndarray) -> np.ndarray:
     """exp(i G) for each Hermitian G of a stack, from its eigendecomposition."""
-    values, vectors = np.linalg.eigh(generators)
+    values, vectors = _eigh(generators)
     return (vectors * np.exp(1j * values)[..., None, :]) @ _adjoint(vectors)
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .channels import KrausChannel, _erasure_probability
 from .linalg import (
-    _adjoint, _check_density, _hermitian, _log2, _read_only, _require_int, _require_probability,
-    entropy_of_spectrum, partial_trace, von_neumann_entropy,
+    _adjoint, _check_density, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int,
+    _require_probability, entropy_of_spectrum, partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
 
@@ -255,6 +255,8 @@ def capacity_curve(p_values, block_size: int) -> list[CapacityPoint]:
     ic_per_use traces 1-2p and capacity_bound records max(1-2p, 0).  The
     flat state's retained-set table is read from :func:`_kept`, with no state formed.
     """
+    if isinstance(p_values, (str, bytes)) or not np.iterable(p_values):
+        raise ValueError(f"p values must be a sequence of probabilities, got {p_values!r}")
     grid = [_require_probability(p) for p in p_values]
     n = _require_int(block_size, "block size", 1)
     table = _kept(n)
@@ -294,7 +296,7 @@ def _coherent_info_gradient(
     by dropping A's lowest unset bit b, so b, with every bit below it set, is that qubit's
     factor there.  Ascending, each term holds its children's when it is widened into its parent.
     """
-    values, vectors = np.linalg.eigh(h)
+    values, vectors = _eigh(h)
     weights = np.exp(values - values[-1])
     spectrum = weights / weights.sum()
     rho = (vectors * spectrum) @ _adjoint(vectors)
@@ -303,7 +305,7 @@ def _coherent_info_gradient(
     value, neg_log = _neg_log2(spectrum, vectors)
     value, terms = signed[-1] * value, {len(w) - 1: signed[-1] * neg_log}
     for mask, sub in _marginals(rho, list(range(n))):
-        entropy, neg_log = _neg_log2(*np.linalg.eigh(sub))
+        entropy, neg_log = _neg_log2(*_eigh(sub))
         value += signed[mask] * entropy
         terms[mask] = signed[mask] * neg_log
     for mask in range(len(w) - 1):
@@ -338,7 +340,7 @@ def maximize_coherent_info(
         h = _hermitian(g)
         for _ in range(ASCENT_CAP):
             value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
-            if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:
+            if _eigvalsh(grad)[-1] - value < ASCENT_TOL:
                 break
             h = h + math.log(2.0) / smooth * grad  # L = 0 only at p = 1/2, where G = 0
         found.append((value, rho, spectrum))

@@ -2,8 +2,9 @@
 
 All entropies are in bits (logarithms base 2).  Matrices are plain numpy
 arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
-this module, so it owns the integer and probability input rules and the
-shared array rules: the adjoint, the Hermitian part and the read-only view.
+this module, so it owns the integer and probability input rules, the
+shared array rules (the adjoint, the Hermitian part, the read-only view)
+and the eigensolve: ``_eigh`` and ``_eigvalsh`` solve the Hermitian part.
 """
 from __future__ import annotations
 
@@ -25,10 +26,12 @@ _LOG2 = math.log(2.0)
 def _require_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` as a Python int, refused by ``what`` unless it is an integer in least..most.
 
-    2.0 is not an integer.  A bound left as None is not checked; ``most``
+    2.0 and True are not integers.  A bound left as None is not checked; ``most``
     is only given with ``least``; ``most < least`` leaves no value valid.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -42,8 +45,8 @@ def _require_int(value, what: str, least: int | None = None, most: int | None = 
 
 
 def _require_probability(p: float, what: str = "erasure probability") -> float:
-    """``p`` as a float, refused by ``what`` unless it is a real number in [0, 1] (NaN is not)."""
-    if not isinstance(p, numbers.Real):
+    """``p`` as a float, refused by ``what`` unless a real number in [0, 1], not NaN or a bool."""
+    if not isinstance(p, numbers.Real) or isinstance(p, bool):
         raise ValueError(f"{what} must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{what} {p!r} outside [0, 1]")
@@ -58,6 +61,16 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M^dag) / 2 of each matrix of a stack."""
     return 0.5 * (m + _adjoint(m))
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the Hermitian part of each matrix of a stack."""
+    return np.linalg.eigh(_hermitian(m))
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix of a stack."""
+    return np.linalg.eigvalsh(_hermitian(m))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -207,7 +220,7 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(rho, dtype=complex)
     _check_density(m)
-    return _floored(np.linalg.eigvalsh(_hermitian(m)))
+    return _floored(_eigvalsh(m))
 
 
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
@@ -220,7 +233,7 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
     """
     if validate:
         return entropy_of_spectrum(density_spectrum(rho))
-    return entropy_of_spectrum(np.linalg.eigvalsh(_hermitian(np.asarray(rho, dtype=complex))))
+    return entropy_of_spectrum(_eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def binary_entropy(x: float) -> float:

@@ -15,6 +15,7 @@ from .linalg import (
     _first_failure,
     _MemberError,
     _adjoint,
+    _eigh,
     _floored,
     _read_only,
     _require_int,
@@ -161,7 +162,7 @@ def purify(rho: DensityMatrix) -> PureState:
 
 def _purification(matrix: np.ndarray) -> np.ndarray:
     """Vector of :func:`purify`, eigenvalues floored as a density's; leading axes index a stack."""
-    values, vectors = np.linalg.eigh(matrix)
+    values, vectors = _eigh(matrix)
     amps = np.sqrt(_floored(values)[..., ::-1])
     # row a of the (ref, system) table is sqrt(l_a) v_a, eigenvalues descending
     table = amps[..., :, None] * vectors[..., :, ::-1].swapaxes(-1, -2)
@@ -181,15 +182,15 @@ def _max_overlap_vector(matrix: np.ndarray, da: int, db: int) -> tuple[np.ndarra
     tau = Tr_B rho - l_max Tr_B |phi><phi|, positive semidefinite because
     rho >= l_max |phi><phi|.  Its A marginal equals Tr_B rho to rounding,
     and its overlap with rho x |0_C><0_C| equals l_max^2 exactly.  The
-    eigenvalues of rho and of tau get the floor check of
+    spectra of the Hermitian parts of rho and tau get the floor check of
     :func:`qcap.linalg.density_spectrum`.  Leading axes of ``matrix`` index a stack.
     """
     lead = matrix.shape[:-2]
-    values, vectors = np.linalg.eigh(matrix)
+    values, vectors = _eigh(matrix)
     l_max = _floored(values)[..., -1]
     head = np.sqrt(l_max)[..., None, None] * vectors[..., -1].reshape(lead + (da, db))
     tau = partial_trace(matrix, (da, db), [0]) - head @ _adjoint(head)
-    values, vectors = np.linalg.eigh(tau)
+    values, vectors = _eigh(tau)
     table = np.zeros(lead + (da, db, da + 1), dtype=complex)
     table[..., 0] = head
     table[..., :, 0, 1:] = vectors * np.sqrt(_floored(values))[..., None, :]

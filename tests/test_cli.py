@@ -350,10 +350,12 @@ def test_lemma_check_pinned_bytes(capsys, seed):
 
 
 # sha256 of the stdout of `qcap theorem-demo --trials 1000 --seed <seed>`; the
-# CSV of existing seeds must not change by a byte
+# CSV of existing seeds must not change by a byte.  Seeds 0 and 1 were re-pinned
+# when the max-overlap purification began solving the Hermitian part: eps_out
+# moved by 1e-9 in row 301 (seed 0) and rows 520 and 835 (seed 1)
 THEOREM_DEMO_SHA256 = {
-    0: "45b6ac0cc4ab7c976f894becc20fbd1685959779809e537c9a78b96fbaacb408",
-    1: "90c80b78cd292baff16b90765bff9f19a77c211ffaff095f2a2b3c603625b62b",
+    0: "84519eeec01ea0dc17109b4e82a5d1abdc21df5657968e5604fa78b3b3773990",
+    1: "f600f48f7fa9c2e3f009583037af3c063da635cdf6f2f65dba98d1d77205abf8",
     2: "3f9cdfaa5ace0a6140f242c4a0aaf730f5a05f43bdca3e582167c9401c209358",
 }
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -599,6 +600,18 @@ def test_capacity_curve_tracks_closed_form():
 def test_capacity_curve_rejects_bad_probability():
     with pytest.raises(ValueError, match="outside"):
         capacity_curve([0.2, 1.3], 1)
+
+
+@pytest.mark.parametrize(
+    "p_values, shown",
+    [(0.5, "0.5"), (1, "1"), ("0.5", "'0.5'"), (None, "None"),
+     (np.float64(0.5), "np.float64(0.5)"), (np.array(0.5), "array(0.5)")],
+    ids=["float", "int", "string", "none", "numpy-scalar", "zero-d-array"],
+)
+def test_capacity_curve_refuses_p_values_that_are_not_a_sequence(p_values, shown):
+    message = f"p values must be a sequence of probabilities, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        capacity_curve(p_values, 2)
 
 
 def test_maximize_coherent_info_reaches_erasure_optimum():

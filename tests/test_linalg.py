@@ -23,6 +23,8 @@ from qcap.erasure import (
 )
 from qcap.linalg import (
     _adjoint,
+    _eigh,
+    _eigvalsh,
     _hermitian,
     _read_only,
     _require_int,
@@ -146,15 +148,35 @@ ARRAY_RULE_COPY = re.compile(
 )
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcap"
 
+# numpy's Hermitian eigensolvers read one triangle of their input; linalg's _eigh and
+# _eigvalsh are their only callers, each solving the Hermitian part
+EIGENSOLVE = re.compile(r"np\.linalg\.eig(?:vals)?h\b")
+EIGENSOLVE_OWNERS = {"_eigh": ["np.linalg.eigh"], "_eigvalsh": ["np.linalg.eigvalsh"]}
+
+
+def _stray_eigensolves(module: str, text: str) -> list[str]:
+    """First lines of the top-level statements of ``module`` that call numpy's solvers unowned."""
+    stray = []
+    for chunk in re.split(r"\n(?=\S)", text):
+        name = re.match(r"def (\w+)\(", chunk)
+        owner = name.group(1) if module == "linalg.py" and name else None
+        if EIGENSOLVE.findall(chunk) != EIGENSOLVE_OWNERS.get(owner, []):
+            stray.append(chunk.split("\n", 1)[0])
+    return stray
+
 
 def test_each_numerical_repair_has_one_owner():
     # linalg owns the eigenvalue floor (_floored), the zero-weight log (_log2) and the array
     # rules; outside it there is no masked log, no min/max clamp, np.clip only at the named
-    # range clamps, and no adjoint, Hermitian part or read-only flag spelled by hand
+    # range clamps, and no adjoint, Hermitian part or read-only flag spelled by hand; every
+    # eigensolve, in linalg too, goes through _eigh or _eigvalsh
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
         text = path.read_text()
+        assert _stray_eigensolves(path.name, text) == [], path.name
+        if path.name == "linalg.py":
+            assert "np.linalg.eigh(_hermitian(m))" in text
+            assert "np.linalg.eigvalsh(_hermitian(m))" in text
+            continue
         assert "np.log2(np.where(" not in text, path.name
         assert "min(max(" not in text, path.name
         clamp = RANGE_CLAMPS.get(path.name)
@@ -187,6 +209,27 @@ def test_the_array_rule_guard_finds_a_planted_copy(module, copy):
     assert ARRAY_RULE_COPY.search(text + "\n\n" + copy + "\n") is not None
 
 
+@pytest.mark.parametrize(
+    "module, copy",
+    [
+        ("states.py", "    values, vectors = np.linalg.eigh(tau)"),
+        ("states.py", "def _purification(matrix):\n    return np.linalg.eigh(matrix)"),
+        ("erasure.py", "        entropy, neg_log = _neg_log2(*np.linalg.eigh(sub))"),
+        ("erasure.py", "            if np.linalg.eigvalsh(grad)[-1] - value < ASCENT_TOL:"),
+        ("elimination.py", "    values, vectors = np.linalg.eigh(generators)"),
+        ("continuity.py", "        top = np.linalg.eigvalsh(dense)[:, -1]"),
+        ("linalg.py", "    return _floored(np.linalg.eigvalsh(m))"),
+        ("linalg.py", "def _eigvalsh_raw(m):\n    return np.linalg.eigvalsh(m)"),
+    ],
+    ids=["states-tau", "states-def", "erasure-marginal", "erasure-gap", "elimination-rotations",
+         "continuity-lemma2", "linalg-spectrum", "linalg-second-owner"],
+)
+def test_the_eigensolve_guard_finds_a_planted_copy(module, copy):
+    text = (SRC / module).read_text()
+    assert _stray_eigensolves(module, text) == []
+    assert _stray_eigensolves(module, text + "\n\n" + copy + "\n") != []
+
+
 def test_array_rules_keep_their_arithmetic_bit_for_bit():
     rng = np.random.default_rng(29)
     stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
@@ -196,6 +239,18 @@ def test_array_rules_keep_their_arithmetic_bit_for_bit():
     for j, part in enumerate(_hermitian(stack)):
         assert part.tobytes() == _hermitian(stack[j]).tobytes()
     assert _adjoint(stack[:, :2]).shape == (3, 5, 2)
+    # on exactly Hermitian input the solve owners are numpy's solvers bit for bit: a
+    # Hermitian part, an ascent step h + c g of two, and a stack
+    h, g = _hermitian(stack[0]), _hermitian(stack[1])
+    for m in (h, h + 0.37 * g, _hermitian(stack)):
+        values, vectors = np.linalg.eigh(m)
+        assert _eigh(m)[0].tobytes() == values.tobytes()
+        assert _eigh(m)[1].tobytes() == vectors.tobytes()
+        assert _eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+    # where the triangles disagree, the owners solve the Hermitian part, not the lower triangle
+    raw = stack[2]
+    assert _eigvalsh(raw).tobytes() == np.linalg.eigvalsh(_hermitian(raw)).tobytes()
+    assert not np.allclose(_eigvalsh(raw), np.linalg.eigvalsh(raw))
     view = _read_only(stack)
     assert np.shares_memory(view, stack) and stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -225,6 +280,9 @@ def test_integer_rule_messages():
         ((0, "block size", 1, 6), "block size 0 is outside 1..6"),
         ((1, "n", 1, 0), "n 1 is refused: no value is valid"),
         ((0, "factor index", 0, -1), "factor index 0 is refused: no value is valid"),
+        ((True, "block size", 1), "block size must be an integer, got True"),
+        ((False, "seed", 0), "seed must be an integer, got False"),
+        ((np.True_, "trials", 1), "trials must be an integer, got np.True_"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -308,7 +366,8 @@ PROBABILITY_RULES = {
 @pytest.mark.parametrize("call, name", PROBABILITY_RULES.values(), ids=PROBABILITY_RULES)
 def test_every_probability_is_a_real_number(call, name):
     bad = [("0.5", "'0.5'"), (None, "None"), (0.5 + 0j, "(0.5+0j)"),
-           (np.array([0.1, 0.2]), "array([0.1, 0.2])")]
+           (np.array([0.1, 0.2]), "array([0.1, 0.2])"), (True, "True"), (False, "False"),
+           (np.True_, "np.True_")]
     for value, shown in bad:
         message = f"{name} must be a real number, got {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
