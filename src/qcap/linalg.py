@@ -59,8 +59,11 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2 of each matrix of a stack."""
-    return 0.5 * (m + _adjoint(m))
+    """Hermitian part (M + M^dag) / 2 of each matrix of a stack, summed and halved in place."""
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")  # a new array for any dtype: m is not written
+    h += m
+    h *= 0.5
+    return h
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap import continuity
+from qcap import cli, continuity
 from qcap.continuity import (
     FP_TOL,
     MIXED_EPS_CAP,
@@ -23,7 +23,7 @@ from qcap.states import (
     random_unitary,
 )
 
-from helpers import gaussian_unit_vector, wishart_gram
+from helpers import count_factorizations, gaussian_unit_vector, wishart_gram
 
 
 def test_fannes_check_passes():
@@ -142,8 +142,7 @@ def test_fannes_bound_direct_on_rotated_pair():
 # Per-trial reference for the batched suites: one loop iteration per trial,
 # with one random_density / partial_trace / trace_norm / von_neumann_entropy
 # call per state, drawing in the suites' RNG call order.  Each returns, per
-# trial, the slacks in the order the suite checks them, the number of
-# violated side conditions without a slack, and the trial's epsilon.
+# trial, the slacks in the order the suite checks them and the trial's epsilon.
 
 
 def _reference_marginal_entropies(vec, dims):
@@ -170,7 +169,7 @@ def _reference_fannes(trials, dim, seed):
         diff = abs(rho.entropy() - von_neumann_entropy(other, validate=False))
         eta = -dist * math.log2(dist) if dist > 0.0 else 0.0
         bounds = (dist * math.log2(dim) + eta, dist * math.log2(dim) + 1.0)
-        records.append(([diff - b for b in bounds], 0, dist))
+        records.append(([diff - b for b in bounds], dist))
     return records, halvings
 
 
@@ -188,7 +187,7 @@ def _reference_pure_overlap(trials, dim, seed):
         s_first = _reference_marginal_entropies(psi, (dim, dim))
         s_second = _reference_marginal_entropies(other, (dim, dim))
         bound = 2.0 * math.sqrt(eps) * math.log2(dim) + 1.0
-        records.append(([abs(s_first[k] - s_second[k]) - bound for k in (0, 1)], 0, eps))
+        records.append(([abs(s_first[k] - s_second[k]) - bound for k in (0, 1)], eps))
     return records, 0
 
 
@@ -199,10 +198,14 @@ def _reference_mixed_overlap(trials, dim, seed):
     for _ in range(trials):
         phi = random_pure_state(total_dim, seed=rng).vector
         sigma = random_density(total_dim, rank=int(rng.integers(1, total_dim + 1)), seed=rng)
-        weight = float(rng.uniform(0.0, MIXED_EPS_CAP))
+        weight = float(rng.uniform(0.0, continuity.MIXED_EPS_CAP))
         dense = (1.0 - weight) * np.outer(phi, phi.conj()) + weight * sigma.matrix
-        eps = 1.0 - float(np.vdot(phi, dense @ phi).real)
-        eps = min(max(eps, 0.0), MIXED_EPS_CAP)
+        eps = weight * (1.0 - float(np.vdot(phi, sigma.matrix @ phi).real))
+        # eps is the deficit 1 - <phi|rho|phi>, and the lemma's side condition holds by the
+        # Rayleigh quotient: both are checked here, on every drawn trial, and not in the suite;
+        # 1 - <phi|rho|phi> cancels against 1, so it carries a few ulps of 1
+        assert abs(1.0 - float(np.vdot(phi, dense @ phi).real) - eps) <= 8 * np.finfo(float).eps
+        assert float(np.linalg.eigvalsh(dense)[-1]) >= 1.0 - eps - FP_TOL
         s_phi = _reference_marginal_entropies(phi, (dim, dim))
         s_rho = tuple(
             von_neumann_entropy(partial_trace(dense, (dim, dim), [k]), validate=False)
@@ -211,8 +214,7 @@ def _reference_mixed_overlap(trials, dim, seed):
         base = 2.0 * math.sqrt(2.0 * eps)
         slacks = [abs(s_rho[k] - s_phi[k]) - (base * math.log2(dim) + 2.0) for k in (0, 1)]
         slacks.append(abs(s_rho[0] - s_rho[1]) - (2.0 * base * math.log2(dim) + 4.0))
-        top = float(np.linalg.eigvalsh(dense)[-1])
-        records.append((slacks, int(top < 1.0 - eps - FP_TOL), eps))
+        records.append((slacks, eps))
     return records, 0
 
 
@@ -230,18 +232,17 @@ def _reference_mixing(trials, dim, seed):
         s_mix = von_neumann_entropy(mixture, validate=False)
         s_avg = sum(w * part.entropy() for w, part in zip(weights, parts))
         h_weights = float(-np.sum(weights * np.log2(weights)))
-        records.append(([s_avg - s_mix, s_mix - (s_avg + h_weights)], 0, h_weights))
+        records.append(([s_avg - s_mix, s_mix - (s_avg + h_weights)], h_weights))
     return records, 0
 
 
 def _reference_report(records, trials):
     violations, max_slack, worst, eps_max = 0, -math.inf, 0, 0.0
-    for index, (slacks, misses, eps) in enumerate(records[:trials]):
+    for index, (slacks, eps) in enumerate(records[:trials]):
         for slack in slacks:
             if slack > max_slack:
                 max_slack, worst = slack, index
             violations += int(slack > FP_TOL)
-        violations += misses
         eps_max = max(eps_max, eps)
     return violations, max_slack, worst, eps_max
 
@@ -290,7 +291,7 @@ def test_fannes_solves_each_trace_distance_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite, per_trial",
-    [("fannes", 2), ("pure-overlap", 2), ("mixed-overlap", 4), ("mixing", 2)],
+    [("fannes", 2), ("pure-overlap", 2), ("mixed-overlap", 3), ("mixing", 2)],
 )
 def test_violations_are_counted_per_inequality(monkeypatch, suite, per_trial):
     monkeypatch.setattr(continuity, "FP_TOL", -math.inf)
@@ -299,6 +300,38 @@ def test_violations_are_counted_per_inequality(monkeypatch, suite, per_trial):
         report = check(trials=trials, dim=3, seed=4)
         assert report.violations == per_trial * trials
         assert not report.passed
+
+
+def test_a_nan_slack_is_a_violation(monkeypatch, capsys):
+    # a NaN slack is not at most FP_TOL, so each of lemma1's two slacks per trial counts
+    monkeypatch.setattr(
+        continuity, "_pure_marginal_entropy", lambda vectors, dim: np.full(vectors.shape[:-1], np.nan)
+    )
+    report = check_pure_overlap_continuity(trials=100, dim=3, seed=0)
+    assert report.violations == 200
+    assert not report.passed
+    assert cli.main(["lemma-check", "lemma1", "--trials", "100", "--seed", "0"]) == 2
+    assert capsys.readouterr().out.splitlines()[1].startswith("lemma1,100,200,")
+
+
+def test_mixed_overlap_never_solves_the_joint_state(monkeypatch):
+    # the side condition lambda_max(rho) >= 1 - eps holds by construction (the per-trial
+    # reference checks it); the suite solves only the dim x dim marginals
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
+    check_mixed_overlap_continuity(trials=130, dim=4, seed=0)
+    shapes = solves["eigh"] + solves["eigvalsh"]
+    assert shapes and all(shape[-2:] == (4, 4) for shape in shapes)
+
+
+def test_mixed_overlap_epsilon_keeps_its_digits_at_tiny_weights(monkeypatch):
+    # eps = w (1 - <phi|sigma|phi>) is formed without cancelling against 1, so a weight
+    # of 1e-12 keeps eps to rounding; 1 - <phi|rho|phi> would be off in the fifth digit
+    monkeypatch.setattr(continuity, "MIXED_EPS_CAP", 1e-12)
+    report = check_mixed_overlap_continuity(trials=500, dim=4, seed=0)
+    records, _ = _reference_mixed_overlap(500, 4, 0)
+    replayed = max(eps for _, eps in records)
+    assert 0.0 < replayed < 1e-12
+    assert abs(report.epsilon_max - replayed) <= 1e-12 * replayed
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

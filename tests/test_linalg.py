@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +134,6 @@ def test_input_rules_have_one_owner():
 RANGE_CLAMPS = {
     # entropy_bound takes sqrt(eps_in), so eps_in = 1 - F must not go below 0
     "functionals.py": "np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)",
-    # lemma2's eps window [0, 1/72]; forming eps otherwise would move lemma2's bytes
-    "continuity.py": "np.clip(eps, 0.0, MIXED_EPS_CAP)",
     # the positive part that forms L_n(p), not a repair
     "erasure.py": "np.clip(w - w[::-1], 0.0, None)",
 }
@@ -255,6 +254,29 @@ def test_array_rules_keep_their_arithmetic_bit_for_bit():
     assert np.shares_memory(view, stack) and stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         view[0, 0, 0] = 1.0
+
+
+def test_hermitian_part_holds_one_temporary_and_writes_no_input():
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        _hermitian(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m.nbytes
+    # the sum is halved in place on a conjugate copy, for real input too: bit for bit the
+    # formula, NaN, inf and signed zeros included, and a read-only input is never written
+    special = rng.standard_normal((2, 4, 4))
+    special[0, 0, 1], special[0, 1, 2], special[1, 3, 0], special[1, 2, 2] = np.nan, np.inf, -0.0, 0.0
+    mixed = special.astype(complex)
+    mixed.imag = special[::-1]
+    for raw in (special, mixed):
+        with np.errstate(invalid="ignore"):
+            expected = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+            got = _hermitian(_read_only(raw))
+        assert got.dtype == raw.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_zero_weight_log_gives_fannes_eta_bit_for_bit():
