@@ -245,8 +245,8 @@ def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) ->
     These are the pure branches left by measuring the channel environment:
     row k has squared norm p_k, the probability of outcome k, the p_k sum to 1,
     and sum_k |row k><row k| is the channel output on |psi><psi|.  Leading axes
-    of ``kraus`` and ``vector`` index a stack; the rows of each member keep the
-    factors in their places, with factor ``factor`` resized to the channel output.
+    of ``vector`` index a stack and those of ``kraus`` broadcast against them; each
+    member's rows keep the factors in place, with factor ``factor`` resized to the output.
     """
     lead = vector.shape[:-1]
     k, out, inn = kraus.shape[-3:]
@@ -254,7 +254,7 @@ def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) ->
     # (in, rest) table of psi with the acted-on factor first; rest keeps the others in order
     table = np.moveaxis(vector.reshape(lead + tuple(dims)), at, len(lead))
     rest = table.shape[len(lead) + 1 :]
-    moved = kraus.reshape(lead + (k * out, inn)) @ table.reshape(lead + (inn, -1))
+    moved = kraus.reshape(kraus.shape[:-3] + (k * out, inn)) @ table.reshape(lead + (inn, -1))
     moved = np.moveaxis(moved.reshape(lead + (k, out) + rest), len(lead) + 1, at + 1)
     return moved.reshape(lead + (k, -1))
 

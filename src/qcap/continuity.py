@@ -43,7 +43,7 @@ class TrialReport:
     """Summary of one randomized bound check.
 
     ``worst_trial`` is the index of the first trial whose slack equals
-    ``max_slack``; with the seed of the run it replays that instance.
+    ``max_slack``, NaN included; with the seed of the run it replays that instance.
     """
 
     trials: int
@@ -72,8 +72,8 @@ def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
         drawn = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
         slacks, eps = measure(*(np.array(field) for field in zip(*drawn)))
         violations += int(np.count_nonzero(~(slacks <= FP_TOL)))
-        k = int(np.argmax(slacks))
-        if slacks.flat[k] > max_slack:
+        k = int(np.argmax(slacks))  # NaN ranks above every number: the chunk's first NaN, if any
+        if not (slacks.flat[k] <= max_slack or math.isnan(max_slack)):
             max_slack, worst = float(slacks.flat[k]), start + k // slacks.shape[1]
         eps_max = max(eps_max, float(eps.max()))
     return TrialReport(trials, violations, max_slack, eps_max, dim, worst)

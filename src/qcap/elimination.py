@@ -6,16 +6,17 @@ branch of the encoder) and a tail map appended after the decoder so that
 sending rho_prime straight into the channel achieves fidelity at least
 1 - 2 eps, while the entropy of rho_prime stays close to the source's.
 
-Each step is one stacked core.  ``channels._branch_vectors`` splits the
-purified source into the encoder's pure branches; ``states._max_overlap_vector``
-purifies the reference marginal of the decoded kept branch, and the one solve it
-makes also gives that output's eigenvalue floor check; ``states._uhlmann``
-relates that purification to the kept branch by the Uhlmann polar factor,
-whose aux-0 slice is the tail map.  The decoder leaves the reference alone,
-so the two reference marginals agree to rounding.  Each instance still
-records their trace-norm mismatch as ``marginal_gap`` and is flagged if it
-exceeds ``MARGINAL_GAP_TOL``; the fidelity bound is checked on every
-instance, flagged or not.
+Each step is one stacked core.  ``channels._branch_vectors`` splits the purified
+source phi into the encoder's branches and decodes each: one table of
+x_bm = (I x D_m)(I x E_b)|phi> gives eps_in as sum ||x_bm - <phi|x_bm> phi||^2,
+nonnegative and free of cancellation against 1, the branch scores and the kept
+branch's decoded output.  ``states._max_overlap_vector`` purifies that output, its
+one solve also the output's eigenvalue floor check; ``states._uhlmann`` relates it
+to the kept branch by the Uhlmann polar factor, whose aux-0 slice is the tail map,
+and eps_out is the same sum over the tail-mapped kept rows.  The decoder leaves the
+reference alone, so the two reference marginals agree to rounding; their trace-norm
+mismatch is kept as ``marginal_gap`` and flags an instance above ``MARGINAL_GAP_TOL``.
+The fidelity bound is checked on every instance, flagged or not.
 
 :func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and share
 one window engine, ``_windowed``: it reads ``_WINDOW`` items of a stream at a
@@ -44,11 +45,10 @@ from .channels import (
     _branch_vectors,
     _check_kraus,
     _compose,
-    _conjugate,
     _erasure_kraus,
     _tensor_power,
 )
-from .functionals import _chain, _kraus_fidelities
+from .functionals import _chain, _check_chain, _kraus_fidelities
 from .linalg import (
     _MemberError,
     _adjoint,
@@ -58,7 +58,6 @@ from .linalg import (
     _require_int,
     density_spectrum,
     entropy_of_spectrum,
-    partial_trace,
 )
 from .states import (
     DensityMatrix,
@@ -67,7 +66,6 @@ from .states import (
     _dot,
     _haar_unitaries,
     _max_overlap_vector,
-    _projectors,
     _purification,
     _random_densities,
     _uhlmann,
@@ -117,14 +115,13 @@ class EliminationInstance:
 def eliminate_encoder(scheme: CodingScheme, channel: KrausChannel) -> EliminationInstance:
     """Run the constructive elimination of the scheme's encoder.
 
-    Steps: purify the source, split the encoder into pure branches by
-    measuring its environment, score each branch's conditional fidelity by
-    one adjoint map of the decode block and decode only the best (at least
-    the overall one, by averaging), take rho_prime from that branch's density,
-    and build the tail map from the isometry relating the branch purification
-    to the max-overlap purification of the decoded output.  Requires the
-    source dimension not to exceed the channel-block input so the relating
-    isometry exists.  This is :func:`eliminate_encoders` on one scheme.
+    Steps: purify the source, split the encoder into pure branches by measuring its
+    environment, decode every branch, keep the one of best conditional fidelity (at least
+    the overall one, by averaging), take rho_prime as its channel-input marginal, and build
+    the tail map from the isometry relating its purification to the max-overlap
+    purification of its decoded output.  Requires the source dimension not to exceed the
+    channel-block input so the relating isometry exists.  This is
+    :func:`eliminate_encoders` on one scheme.
     """
     return next(eliminate_encoders([(scheme, channel)]))
 
@@ -183,8 +180,18 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
     block = _tensor_power(np.stack([channel.kraus for _, channel in pairs]), n)
     if n > 1:
         _check_kraus(block)
+    _check_chain(encoder, block, decoder)
     source = np.stack([s.source.matrix for s in schemes])
-    eps_in = 1.0 - _kraus_fidelities(source, _chain(encoder, block, decoder))
+    d_src, d_in = source.shape[-1], block.shape[-1]
+    # factors by position: the reference 0, the source 1 (then the channel in and out), aux last
+    phi = _purification(source)
+    _check_unit(phi)
+    decode = _compose(decoder, block)
+    _check_kraus(decode)
+    # the decoded branch table: row (b, m) is (I x D_m)(I x E_b)|phi>, broadcast over b
+    branches = _branch_vectors(encoder, phi, (d_src, d_src), 1)
+    decoded = _branch_vectors(decode[:, None], branches, (d_src, d_in), 1)
+    amps, eps_in = _departure(decoded, phi)
     where = _first_failure(eps_in >= FIDELITY_WINDOW)
     if where is not None:
         raise _MemberError(
@@ -192,25 +199,15 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
             f"[0, 1/72); the construction needs a nearly faithful scheme",
             where,
         )
-    d_src, d_in = source.shape[-1], block.shape[-1]
     if d_src > d_in:
         raise ValueError(
             f"source dimension {d_src} exceeds the channel input dimension "
             f"{d_in}; the tail construction needs an isometry upward"
         )
-
-    # factors by position: the reference 0, the source 1 (then the channel in and out), aux last
-    phi = _purification(source)
-    _check_unit(phi)
-    decode = _compose(decoder, block)
-    _check_kraus(decode)
-    branch_index, psi = _kept_branch(encoder, decode, phi, d_src)
-    rho_prime, prime_spectrum, big_psi = _decode_kept(decode, psi, d_src, d_in)
+    branch_index, psi, kept_rows = _kept_branch(branches, decoded, amps)
+    rho_prime, prime_spectrum, big_psi = _decode_kept(kept_rows, psi, d_src, d_in)
     tail, marginal_gap = _tail(big_psi, psi, d_src, d_in)
-    chain = _compose(tail, decode)
-    _check_kraus(chain)
-
-    eps_out = 1.0 - _kraus_fidelities(rho_prime, chain)
+    _, eps_out = _departure(_branch_vectors(tail[:, None], kept_rows, (d_src, d_src), 1), psi)
     source_entropy = entropy_of_spectrum(np.stack([s.source.eigenvalues for s in schemes]))
     entropy_gap = np.abs(source_entropy - entropy_of_spectrum(prime_spectrum))
     return [
@@ -229,44 +226,50 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
     ]
 
 
-def _kept_branch(encoder, decode, phi, d_src) -> tuple[np.ndarray, np.ndarray]:
-    """Index among the kept branches and unit vector of each member's best branch.
+def _departure(rows, target) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps <target|row>, and sum ||row - <target|row> target||^2 over each member's rows.
 
-    Measuring the encoder environment on the purification ``phi`` splits it
-    into branches; those below ``BRANCH_CUTOFF`` probability are dropped and
-    not counted in the index.  Branch b scores <phi|(I x D)(|b><b|)|phi> =
-    <b|Y|b> with one adjoint map Y = (I x D^dag)(|phi><phi|) of the decode
-    block D, and the first best score is kept: by averaging, it is at least
-    the overall fidelity.
+    For the rows (I x A_k)|target> of a channel the sum is 1 - F by completeness, but as a
+    sum of squares it is nonnegative, and rounding squared on an exact recovery.
     """
-    vectors = _branch_vectors(encoder, phi, (d_src, d_src), 1)
-    probs = _dot(vectors.conj(), vectors).real
+    rows = rows.reshape(len(target), -1, target.shape[-1])
+    amps = (rows @ target.conj()[..., None])[..., 0]
+    residual = rows - amps[..., None] * target[:, None]
+    return amps, _dot(residual.conj(), residual).real.sum(-1)
+
+
+def _kept_branch(branches, decoded, amps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index among the kept branches, unit vector and decoded rows of each member's best branch.
+
+    Branch b, of probability p_b above ``BRANCH_CUTOFF`` (the others are dropped and not
+    counted in the index), scores sum_m |<phi|x_bm>|^2 / p_b over its decoded rows x_bm; the
+    first best is kept, at least the overall fidelity by averaging.  Its rows come over sqrt(p_b).
+    """
+    probs = _dot(branches.conj(), branches).real
     kept = probs > BRANCH_CUTOFF
-    branches = vectors / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    weight = np.where(kept, probs, 1.0)
+    units = branches / np.sqrt(weight)[..., None]
     # a dropped branch is no state: a unit placeholder keeps it out of the norm check
-    _check_unit(np.where(kept[..., None], branches, 1.0 / math.sqrt(branches.shape[-1])))
-    y = _conjugate(_adjoint(decode), _projectors(phi), (d_src, d_src), 1)
-    scores = np.einsum("...bi,...ij,...bj->...b", branches.conj(), y, branches).real
+    _check_unit(np.where(kept[..., None], units, 1.0 / math.sqrt(units.shape[-1])))
+    scores = (np.abs(amps.reshape(decoded.shape[:-1])) ** 2).sum(-1) / weight
     # a dropped branch, left unnormalized, scores at most its probability, below the kept best
     best = np.argmax(scores, axis=-1)
-    rows = np.arange(len(phi))
-    return np.cumsum(kept, axis=-1)[rows, best] - 1, branches[rows, best]
+    rows = np.arange(len(branches))
+    chosen = decoded[rows, best] / np.sqrt(weight[rows, best])[:, None, None]
+    return np.cumsum(kept, axis=-1)[rows, best] - 1, units[rows, best], chosen
 
 
-def _decode_kept(decode, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode_kept(kept_rows, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rho_prime, its spectrum and the max-overlap purification of the decoded kept branch.
 
-    The kept branch's density, its decoded output and rho_prime, its
-    channel-input marginal, are each checked as density matrices.  Only
-    rho_prime is solved: the kept branch projects onto a unit vector, so its
-    spectrum is (0, ..., 0, 1), and the decoded output's eigenvalues come from
-    the solve that purifies it.
+    Each density, checked, sums |row><row| over a table: the decoded output over
+    ``kept_rows``, rho_prime over the reference rows of ``psi``'s (reference, input) table.  Only
+    rho_prime is solved here; the decoded output's spectrum comes from its purification.
     """
-    chosen = _projectors(psi)
-    _check_density(chosen)
-    rho_out = _conjugate(decode, chosen, (d_src, d_in), 1)
+    rho_out = kept_rows.swapaxes(-1, -2) @ kept_rows.conj()
     _check_density(rho_out)
-    rho_prime = partial_trace(chosen, (d_src, d_in), [1])
+    table = psi.reshape(-1, d_src, d_in)
+    rho_prime = table.swapaxes(-1, -2) @ table.conj()
     prime_spectrum = density_spectrum(rho_prime)
     big_psi, _ = _max_overlap_vector(rho_out, d_src, d_src)
     _check_unit(big_psi)
@@ -281,8 +284,7 @@ def _tail(big_psi, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray]:
     """
     count, aux_dim = len(psi), d_src + 1
     psi_zero = np.zeros(psi.shape + (aux_dim,), dtype=complex)
-    psi_zero[..., 0] = psi
-    _check_unit(psi_zero.reshape(count, -1))
+    psi_zero[..., 0] = psi  # psi's norm, checked with its branch
     u, gap = _uhlmann(big_psi.reshape(count, d_src, -1), psi_zero.reshape(count, d_src, -1))
     reshaped = u.reshape(count, d_in, aux_dim, d_src, aux_dim)
     tail = np.ascontiguousarray(reshaped[..., 0].swapaxes(-3, -2))

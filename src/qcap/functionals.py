@@ -46,9 +46,9 @@ class CoherentInfoReport:
 
 
 def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """sum_k |Tr(rho A_k)|^2 clamped to [0, 1] for sqrt(1 - F); leading axes index a stack."""
+    """sum_k |Tr(rho A_k)|^2, unclamped, so 1 + O(1e-16) can occur; leading axes index a stack."""
     amps = np.trace(kraus @ matrix[..., None, :, :], axis1=-2, axis2=-1)
-    return np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)
+    return (np.abs(amps) ** 2).sum(-1)
 
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
@@ -68,7 +68,8 @@ def entanglement_fidelity(
 
     The Kraus route evaluates sum_k |Tr(rho A_k)|^2; the purification route
     purifies rho, sends the system half through the channel, and takes the
-    overlap with the original purification, unclamped.  Both agree to 1e-10.
+    overlap with the original purification.  Neither is clamped, so a faithful
+    channel may give 1 + O(1e-16).  Both agree to 1e-10.
     """
     _check_input(channel, rho)
     if method not in (KRAUS_METHOD, PURIFICATION_METHOD):
@@ -103,24 +104,21 @@ def _chain(encoder: np.ndarray, block: np.ndarray, decoder: np.ndarray) -> np.nd
     Leading axes of the three stacks index a stack of schemes; the source
     lives in the encoder's input.
     """
-    source_dim = encoder.shape[-1]
-    if encoder.shape[-2] != block.shape[-1]:
-        raise ValueError(
-            f"chain mismatch at channel input: encoder emits dimension "
-            f"{encoder.shape[-2]}, channel block expects {block.shape[-1]}"
-        )
-    if decoder.shape[-1] != block.shape[-2]:
-        raise ValueError(
-            f"chain mismatch at decoder input: channel block emits dimension "
-            f"{block.shape[-2]}, decoder expects {decoder.shape[-1]}"
-        )
-    if decoder.shape[-2] != source_dim:
-        raise ValueError(
-            f"chain mismatch at decoder output: decoder emits dimension "
-            f"{decoder.shape[-2]}, source lives in {source_dim}"
-        )
+    _check_chain(encoder, block, decoder)
     inner = _compose(block, encoder)
     _check_kraus(inner)
     total = _compose(decoder, inner)
     _check_kraus(total)
     return total
+
+
+def _check_chain(encoder: np.ndarray, block: np.ndarray, decoder: np.ndarray) -> None:
+    """Raise unless the encoder, channel block and decoder stacks chain back to the source."""
+    for where, first, emits, then, expects in (
+        ("channel input", "encoder", encoder.shape[-2], "channel block expects", block.shape[-1]),
+        ("decoder input", "channel block", block.shape[-2], "decoder expects", decoder.shape[-1]),
+        ("decoder output", "decoder", decoder.shape[-2], "source lives in", encoder.shape[-1]),
+    ):
+        if emits != expects:
+            msg = f"chain mismatch at {where}: {first} emits dimension {emits}, {then} {expects}"
+            raise ValueError(msg)

@@ -314,6 +314,26 @@ def test_a_nan_slack_is_a_violation(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("lemma1,100,200,")
 
 
+def test_a_nan_slack_is_the_worst_slack_and_its_witness(monkeypatch, capsys):
+    # trial 69 is row 5 of the second chunk; its NaN ranks above every finite slack
+    real, chunks = continuity._pure_marginal_entropy, []
+
+    def nan_at_trial_69(vectors, dim):
+        s = real(vectors, dim)
+        chunks.append(None)
+        if len(chunks) == 2:
+            s[69 - continuity._CHUNK] = np.nan
+        return s
+
+    monkeypatch.setattr(continuity, "_pure_marginal_entropy", nan_at_trial_69)
+    report = check_pure_overlap_continuity(trials=100, dim=3, seed=0)
+    assert (report.violations, report.worst_trial) == (2, 69)
+    assert math.isnan(report.max_slack)
+    chunks.clear()
+    assert cli.main(["lemma-check", "lemma1", "--trials", "100", "--seed", "0"]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == "lemma1,100,2,nan"
+
+
 def test_mixed_overlap_never_solves_the_joint_state(monkeypatch):
     # the side condition lambda_max(rho) >= 1 - eps holds by construction (the per-trial
     # reference checks it); the suite solves only the dim x dim marginals

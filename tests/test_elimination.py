@@ -16,7 +16,7 @@ from qcap.channels import (
     identity_channel,
     tensor_power,
 )
-from qcap import elimination
+from qcap import channels, cli, elimination, functionals
 from qcap.elimination import (
     BRANCH_CUTOFF,
     FIDELITY_SLACK,
@@ -257,41 +257,65 @@ def _kept_branches(encoder, phi):
     return kept
 
 
-def _count_solves_and_decodes(monkeypatch, pairs):
-    """eigvalsh calls and the stack shapes the decode block maps, for one elimination call."""
-    decode = np.stack(
-        [compose(scheme.decoder, tensor_power(channel, scheme.block_size)).kraus
-         for scheme, channel in pairs]
-    )
+def _count_solves_without_kraus_routes(monkeypatch, pairs):
+    """eigvalsh stack shapes of one elimination call, made to fail on any Kraus-stack route."""
     solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
-    decodes, conjugate = [], elimination._conjugate
 
-    def counted_conjugate(kraus, matrix, *args):
-        if np.array_equal(kraus, decode):
-            decodes.append(matrix.shape[:-2])
-        return conjugate(kraus, matrix, *args)
+    def refused(*args):
+        raise AssertionError("the elimination read a Kraus-stack route")
 
-    monkeypatch.setattr(elimination, "_conjugate", counted_conjugate)
-    if len(pairs) == 1:
-        eliminate_encoder(*pairs[0])
-    else:
-        list(eliminate_encoders(pairs))
-    return [shape[:-2] for shape in solves], decodes
+    for module, name in ((channels, "_conjugate"), (functionals, "_chain"),
+                         (functionals, "_kraus_fidelities"), (elimination, "_chain"),
+                         (elimination, "_kraus_fidelities")):
+        monkeypatch.setattr(module, name, refused)
+    list(eliminate_encoders(pairs))
+    return [shape[:-2] for shape in solves]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
-    # one eigvalsh validation, rho_prime's: the kept branch is a projector onto a unit
-    # vector, with spectrum (0, ..., 0, 1), and the decoded output's spectrum comes from
-    # the eigh that purifies it; the decode block maps the kept branch alone, one per instance
-    schemes = random_demo_schemes(30, seed)
-    for pair in schemes:
-        solves, decodes = _count_solves_and_decodes(monkeypatch, [pair])
-        assert (len(solves), decodes) == (1, [(1,)])
-    # the same one solve and one decode for a stack of 30 same-shape schemes
+    # one eigvalsh validation, rho_prime's; eps_in, the scores, the kept branch's output and
+    # eps_out come from the decoded branch table, with no chain Kraus stack and no adjoint map
+    for name in ("_conjugate", "_projectors", "partial_trace"):
+        assert not hasattr(elimination, name)
+    pairs = list(random_demo_schemes(30, seed))  # drawn first: the drift loop reads _chain
     stack = list(random_demo_schemes(90, seed))[0::3]
-    solves, decodes = _count_solves_and_decodes(monkeypatch, stack)
-    assert (solves, decodes) == ([(30,)], [(30,)])
+    for pair in pairs:
+        assert _count_solves_without_kraus_routes(monkeypatch, [pair]) == [(1,)]
+    # the same one solve for a stack of 30 same-shape schemes
+    assert _count_solves_without_kraus_routes(monkeypatch, stack) == [(30,)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exactly_decodable_rows_print_the_bare_entropy_bound(seed):
+    # eps_in is a sum of squares, so an exactly decodable split-isometry scheme gives
+    # rounding squared and the bound prints the paper's constant 2, not 2 + rounding
+    instances = list(eliminate_encoders(random_demo_schemes(1000, seed)))
+    for inst in instances[0::3]:
+        assert 0.0 <= inst.eps_in < 1e-20
+        assert cli._fmt(inst.entropy_bound) == "2.000000000"
+    assert all(inst.eps_in > 1e-6 for inst in instances[1::3] + instances[2::3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_entropy_bound_is_stable_under_tiny_source_nudge(seed):
+    # a traceless 1e-15 change of every source moves no printed entropy bound
+    rng = np.random.default_rng(100 + seed)
+    pairs = list(random_demo_schemes(1000, seed))
+    nudged = []
+    for scheme, channel in pairs:
+        d = scheme.source.dim
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = h + h.conj().T
+        h -= np.trace(h) / d * np.eye(d)
+        h *= 1e-15 / np.max(np.abs(h))
+        source = DensityMatrix(scheme.source.matrix + h)
+        nudged.append((dataclasses.replace(scheme, source=source), channel))
+    printed = [
+        [cli._fmt(inst.entropy_bound) for inst in eliminate_encoders(batch)]
+        for batch in (pairs, nudged)
+    ]
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -324,11 +348,10 @@ def test_eliminate_encoder_rejects_poor_schemes():
         eliminate_encoder(scheme, identity_channel(2))
 
 
-def _oversized_source_pair():
+def _oversized_source_pair(delta=1e-4):
     # nearly pure three-level source: the lossy qubit bottleneck still
     # carries it faithfully, so the dimension precondition fires, not the
-    # fidelity gate
-    delta = 1e-4
+    # fidelity gate; a large delta makes the scheme unfaithful too
     source = DensityMatrix(np.diag([1.0 - delta, delta / 2.0, delta / 2.0]).astype(complex))
     drop = np.zeros((2, 3), dtype=complex)
     drop[0, 0] = drop[1, 1] = 1.0
@@ -344,6 +367,27 @@ def _oversized_source_pair():
 def test_eliminate_encoder_rejects_oversized_source():
     with pytest.raises(ValueError, match="exceeds the channel input"):
         eliminate_encoder(*_oversized_source_pair())
+    # the validity window is read first: an unfaithful oversized scheme is refused by it
+    with pytest.raises(ValueError, match=r"^scheme infidelity 0\.2775 is outside the validity"):
+        eliminate_encoder(*_oversized_source_pair(0.3))
+
+
+@pytest.mark.parametrize(
+    "encoder, decoder, channel, message",
+    [
+        (identity_channel(2), identity_channel(3), identity_channel(3),
+         "channel input: encoder emits dimension 2, channel block expects 3"),
+        (identity_channel(2), KrausChannel(elimination._RECOVERY), identity_channel(2),
+         "decoder input: channel block emits dimension 2, decoder expects 3"),
+        (identity_channel(2), KrausChannel([np.eye(3, 2)]), identity_channel(2),
+         "decoder output: decoder emits dimension 3, source lives in 2"),
+    ],
+)
+def test_eliminate_encoder_refuses_a_broken_chain(encoder, decoder, channel, message):
+    scheme = CodingScheme(maximally_mixed(2), encoder, decoder, 1)
+    with pytest.raises(ValueError) as caught:
+        eliminate_encoder(scheme, channel)
+    assert str(caught.value) == f"chain mismatch at {message} at instance 0"
 
 
 def test_random_demo_schemes_are_valid_and_deterministic():

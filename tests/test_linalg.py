@@ -132,8 +132,6 @@ def test_input_rules_have_one_owner():
 
 # the range clamps that stay outside linalg, each one line, by module
 RANGE_CLAMPS = {
-    # entropy_bound takes sqrt(eps_in), so eps_in = 1 - F must not go below 0
-    "functionals.py": "np.clip((np.abs(amps) ** 2).sum(-1), 0.0, 1.0)",
     # the positive part that forms L_n(p), not a repair
     "erasure.py": "np.clip(w - w[::-1], 0.0, None)",
 }
