@@ -14,11 +14,11 @@ import numpy as np
 from .channels import (
     CodingScheme,
     KrausChannel,
+    _branch_vectors,
     _check_input,
     _check_kraus,
     _compose,
     apply_channel,
-    apply_to_subsystem,
     environment_state,
     tensor_power,
 )
@@ -52,13 +52,12 @@ def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
 
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
-    eta = purify(rho.flattened())
-    out = apply_to_subsystem(channel, eta.density(), 1)
-    # first-levels convention: only the levels input and output share can overlap
+    # sum_k |<eta|(I (x) A_k)|eta>|^2 on the levels input and output share (first-levels rule)
+    eta = purify(rho.flattened()).vector
     d, m = rho.dim, min(channel.in_dim, channel.out_dim)
-    shared = eta.vector.reshape(d, channel.in_dim)[:, :m].reshape(-1)
-    block = out.matrix.reshape(d, channel.out_dim, d, channel.out_dim)[:, :m, :, :m]
-    return float(np.vdot(shared, block.reshape(d * m, d * m) @ shared).real)
+    kept = _branch_vectors(channel.kraus, eta, (d, d), 1).reshape(-1, d, channel.out_dim)[..., :m]
+    amps = np.tensordot(kept, eta.reshape(d, d)[:, :m].conj(), 2)
+    return float((np.abs(amps) ** 2).sum())
 
 
 def entanglement_fidelity(

@@ -8,6 +8,7 @@ import pytest
 from qcap import erasure
 from qcap.channels import (
     CodingScheme,
+    _erasure_probability,
     apply_channel,
     compose,
     erasure_channel,
@@ -764,53 +765,126 @@ def test_maximize_one_restart_above_half_returns_zero(n, p):
 
 
 def _recording_gradient(monkeypatch):
-    values = []
+    """Record each evaluation call of a search as (Ic of each row, rows certified to stop)."""
+    calls, eigvalsh = [], np.linalg.eigvalsh  # the recorder's own solves go uncounted
 
     def recording(h, p, n):
         value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
-        values.append(value)
+        calls.append((value, eigvalsh(grad)[:, -1] - value < erasure.ASCENT_TOL))
         return value, grad, rho, spectrum
 
     monkeypatch.setattr(erasure, "_coherent_info_gradient", recording)
-    return values
+    return calls
+
+
+def _per_restart(calls):
+    """Each restart's own Ic sequence from recorded calls.
+
+    A call's rows are the restarts still going, in restart order, and a row certified to stop
+    is absent from the next call.
+    """
+    values, stops = calls[0]
+    runs, going = [[v] for v in values], np.flatnonzero(~stops)
+    for values, stops in calls[1:]:
+        assert len(values) == len(going)
+        for r, v in zip(going, values):
+            runs[r].append(v)
+        going = going[~stops]
+    assert not going.size
+    return runs
+
+
+def _restart_loop_reference(channel, n, restarts, rng):
+    """The search as one restart after another on single matrices: a test reference.
+
+    Returns the best state's matrix and spectrum, the best Ic per use, and each restart's number
+    of evaluations.  The pure input |0...0> at Ic = 0 wins ties, as Python's max keeps the first.
+    """
+    p = _erasure_probability(channel.kraus)  # as the search reads it, which may differ from p
+    w = erasure._weights(n, p)
+    smooth = float(np.clip(w - w[::-1], 0.0, None).sum())
+    d = 2**n
+    found, evaluations = [(0.0, np.diag(np.eye(d, dtype=complex)[0]), np.eye(d)[-1])], []
+    for _ in range(restarts):
+        g = _gaussian(rng, d)
+        h = 0.5 * (g + g.conj().T)
+        for count in range(1, erasure.ASCENT_CAP + 1):
+            value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
+            if np.linalg.eigvalsh(grad)[-1] - value < erasure.ASCENT_TOL:
+                break
+            h = h + math.log(2.0) / smooth * grad
+        found.append((value, rho, spectrum))
+        evaluations.append(count)
+    best, rho, spectrum = max(found, key=lambda item: item[0])
+    return rho, spectrum, best / n, evaluations
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 20])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restart_stack_matches_one_restart_after_another(n, p, restarts):
+    # the stack draws the same stream and gives each restart the figures it would get alone
+    chan = erasure_channel(p)
+    rng, ref_rng = (np.random.default_rng(10 * n + restarts) for _ in range(2))
+    rho, best = maximize_coherent_info(chan, n, restarts, rng)
+    matrix, spectrum, ref_best, _ = _restart_loop_reference(chan, n, restarts, ref_rng)
+    assert best == ref_best and type(best) is float
+    assert np.array_equal(rho.matrix, matrix) and np.array_equal(rho.eigenvalues, spectrum)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.1), (3, 0.49), (2, 0.9)])
+def test_search_evaluates_as_often_as_its_longest_restart(monkeypatch, n, p):
+    # one call per ascent step serves every restart still going, not one call per restart
+    evaluations = _restart_loop_reference(erasure_channel(p), n, 5, np.random.default_rng(0))[-1]
+    calls = _recording_gradient(monkeypatch)
+    maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
+    assert len(calls) == max(evaluations) < sum(evaluations)
+    assert [len(run) for run in _per_restart(calls)] == evaluations
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.49, 0.7])
 def test_every_ascent_step_raises_coherent_info(monkeypatch, n, p):
     # -Ic is L_n(p)-smooth relative to -S, so the mirror step ln 2 / L never lowers Ic
-    values = _recording_gradient(monkeypatch)
+    calls = _recording_gradient(monkeypatch)
     for seed in range(3):
-        values.clear()
-        maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=seed)
-        assert len(values) >= 2
-        assert np.diff(values).min() >= -1e-12
+        calls.clear()
+        maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=seed)
+        for values in _per_restart(calls):
+            assert len(values) >= 2
+            assert np.diff(values).min() >= -1e-12
 
 
 @pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.25), (3, 0.49), (4, 0.49)])
 def test_each_gradient_evaluation_solves_the_full_block_once(monkeypatch, n, p):
-    # rho = exp(H)/Tr exp(H), S(rho) and -log2 rho all come from the one solve of H
-    values = _recording_gradient(monkeypatch)
+    # rho = exp(H)/Tr exp(H), S(rho) and -log2 rho all come from the one solve of H's stack
+    evaluations = _restart_loop_reference(erasure_channel(p), n, 3, np.random.default_rng(0))[-1]
+    calls = _recording_gradient(monkeypatch)
     solves = count_factorizations(monkeypatch, "eigh")["eigh"]
     maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=0)
-    assert solves.count((2**n, 2**n)) == len(values) > 0
+    d = 2**n
+    assert [s for s in solves if s[-2:] == (d, d)] == [(len(v), d, d) for v, _ in calls]
+    assert sum(len(v) for v, _ in calls) == sum(evaluations) > 0
 
 
 @pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.25), (3, 0.49), (2, 0.9)])
 def test_best_state_keeps_the_spectrum_of_its_last_evaluation(monkeypatch, n, p):
     # the returned eigenvalues are exp(H)/Tr exp(H)'s: no eigvalsh runs beyond one
     # Frank-Wolfe gap test per evaluation
-    values = _recording_gradient(monkeypatch)
+    calls = _recording_gradient(monkeypatch)
     solves = count_factorizations(monkeypatch, "eigvalsh")["eigvalsh"]
     rho, _ = maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
-    assert len(solves) == len(values) > 0
+    assert len(solves) == len(calls) > 0
     _check_returned_state(rho, n)
 
 
 def test_pure_input_wins_with_its_known_spectrum(monkeypatch):
-    # every restart reads Ic = -1 with a certified gap, so the pure |0...0> at Ic = 0 wins
+    # every restart reads Ic = -1 with a certified gap, so the pure |0...0> at Ic = 0 wins;
+    # the restarts' states are NaN, which the returned state's check would refuse
     def below_pure(h, p, n):
-        return -1.0, -2.0 * np.eye(len(h)), None, None
+        nan, grad = np.full(h.shape, np.nan), np.broadcast_to(-2.0 * np.eye(h.shape[-1]), h.shape)
+        return -np.ones(len(h)), grad, nan, nan[..., 0]
 
     monkeypatch.setattr(erasure, "_coherent_info_gradient", below_pure)
     rho, best = maximize_coherent_info(erasure_channel(0.25), 2, restarts=3, seed=0)
@@ -829,7 +903,7 @@ def _check_returned_state(rho, n):
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.49])
 def test_one_use_restart_converges_in_one_step(monkeypatch, p):
     # at n = 1, Ic = (1 - 2p) S(rho) and L = 1 - 2p: one step lands on the flat state
-    values = _recording_gradient(monkeypatch)
+    calls = _recording_gradient(monkeypatch)
     _, best = maximize_coherent_info(erasure_channel(p), 1, restarts=20, seed=0)
-    assert len(values) == 2 * 20
+    assert [len(values) for values in _per_restart(calls)] == [2] * 20
     assert abs(best - (1.0 - 2.0 * p)) <= 1e-12

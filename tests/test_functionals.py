@@ -7,6 +7,7 @@ from qcap.channels import (
     compose,
     erasure_channel,
     identity_channel,
+    tensor_power,
     unitary_channel,
 )
 from qcap.functionals import (
@@ -25,7 +26,7 @@ from qcap.states import (
     random_unitary,
 )
 
-from helpers import random_kraus_channel
+from helpers import count_factorizations, random_kraus_channel
 
 
 def test_entanglement_fidelity_identity_channel():
@@ -65,6 +66,18 @@ def test_entanglement_fidelity_purification_route_and_report():
     assert report.method == PURIFICATION_METHOD
     assert abs(report.value - 0.75) < 1e-10
     assert abs(other.value - 0.75) < 1e-10
+
+
+def test_purification_route_solves_only_the_purification(monkeypatch):
+    # the overlap is read from the branches (I (x) A_k)|eta>: at 3 erasure uses, neither the
+    # 64 x 64 density of eta nor the 216 x 216 output is formed, so neither is solved
+    chan = tensor_power(erasure_channel(0.25), 3)
+    rho = random_density(8, rank=5, seed=np.random.default_rng(4))
+    expected = entanglement_fidelity(rho, chan).value
+    solves = count_factorizations(monkeypatch, "eigh", "eigvalsh")
+    value = entanglement_fidelity(rho, chan, method=PURIFICATION_METHOD).value
+    assert solves == {"eigh": [(8, 8)], "eigvalsh": []}
+    assert abs(value - expected) < 1e-12
 
 
 def test_entanglement_fidelity_validation():
