@@ -53,7 +53,7 @@ class KrausChannel:
 
     @classmethod
     def _checked(cls, ops: np.ndarray) -> "KrausChannel":
-        """Wrap a C-ordered complex stack that :func:`_check_kraus` already passed."""
+        """Wrap a complex C-ordered stack, checked by the caller or exact from checked inputs."""
         channel = object.__new__(cls)
         object.__setattr__(channel, "kraus", _read_only(ops))
         return channel

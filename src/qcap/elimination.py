@@ -48,7 +48,7 @@ from .channels import (
     _erasure_kraus,
     _tensor_power,
 )
-from .functionals import _chain, _check_chain, _kraus_fidelities
+from .functionals import _check_chain, _kraus_fidelities
 from .linalg import (
     _MemberError,
     _adjoint,
@@ -171,7 +171,8 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
     """The elimination of same-shape pairs, each step one call on the stack.
 
     Stack axis 0 is the position in ``pairs``; a failed member check raises
-    :class:`qcap.linalg._MemberError` with that position.
+    :class:`qcap.linalg._MemberError` with that position.  Checked here is what can drift:
+    products of checked stacks (block, decode) and the source's purification phi.
     """
     schemes = [scheme for scheme, _ in pairs]
     encoder = np.stack([s.encoder.kraus for s in schemes])
@@ -244,13 +245,12 @@ def _kept_branch(branches, decoded, amps) -> tuple[np.ndarray, np.ndarray, np.nd
     Branch b, of probability p_b above ``BRANCH_CUTOFF`` (the others are dropped and not
     counted in the index), scores sum_m |<phi|x_bm>|^2 / p_b over its decoded rows x_bm; the
     first best is kept, at least the overall fidelity by averaging.  Its rows come over sqrt(p_b).
+    A unit is a branch over its own norm; the kept one is checked as rho_prime's trace.
     """
     probs = _dot(branches.conj(), branches).real
     kept = probs > BRANCH_CUTOFF
     weight = np.where(kept, probs, 1.0)
     units = branches / np.sqrt(weight)[..., None]
-    # a dropped branch is no state: a unit placeholder keeps it out of the norm check
-    _check_unit(np.where(kept[..., None], units, 1.0 / math.sqrt(units.shape[-1])))
     scores = (np.abs(amps.reshape(decoded.shape[:-1])) ** 2).sum(-1) / weight
     # a dropped branch, left unnormalized, scores at most its probability, below the kept best
     best = np.argmax(scores, axis=-1)
@@ -262,9 +262,9 @@ def _kept_branch(branches, decoded, amps) -> tuple[np.ndarray, np.ndarray, np.nd
 def _decode_kept(kept_rows, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rho_prime, its spectrum and the max-overlap purification of the decoded kept branch.
 
-    Each density, checked, sums |row><row| over a table: the decoded output over
+    Each density, checked as it can drift, sums |row><row| over a table: the decoded output over
     ``kept_rows``, rho_prime over the reference rows of ``psi``'s (reference, input) table.  Only
-    rho_prime is solved here; the decoded output's spectrum comes from its purification.
+    rho_prime is solved; the output's spectrum comes from its purification, whose norm is checked.
     """
     rho_out = kept_rows.swapaxes(-1, -2) @ kept_rows.conj()
     _check_density(rho_out)
@@ -280,11 +280,12 @@ def _tail(big_psi, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray]:
     """Checked tail Kraus stacks and reference-marginal gaps from the relating isometry.
 
     The isometry maps the max-overlap purification ``big_psi`` onto the kept
-    branch with an aux |0> appended; its aux-0 output slice is the tail map.
+    branch with an aux |0> appended; its aux-0 output slice is the tail map, checked
+    because LAPACK's SVD picks the completion of its null space.
     """
     count, aux_dim = len(psi), d_src + 1
     psi_zero = np.zeros(psi.shape + (aux_dim,), dtype=complex)
-    psi_zero[..., 0] = psi  # psi's norm, checked with its branch
+    psi_zero[..., 0] = psi  # psi's norm, checked as rho_prime's trace
     u, gap = _uhlmann(big_psi.reshape(count, d_src, -1), psi_zero.reshape(count, d_src, -1))
     reshaped = u.reshape(count, d_in, aux_dim, d_src, aux_dim)
     tail = np.ascontiguousarray(reshaped[..., 0].swapaxes(-3, -2))
@@ -338,7 +339,7 @@ def _noisy_rotation_schemes(
     while len(todo):
         drift = angle[todo][:, None, None] * herm[todo]
         encoder[todo, 1] = _scaled(weight[todo], _rotations(drift))
-        chain = _chain(encoder[todo], channel[todo], decoder[todo])
+        chain = _compose(decoder[todo], _compose(channel[todo], encoder[todo]))
         todo = todo[1.0 - _kraus_fidelities(rho[todo], chain) > 0.009]
         angle[todo] *= 0.5
     return states, encoder, decoder, channel
@@ -387,7 +388,7 @@ def _demo_group(draws) -> list[tuple[CodingScheme, KrausChannel]]:
     family = draws[0][0]
     columns = (np.array(values) for values in zip(*(draw for _, draw in draws)))
     states, encoder, decoder, channel = _DEMO_FAMILIES[family][1](*columns)
-    for ops in (encoder, decoder, channel):
+    for ops in (encoder, decoder, channel):  # formed from the draws, so checked once here
         _check_kraus(ops)
     wrap = KrausChannel._checked
     return [(CodingScheme(source, wrap(encoder[j]), wrap(decoder[j]), 1), wrap(channel[j]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import KrausChannel, _erasure_probability
 from .linalg import (
-    _adjoint, _check_density, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int,
+    _adjoint, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int,
     _require_probability, _scalar_or_stack, entropy_of_spectrum, partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
@@ -328,7 +328,7 @@ def maximize_coherent_info(
     (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0, and wins ties.
     All restarts ascend as one stack, each step moving those still going, so memory is
     O(restarts 4^n): about 130 MB at n = 4 with 2 000 restarts.  The best state keeps the
-    spectrum its last evaluation formed, so it is checked but not solved again.
+    spectrum s its last evaluation formed: V diag(s) V^dag, or the pure input, is not checked.
     """
     restarts = _require_int(restarts, "restarts", 1)
     n = _require_int(block_size, "block size", 1, SEARCH_BLOCK_LIMIT)
@@ -349,5 +349,5 @@ def maximize_coherent_info(
             break
         going, h = going[on], h[on] + math.log(2.0) / smooth * grad[on]
     best = int(np.argmax(ics))  # the first maximum, so the pure input wins ties
-    _check_density(rho := states[best].copy())  # a copy, so the stack is not kept alive
+    rho = states[best].copy()  # a copy, so the stack is not kept alive
     return DensityMatrix._checked(rho, spectra[best].copy(), (d,)), float(ics[best]) / n

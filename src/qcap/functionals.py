@@ -16,9 +16,8 @@ from .channels import (
     KrausChannel,
     _branch_vectors,
     _check_input,
-    _check_kraus,
-    _compose,
     apply_channel,
+    compose,
     environment_state,
     tensor_power,
 )
@@ -91,24 +90,11 @@ def coherent_information(rho: DensityMatrix, channel: KrausChannel) -> CoherentI
 
 
 def end_to_end_fidelity(scheme: CodingScheme, channel: KrausChannel) -> FidelityReport:
-    """Entanglement fidelity of decoder o channel^block o encoder on the source."""
+    """Entanglement fidelity of decoder o channel^block o encoder; compose checks each product."""
     block = tensor_power(channel, scheme.block_size)
-    total = _chain(scheme.encoder.kraus, block.kraus, scheme.decoder.kraus)
-    return entanglement_fidelity(scheme.source, KrausChannel._checked(total))
-
-
-def _chain(encoder: np.ndarray, block: np.ndarray, decoder: np.ndarray) -> np.ndarray:
-    """Kraus stack of decoder o block o encoder, each product checked for completeness.
-
-    Leading axes of the three stacks index a stack of schemes; the source
-    lives in the encoder's input.
-    """
-    _check_chain(encoder, block, decoder)
-    inner = _compose(block, encoder)
-    _check_kraus(inner)
-    total = _compose(decoder, inner)
-    _check_kraus(total)
-    return total
+    _check_chain(scheme.encoder.kraus, block.kraus, scheme.decoder.kraus)
+    total = compose(scheme.decoder, compose(block, scheme.encoder))
+    return entanglement_fidelity(scheme.source, total)
 
 
 def _check_chain(encoder: np.ndarray, block: np.ndarray, decoder: np.ndarray) -> None:

@@ -120,7 +120,7 @@ def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) 
     returns the 1x1 matrix holding the trace.  Leading axes of ``matrix``
     index a stack of matrices, each reduced alike.
     """
-    dims = tuple(_require_int(d, "factor dimension") for d in dims)
+    dims = tuple(_require_int(d, "factor dimension", 1) for d in dims)
     n = len(dims)
     keep = sorted({_require_int(k, "factor index", 0, n - 1) for k in keep})
     m = np.asarray(matrix, dtype=complex)
@@ -168,13 +168,15 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Raise unless each matrix of the stack is finite, Hermitian and of unit trace.
+    """Raise unless each matrix of the stack is square, finite, Hermitian and of unit trace.
 
     Hermiticity is read as max |m_ij - conj(m_ji)|, which is symmetric under
     i <-> j, so each pair of 256 x 256 tiles (I, J) and (J, I) is compared
     once, with J >= I; no d x d temporary is formed, and a matrix of at most
     256 rows is one tile.
     """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
     bad = ~np.isfinite(m)
     where = _first_failure(bad.any(axis=(-2, -1)))
     if where is not None:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .linalg import (
     TRACE_TOL,
-    _check_density,
     _first_failure,
     _MemberError,
     _adjoint,
@@ -42,8 +41,8 @@ class DensityMatrix:
     Construction validates the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
     ``DensityMatrix(matrix)`` and :meth:`from_factor` take the eigenvalues from
-    one solve of the d x d matrix; states whose spectrum is known by
-    construction are checked and wrapped without a solve.
+    one solve of the d x d matrix; a state exact by construction from checked
+    inputs is wrapped with its known spectrum, with no check and no solve.
     """
 
     matrix: np.ndarray
@@ -52,7 +51,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:  # one matrix, not a stack; the square rule is density_spectrum's
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dims = _check_dims(m.shape[0], self.dims)
         self._store(m, density_spectrum(m), dims)
@@ -67,7 +66,7 @@ class DensityMatrix:
 
     @classmethod
     def _checked(cls, m, eigenvalues, dims) -> "DensityMatrix":
-        """Wrap a matrix that passed :func:`_check_density` and its clamped, ascending spectrum."""
+        """Wrap m and its ascending spectrum, checked by the caller or exact from checked inputs."""
         state = object.__new__(cls)
         state._store(m, eigenvalues, dims)
         return state
@@ -113,7 +112,7 @@ class PureState:
         return self.vector.size
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(_projectors(self.vector), self.dims)
+        return DensityMatrix(_projectors(_normalized(self.vector)), self.dims)
 
     def reduced(self, keep: Sequence[int]) -> DensityMatrix:
         return self.density().reduced(keep)
@@ -144,11 +143,9 @@ def _check_unit(vectors: np.ndarray) -> None:
 
 
 def maximally_mixed(dim: int, dims=None) -> DensityMatrix:
-    """Identity over its dimension, the flat state; its spectrum is all 1/dim, so nothing is solved."""
+    """Identity over its dimension, the flat state: I/dim and its spectrum, all 1/dim, are exact."""
     dims = _check_dims(_require_int(dim, "dim", 1), dims)
-    m = np.eye(dim, dtype=complex) / dim
-    _check_density(m)
-    return DensityMatrix._checked(m, np.full(dim, 1.0 / dim), dims)
+    return DensityMatrix._checked(np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim), dims)
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -282,7 +279,8 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     to it, showing that near-unit fidelity puts no useful cap on entropy
     once the ambient dimension is large.  The state is H D H^dag for a
     Householder reflection H and a diagonal D, formed as a rank-two update
-    of D in O(d^2); its spectrum is D's diagonal, sorted, so nothing is solved.
+    of D in O(d^2), exact to rounding from the checked ``psi``; its spectrum is
+    D's diagonal, sorted, so nothing is checked or solved.
     """
     eps = _require_probability(eps, "mixing weight")
     d = psi.dim
@@ -306,7 +304,6 @@ def high_entropy_counterexample(psi: PureState, eps: float, n: int) -> DensityMa
     x = beta * (0.5 * beta * np.vdot(w, dw).real * w - dw)
     m = np.stack([w, x], axis=1) @ np.stack([x, w]).conj()
     m[np.diag_indices(d)] += diag
-    _check_density(m)
     return DensityMatrix._checked(m, np.sort(diag), psi.dims)
 
 

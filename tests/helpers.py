@@ -73,6 +73,15 @@ def counterexample_reference(psi, eps, n) -> np.ndarray:
     return factor @ factor.conj().T
 
 
+def density_rule_defects(m) -> tuple[bool, float, float]:
+    """Whether ``m`` is finite, its max Hermiticity defect and its trace defect.
+
+    These are the rules ``qcap.linalg._check_density`` holds within 1e-9; a state built
+    exactly from checked inputs should meet them at rounding level.
+    """
+    return bool(np.isfinite(m).all()), float(np.abs(m - m.conj().T).max()), abs(np.trace(m) - 1.0)
+
+
 def count_factorizations(monkeypatch, *names) -> dict[str, list[tuple[int, ...]]]:
     """Record the argument shape of each call of the named ``np.linalg`` factorizations.
 

@@ -16,7 +16,7 @@ from qcap.channels import (
     identity_channel,
     tensor_power,
 )
-from qcap import channels, cli, elimination, functionals
+from qcap import channels, cli, elimination, erasure, functionals, states
 from qcap.elimination import (
     BRANCH_CUTOFF,
     FIDELITY_SLACK,
@@ -102,7 +102,7 @@ def test_noisy_rotation_shrinks_the_drift_until_faithful(monkeypatch):
     drawn = list(random_demo_schemes(30, rng))
     monkeypatch.undo()
     kept, channel = drawn[1]
-    chain = elimination._chain(kept.encoder.kraus, channel.kraus, kept.decoder.kraus)
+    chain = compose(kept.decoder, compose(channel, kept.encoder)).kraus
     assert len(seen) >= 2 and len(seen[1][1]) == 1 and np.array_equal(seen[1][1][0], chain)
     assert infidelity(kept, channel) < 1.0 - real(*seen[0])[0]
     assert infidelity(kept, channel) <= 0.009
@@ -264,8 +264,8 @@ def _count_solves_without_kraus_routes(monkeypatch, pairs):
     def refused(*args):
         raise AssertionError("the elimination read a Kraus-stack route")
 
-    for module, name in ((channels, "_conjugate"), (functionals, "_chain"),
-                         (functionals, "_kraus_fidelities"), (elimination, "_chain"),
+    assert not hasattr(functionals, "_chain") and not hasattr(elimination, "_chain")
+    for module, name in ((channels, "_conjugate"), (functionals, "_kraus_fidelities"),
                          (elimination, "_kraus_fidelities")):
         monkeypatch.setattr(module, name, refused)
     list(eliminate_encoders(pairs))
@@ -278,12 +278,55 @@ def test_elimination_decodes_only_the_kept_branch(monkeypatch, seed):
     # eps_out come from the decoded branch table, with no chain Kraus stack and no adjoint map
     for name in ("_conjugate", "_projectors", "partial_trace"):
         assert not hasattr(elimination, name)
-    pairs = list(random_demo_schemes(30, seed))  # drawn first: the drift loop reads _chain
+    pairs = list(random_demo_schemes(30, seed))  # drawn first: the drift loop scores fidelities
     stack = list(random_demo_schemes(90, seed))[0::3]
     for pair in pairs:
         assert _count_solves_without_kraus_routes(monkeypatch, [pair]) == [(1,)]
     # the same one solve for a stack of 30 same-shape schemes
     assert _count_solves_without_kraus_routes(monkeypatch, stack) == [(30,)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_object_is_checked_once(monkeypatch, seed):
+    # what is exact by construction from checked parts is not checked again: the flat state,
+    # the counterexample and the search winner bind no density check, and one elimination
+    # checks two unit vectors, phi and the max-overlap purification; each kept branch is a
+    # unit by its own norm and is checked once, as the unit trace of rho_prime
+    assert not hasattr(states, "_check_density") and not hasattr(erasure, "_check_density")
+    shapes, real = [], elimination._check_unit
+
+    def counted(vectors):
+        shapes.append(vectors.shape)
+        return real(vectors)
+
+    monkeypatch.setattr(elimination, "_check_unit", counted)
+    pairs = list(random_demo_schemes(90, seed))
+    for stack in (pairs[:1], pairs[1:2], pairs[2:3], pairs[0::3]):
+        shapes.clear()
+        elimination._eliminate_stack(stack)
+        d_src = stack[0][0].source.dim
+        assert shapes == [(len(stack), d_src * d_src), (len(stack), d_src * d_src * (d_src + 1))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kept_branch_units_meet_the_unit_rule_unchecked(monkeypatch, seed):
+    # every branch above the cutoff, over its own norm, is a unit far inside the 1e-9
+    # it is no longer checked at, and so is the kept one
+    worst, real = [], elimination._kept_branch
+
+    def recorded(branches, decoded, amps):
+        probs = np.einsum("...i,...i->...", branches.conj(), branches).real
+        kept = probs > BRANCH_CUTOFF
+        units = branches[kept] / np.sqrt(probs[kept])[:, None]
+        index, psi, rows = real(branches, decoded, amps)
+        for vectors in (units, psi):
+            assert np.isfinite(vectors).all()
+            worst.append(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0).max())
+        return index, psi, rows
+
+    monkeypatch.setattr(elimination, "_kept_branch", recorded)
+    assert len(list(eliminate_encoders(random_demo_schemes(300, seed)))) == 300
+    assert worst and max(worst) < 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

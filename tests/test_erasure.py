@@ -43,7 +43,7 @@ from qcap.states import (
     write_density_file,
 )
 
-from helpers import count_factorizations, random_kraus_channel
+from helpers import count_factorizations, density_rule_defects, random_kraus_channel
 
 
 def _random_block_state(n, rng, rank=None):
@@ -762,6 +762,17 @@ def test_maximize_one_restart_above_half_returns_zero(n, p):
     # for p > 1/2 every pure input attains the maximum 0, and the flat state is the minimum
     _, best = maximize_coherent_info(erasure_channel(p), n, restarts=1, seed=0)
     assert abs(best) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.49, 0.75])
+def test_search_winner_meets_the_density_rules_unchecked(n, p):
+    # the winner is V diag(s) V^dag for a softmax spectrum s, or the pure input: finite,
+    # Hermitian and of unit trace to rounding, far inside the 1e-9 it is no longer checked at
+    rho, _ = maximize_coherent_info(erasure_channel(p), n, restarts=3, seed=n)
+    finite, hermitian, trace = density_rule_defects(rho.matrix)
+    assert finite and hermitian < 1e-15 and trace < 1e-13
+    assert abs(rho.eigenvalues.sum() - 1.0) < 1e-13 and rho.eigenvalues[0] >= 0.0
 
 
 def _recording_gradient(monkeypatch):

@@ -37,6 +37,7 @@ from qcap.linalg import (
     von_neumann_entropy,
 )
 from qcap.states import (
+    DensityMatrix,
     high_entropy_counterexample,
     maximally_mixed,
     random_density,
@@ -105,6 +106,12 @@ def test_partial_trace_refuses_non_integer_dimensions_and_indices():
     assert np.array_equal(red, np.eye(2) / 2.0)
 
 
+@pytest.mark.parametrize("dims, bad", [((-2, -2), -2), ((0, 4), 0), ((4, 0), 0), ((-1, -4), -1)])
+def test_partial_trace_refuses_a_factor_dimension_below_one(dims, bad):
+    with pytest.raises(ValueError, match=rf"^factor dimension must be at least 1, got {bad}$"):
+        partial_trace(np.eye(4) / 4.0, dims, [0])
+
+
 def test_input_rules_have_one_owner():
     # the integer and probability rules live in linalg alone, the CLI bounds no
     # input by hand, and elimination stacks each shape group of a window once,
@@ -135,6 +142,47 @@ RANGE_CLAMPS = {
     # the positive part that forms L_n(p), not a repair
     "erasure.py": "np.clip(w - w[::-1], 0.0, None)",
 }
+
+
+# every wrap that skips the constructor's check, by module: the wrap's line (an alias
+# counts) and a line of the same module holding the check, or the exact construction,
+# it relies on; a wrap is trusted only for data checked by the caller or exact by
+# construction from checked inputs
+TRUSTED_WRAPS = {
+    "states.py": [
+        # I/dim and its spectrum, all 1/dim, are exact
+        ("DensityMatrix._checked(np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim)",
+         "_require_int(dim, \"dim\", 1)"),
+        # the Wishart stack passed density_spectrum
+        ("DensityMatrix._checked(m[j], spectrum[j], (m.shape[-1],))",
+         "spectrum = density_spectrum(m)"),
+        # H D H^dag from the checked psi, with D's diagonal as its spectrum
+        ("DensityMatrix._checked(m, np.sort(diag), psi.dims)", "m[np.diag_indices(d)] += diag"),
+    ],
+    "erasure.py": [
+        # V diag(s) V^dag for the softmax spectrum s, or the pure input |0...0>
+        ("DensityMatrix._checked(rho, spectra[best].copy(), (d,))",
+         "rho = (vectors * spectrum[..., None, :]) @ _adjoint(vectors)"),
+    ],
+    "elimination.py": [
+        ("rho_prime=DensityMatrix._checked(rho_prime[j], prime_spectrum[j], (d_in,))",
+         "prime_spectrum = density_spectrum(rho_prime)"),
+        # the tail comes from LAPACK's SVD, so it is checked
+        ("tail_decoder=KrausChannel._checked(tail[j])", "_check_kraus(tail)"),
+        # the demo's encoder, decoder and channel stacks, each checked once
+        ("wrap = KrausChannel._checked", "_check_kraus(ops)"),
+    ],
+}
+TRUSTED_WRAP = re.compile(r"\b(?:DensityMatrix|KrausChannel)\._checked\b")
+
+
+def _untrusted_wraps(module: str, text: str) -> list[str]:
+    """Wrap lines of ``module`` not listed in ``TRUSTED_WRAPS``, or listed without their check."""
+    listed = TRUSTED_WRAPS.get(module, [])
+    found = [line.strip() for line in text.splitlines() if TRUSTED_WRAP.search(line)]
+    bad = [line for line in found if sum(site in line for site, _ in listed) != 1]
+    bad += [site for site, check in listed if check not in text]
+    return bad + ([] if len(found) == len(listed) else [f"{len(found)} wraps, {len(listed)} listed"])
 
 
 # a spelling, outside linalg, of an array rule linalg owns: the adjoint (_adjoint), the
@@ -180,6 +228,27 @@ def test_each_numerical_repair_has_one_owner():
         assert text.count("np.clip(") == (0 if clamp is None else 1), path.name
         assert clamp is None or clamp in text, path.name
         assert ARRAY_RULE_COPY.search(text) is None, (path.name, ARRAY_RULE_COPY.search(text))
+
+
+def test_every_trusted_wrap_names_what_it_trusts():
+    for path in sorted(SRC.glob("*.py")):
+        assert _untrusted_wraps(path.name, path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "module, edit",
+    [
+        ("functionals.py", lambda text: text + "\n    return KrausChannel._checked(total)\n"),
+        ("states.py", lambda text: text + "\n    wrap = DensityMatrix._checked\n"),
+        ("elimination.py", lambda text: text.replace("    _check_kraus(tail)\n", "")),
+        ("states.py", lambda text: text.replace("spectrum = density_spectrum(m)", "spectrum = None")),
+    ],
+    ids=["functionals-new-wrap", "states-alias", "elimination-tail-check", "states-spectrum"],
+)
+def test_the_trusted_wrap_guard_finds_an_unlisted_wrap(module, edit):
+    text = (SRC / module).read_text()
+    assert _untrusted_wraps(module, text) == []
+    assert _untrusted_wraps(module, edit(text)) != []
 
 
 @pytest.mark.parametrize(
@@ -449,6 +518,19 @@ def test_von_neumann_entropy_rejects_invalid_input():
         von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="Hermitian"):
         von_neumann_entropy(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (3, 2, 3), ()])
+def test_a_density_that_is_not_square_is_refused_by_its_shape(shape):
+    # the density check owns the square rule; DensityMatrix adds only that it takes one matrix
+    m = np.ones(shape, dtype=complex)
+    message = rf"^density matrix must be square, got shape {re.escape(str(shape))}$"
+    for call in (von_neumann_entropy, density_spectrum, DensityMatrix):
+        with pytest.raises(ValueError, match=message):
+            call(m)
+    with pytest.raises(ValueError, match=r"^density matrix must be square, got shape \(2, 2, 2\)$"):
+        DensityMatrix(np.stack([np.eye(2) / 2.0] * 2))
+    assert density_spectrum(np.stack([np.eye(2) / 2.0] * 2)).shape == (2, 2)
 
 
 def test_entropy_of_spectrum_ignores_zeros():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcap.linalg import binary_entropy, trace_norm
+from qcap.linalg import TRACE_TOL, binary_entropy, trace_norm
 from qcap.states import (
     DensityMatrix,
     PureState,
@@ -24,6 +24,7 @@ from helpers import (
     bell_vector,
     count_factorizations,
     counterexample_reference,
+    density_rule_defects,
     fidelity,
     gaussian_unit_vector,
     wishart_gram,
@@ -230,6 +231,19 @@ def test_pure_state_validation_and_density():
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     red = psi.reduced([1])
     assert np.max(np.abs(red.matrix - np.eye(2) / 2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("norm", [1.0 + 9e-10, 1.0 - 9e-10])
+def test_pure_state_density_takes_every_norm_the_state_takes(norm):
+    # PureState takes |v| within 1e-9 of 1, where |v|^2 is off by up to 2e-9: the density
+    # and its marginals are formed from v / |v|, so they take every state PureState takes
+    unit = random_pure_state(6, seed=1).vector
+    psi = PureState(norm * unit, (2, 3))
+    rho = psi.density()
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
+    assert np.abs(rho.matrix - np.outer(unit, unit.conj())).max() < 1e-15
+    for keep in ([0], [1]):
+        assert abs(np.trace(psi.reduced(keep).matrix) - 1.0) < 1e-14
 
 
 def test_purify_recovers_state():
@@ -500,6 +514,25 @@ def test_high_entropy_counterexample_matches_its_factor_form(seed):
     rho = high_entropy_counterexample(psi, eps, n)
     assert np.abs(rho.matrix - counterexample_reference(psi, eps, n)).max() < 1e-14
     assert rho.dims == (d,)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (16, 4), (256, 100), (2048, 1024)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_high_entropy_counterexample_meets_the_density_rules_unchecked(d, n, sign):
+    # built from psi at the edge of PureState's norm tolerance, the state is finite,
+    # Hermitian and of unit trace to rounding, far inside the 1e-9 it is no longer checked at
+    vector = random_pure_state(d, seed=d).vector * (1.0 + sign * (TRACE_TOL - 1e-14))
+    assert abs(np.linalg.norm(vector) - 1.0) > 0.99 * TRACE_TOL
+    finite, hermitian, trace = density_rule_defects(
+        high_entropy_counterexample(PureState(vector), 0.1, n).matrix
+    )
+    assert finite and hermitian < 1e-15 and trace < 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 100, 1000])
+def test_maximally_mixed_meets_the_density_rules_unchecked(d):
+    finite, hermitian, trace = density_rule_defects(maximally_mixed(d).matrix)
+    assert finite and hermitian == 0.0 and trace < 1e-13
 
 
 def test_high_entropy_counterexample_entropy_grows_without_bound():
