@@ -9,14 +9,17 @@ or one that is not finite, is a violation.  All entropies are in bits.
 Every check runs in chunks of ``_CHUNK`` trials, each in two phases.  A
 Python loop first makes only the raw generator calls of one trial after
 another, in a fixed call order, so a seed gives the same instances whatever
-the chunking.  The chunk's draws are then stacked, and every matrix and
-unit vector is built on the stack: Wishart Grams, normalization, mixing,
-validation, partial traces, eigensolves and slacks run once on the whole
-chunk through the stack-aware kernels of :mod:`qcap.linalg` and
-:mod:`qcap.states`; the Gram and normalization kernels are the ones that
-``random_density`` and ``random_pure_state`` run, and every eigensolve
-solves the Hermitian part.  The chunk bounds the memory a check holds
-while keeping per-call overhead small.
+the chunking; each call's output is written straight into the trial's row
+of zeroed chunk arrays, whose per-trial shapes the check declares.  Every
+matrix and unit vector is then built on the chunk: Wishart Grams,
+normalization, mixing, validation, marginals, eigensolves and slacks run
+once on the whole chunk through the stack-aware kernels of
+:mod:`qcap.linalg` and :mod:`qcap.states`; the Gram and normalization
+kernels are the ones that ``random_density`` and ``random_pure_state`` run,
+and every eigensolve solves the Hermitian part.  lemma2 never forms its
+dim^2 x dim^2 states: it takes sigma's deficit and marginals from the
+Gaussian factor of sigma, so it solves only dim x dim marginals.  The chunk
+bounds the memory a check holds while keeping per-call overhead small.
 """
 from __future__ import annotations
 
@@ -26,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _require_int, density_spectrum, entropy_of_spectrum, partial_trace, trace_norm,
-    von_neumann_entropy,
+    _adjoint, _eigvalsh, _require_int, density_spectrum, entropy_of_spectrum, von_neumann_entropy,
 )
-from .states import _as_rng, _dot, _normalized, _projectors, _unit_trace, _wishart_grams
+from .states import _as_rng, _dot, _normalized, _unit_trace, _wishart_grams
 
 FP_TOL = 1e-9
 PURE_EPS_CAP = 1.0 / 36.0
@@ -58,19 +60,18 @@ class TrialReport:
         return self.violations == 0
 
 
-def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
+def _run(trials: int, dim: int, seed, rows, draw, measure) -> TrialReport:
     """Draw and measure ``trials`` instances chunk by chunk.
 
-    ``draw(rng)`` makes one trial's raw generator calls and returns them as
-    a tuple; ``measure`` takes the chunk's draws stacked field by field,
-    builds its matrices, and returns the slacks (one row per trial) and the epsilon
+    ``rows`` holds the shape of each array one trial draws into.  Each chunk's
+    arrays come from :func:`_drawn`; ``measure`` takes them, builds its
+    matrices, and returns the slacks (one row per trial) and the epsilon
     reached by each trial.  A slack that is not at most ``FP_TOL``, NaN too, is a violation.
     """
     rng = _as_rng(seed)
     violations, max_slack, worst, eps_max = 0, -math.inf, 0, 0.0
     for start in range(0, trials, _CHUNK):
-        drawn = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
-        slacks, eps = measure(*(np.array(field) for field in zip(*drawn)))
+        slacks, eps = measure(*_drawn(rng, min(_CHUNK, trials - start), rows, draw))
         violations += int(np.count_nonzero(~(slacks <= FP_TOL)))
         k = int(np.argmax(slacks))  # NaN ranks above every number: the chunk's first NaN, if any
         if not (slacks.flat[k] <= max_slack or math.isnan(max_slack)):
@@ -79,35 +80,73 @@ def _run(trials: int, dim: int, seed, draw, measure) -> TrialReport:
     return TrialReport(trials, violations, max_slack, eps_max, dim, worst)
 
 
-def _gram_factor(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """The draw of ``random_density(dim, rank, rng)``, padded so that trials of any rank stack.
+def _drawn(rng: np.random.Generator, count: int, rows, draw) -> list[np.ndarray]:
+    """``count`` trials drawn one after another into zeroed arrays, one per shape in ``rows``.
+
+    Each array has a leading trial axis; ``draw(rng, *rows)`` makes one
+    trial's raw generator calls and writes their output into that trial's
+    rows, views such as ``array[i, ...]``, so a 0-d row too is written in
+    place.  A call whose ``out`` is a whole contiguous row fills it with the
+    values, and leaves the generator in the state, of the same call by shape.
+    """
+    chunk = [np.zeros((count,) + shape) for shape in rows]
+    for i in range(count):
+        draw(rng, *[array[i, ...] for array in chunk])
+    return chunk
+
+
+def _gram_factor(row: np.ndarray, rank: int, rng: np.random.Generator) -> None:
+    """The draw of ``random_density(dim, rank, rng)``, written into a zeroed (2, dim, dim) row.
 
     Real and imaginary parts of its dim x rank Gaussian G, from the same one
-    generator call, padded with zero columns to dim x dim; they leave the
-    ``_wishart_grams`` product G G^dag unchanged up to rounding.
+    generator call, fill the first ``rank`` columns; the zero columns left
+    after them leave the ``_wishart_grams`` product G G^dag unchanged up to rounding.
     """
-    raw = np.zeros((2, dim, dim))
-    raw[:, :, :rank] = rng.standard_normal((2, dim, rank))
-    return raw
+    row[..., :rank] = rng.standard_normal((2, row.shape[-2], rank))
 
 
-def _marginal_entropies(dense: np.ndarray, dim: int) -> np.ndarray:
-    """Entropies of the (left, right) marginals of stacked states on dim x dim."""
-    dims = (dim, dim)
-    marginals = np.stack(
-        [partial_trace(dense, dims, [0]), partial_trace(dense, dims, [1])], axis=-3
-    )
-    return von_neumann_entropy(marginals, validate=False)
+def _flat_dirichlet(draws: np.ndarray) -> np.ndarray:
+    """Rows of standard exponential draws scaled as ``rng.dirichlet(np.ones(k))`` scales them.
+
+    numpy draws each Gamma(1) component of a flat Dirichlet as a standard
+    exponential and scales the k of them by 1 / acc, with acc summed left to
+    right from 0.0.  ``np.sum`` switches to pairwise sums from eight terms on,
+    so the columns are added one by one.  Zero padding after a row's k draws
+    adds exact zeros.
+    """
+    acc = np.zeros(draws.shape[:-1])
+    for column in np.moveaxis(draws, -1, 0):
+        acc += column
+    return draws * (1.0 / acc)[..., None]
+
+
+def _marginal_grams(parts: np.ndarray, dim: int) -> np.ndarray:
+    """Stacked (left, right) marginals of G G^dag on dim x dim, in real arithmetic.
+
+    G = parts[..., 0, :, :] + i parts[..., 1, :, :] has dim * dim rows, and row
+    (a, b) is a on the left factor and b on the right.  The left marginal is
+    T T^dag for T the rows of G regrouped as dim x (dim * columns) with a
+    first, the right one likewise with b first.  For R = [Re T; Im T], the
+    real part of T T^dag is the sum of the diagonal blocks of R R^T, and its
+    imaginary part is the lower off-diagonal block less the upper one.
+    """
+    lead, cols = parts.shape[:-3], parts.shape[-1]
+    blocks = parts.reshape(lead + (2, dim, dim, cols))
+    r = np.stack([blocks, blocks.swapaxes(-3, -2)], axis=-5)
+    r = r.reshape(lead + (2, 2 * dim, dim * cols))
+    rr = r @ r.swapaxes(-1, -2)
+    re = rr[..., :dim, :dim] + rr[..., dim:, dim:]
+    return re + 1j * (rr[..., dim:, :dim] - rr[..., :dim, dim:])
 
 
 def _pure_marginal_entropy(vectors: np.ndarray, dim: int) -> np.ndarray:
     """Entropy of either marginal of stacked pure states on dim x dim.
 
-    Both marginals of a pure state have the squared singular values of its
-    dim x dim coefficient table as their nonzero spectrum.
+    Both marginals of a pure state have one nonzero spectrum, that of
+    Phi Phi^dag for its dim x dim coefficient table Phi.
     """
     table = vectors.reshape(vectors.shape[:-1] + (dim, dim))
-    return entropy_of_spectrum(np.linalg.svd(table, compute_uv=False) ** 2)
+    return von_neumann_entropy(table @ _adjoint(table), validate=False)
 
 
 def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
@@ -122,16 +161,17 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
     trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "dimension", 2)
     log_dim = math.log2(dim)
 
-    def draw(rng):
-        rho = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
-        sigma = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
-        return rho, sigma, 0.22 * rng.random()
+    def draw(rng, rho, sigma, t_mix):
+        _gram_factor(rho, int(rng.integers(1, dim + 1)), rng)
+        _gram_factor(sigma, int(rng.integers(1, dim + 1)), rng)
+        t_mix[...] = 0.22 * rng.random()
 
     def measure(rho, sigma, t_mix):
         rho, sigma = _unit_trace(_wishart_grams(rho)), _unit_trace(_wishart_grams(sigma))
         spectrum = density_spectrum(rho)
-        # rho - ((1 - t) rho + t sigma) = t (rho - sigma): one trace norm, halved exactly with t
-        dist = t_mix * trace_norm(rho - sigma)
+        # rho - ((1 - t) rho + t sigma) = t (rho - sigma): one Hermitian solve, whose sum of
+        # |eigenvalues| is the trace norm, halved exactly with t
+        dist = t_mix * np.abs(_eigvalsh(rho - sigma)).sum(-1)
         while (far := dist >= 1.0 / 3.0).any():
             t_mix[far] /= 2.0
             dist[far] /= 2.0
@@ -141,7 +181,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
         bounds = np.stack([dist * log_dim + eta, dist * log_dim + 1.0], axis=1)
         return diff[:, None] - bounds, dist
 
-    return _run(trials, dim, seed, draw, measure)
+    return _run(trials, dim, seed, ((2, dim, dim), (2, dim, dim), ()), draw, measure)
 
 
 def check_pure_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
@@ -155,9 +195,10 @@ def check_pure_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) ->
     trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "local dimension", 2)
     total_dim = dim * dim
 
-    def draw(rng):
+    def draw(rng, normals, eps):
         # psi's real and imaginary parts, then those of the raw second direction
-        return rng.standard_normal((4, total_dim)), PURE_EPS_CAP * rng.random()
+        rng.standard_normal(out=normals)
+        eps[...] = PURE_EPS_CAP * rng.random()
 
     def measure(normals, eps):
         psi = _normalized(normals[:, 0] + 1j * normals[:, 1])
@@ -170,7 +211,7 @@ def check_pure_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) ->
         # left and right marginals share one spectrum: both inequalities, one slack
         return np.column_stack([drift, drift]), eps
 
-    return _run(trials, dim, seed, draw, measure)
+    return _run(trials, dim, seed, ((4, total_dim), ()), draw, measure)
 
 
 def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
@@ -187,26 +228,32 @@ def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -
     total_dim = dim * dim
     log_dim = math.log2(dim)
 
-    def draw(rng):
-        phi = rng.standard_normal((2, total_dim))
-        sigma = _gram_factor(total_dim, int(rng.integers(1, total_dim + 1)), rng)
-        return phi, sigma, MIXED_EPS_CAP * rng.random()
+    def draw(rng, phi, factor, weight):
+        rng.standard_normal(out=phi)
+        _gram_factor(factor, int(rng.integers(1, total_dim + 1)), rng)
+        weight[...] = MIXED_EPS_CAP * rng.random()
 
-    def measure(phi, sigma, weight):
+    def measure(phi, factor, weight):
         phi = _normalized(phi[:, 0] + 1j * phi[:, 1])
-        sigma = _unit_trace(_wishart_grams(sigma))
-        w = weight[:, None, None]
-        pure = _projectors(phi)
-        dense = (1.0 - w) * pure + w * sigma
-        eps = weight * (1.0 - _dot(phi.conj(), (sigma @ phi[..., None])[..., 0]).real)
-        s_phi = _pure_marginal_entropy(phi, dim)
-        s_rho = _marginal_entropies(dense, dim)
+        x, y = phi.real, phi.imag
+        # sigma = G G^dag / ||G||_F^2 for the padded factor G = A + iB, and ||G^dag phi||^2
+        # is the squared norm of [A; B]^T [x; y] plus that of [A; B]^T [y; -x]
+        norm2 = np.square(factor).sum(axis=(1, 2, 3))
+        turns = np.stack([np.concatenate([x, y], -1), np.concatenate([y, -x], -1)], axis=1)
+        overlap = np.square(turns @ factor.reshape(-1, 2 * total_dim, total_dim)).sum(axis=(1, 2))
+        eps = weight * (1.0 - overlap / norm2)
+        pure = _marginal_grams(np.stack([x, y], axis=1)[..., None], dim)
+        w = weight[:, None, None, None]
+        rho = (1.0 - w) * pure + w * (_marginal_grams(factor, dim) / norm2[:, None, None, None])
+        # S(phi_left), S(rho_left), S(rho_right): one solve of a (trials, 3, dim, dim) stack
+        s = von_neumann_entropy(np.concatenate([pure[:, :1], rho], axis=1), validate=False)
+        s_phi, s_rho = s[:, 0], s[:, 1:]
         base = 2.0 * np.sqrt(2.0 * eps)
         sides = np.abs(s_rho - s_phi[:, None]) - (base * log_dim + 2.0)[:, None]
         cross = np.abs(s_rho[:, 0] - s_rho[:, 1]) - (2.0 * base * log_dim + 4.0)
         return np.column_stack([sides, cross]), eps
 
-    return _run(trials, dim, seed, draw, measure)
+    return _run(trials, dim, seed, ((2, total_dim), (2, total_dim, total_dim), ()), draw, measure)
 
 
 def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialReport:
@@ -221,16 +268,15 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
     """
     trials, dim = _require_int(trials, "trials", 1), _require_int(dim, "dimension", 2)
 
-    def draw(rng):
-        count = int(rng.integers(2, _MAX_PARTS + 1))
-        weights = np.zeros(_MAX_PARTS)
-        weights[:count] = rng.dirichlet(np.ones(count))
-        parts = np.zeros((_MAX_PARTS, 2, dim, dim))
-        for i in range(count):
-            parts[i] = _gram_factor(dim, int(rng.integers(1, dim + 1)), rng)
-        return weights, parts, count
+    def draw(rng, weights, parts, count):
+        k = int(rng.integers(2, _MAX_PARTS + 1))
+        count[...] = k
+        rng.standard_exponential(out=weights[:k])  # normalized as rng.dirichlet's in measure
+        for part in parts[:k]:
+            _gram_factor(part, int(rng.integers(1, dim + 1)), rng)
 
     def measure(weights, raw, count):
+        weights = _flat_dirichlet(weights)
         drawn = np.arange(_MAX_PARTS) < count[:, None]
         states = _unit_trace(_wishart_grams(raw[drawn]))
         parts = np.zeros(drawn.shape + (dim, dim), dtype=complex)
@@ -245,4 +291,4 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
         slacks = np.stack([s_avg - s_mix, s_mix - (s_avg + h_weights)], axis=1)
         return slacks, h_weights
 
-    return _run(trials, dim, seed, draw, measure)
+    return _run(trials, dim, seed, ((_MAX_PARTS,), (_MAX_PARTS, 2, dim, dim), ()), draw, measure)

@@ -176,6 +176,8 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
 
     For every retained set i with k = n - |i| <= n//2 and every k-subset
     jbar of i, marginal subadditivity forces S(rho_i) - S(rho_jbar) <= n - 2k.
+    At k = n/2 the set i is one of its own k-subsets; that pair has slack 0
+    whatever the state, so it is skipped, and the witness is always a real pair.
     Aggregating over the binomial weights bounds I+ by
     sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
     """
@@ -191,6 +193,8 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
         k = int(erased[mask])
         cap = float(n - 2 * k)
         for inner in _submasks_of_size(mask, k):
+            if inner == mask:
+                continue
             slack = entropies[mask] - entropies[inner] - cap
             pairs += 1
             if slack > max_slack:

@@ -167,6 +167,12 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     return _scalar_or_stack(np.abs((values * _log2(values)).sum(-1)))
 
 
+def _require_square(m: np.ndarray) -> None:
+    """Raise unless ``m`` is a square matrix or a stack of them."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+
+
 def _check_density(m: np.ndarray) -> None:
     """Raise unless each matrix of the stack is square, finite, Hermitian and of unit trace.
 
@@ -175,8 +181,7 @@ def _check_density(m: np.ndarray) -> None:
     once, with J >= I; no d x d temporary is formed, and a matrix of at most
     256 rows is one tile.
     """
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    _require_square(m)
     bad = ~np.isfinite(m)
     where = _first_failure(bad.any(axis=(-2, -1)))
     if where is not None:
@@ -232,13 +237,16 @@ def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.nd
     """Von Neumann entropy in bits, -Tr(rho log2 rho).
 
     With ``validate`` the input is checked by :func:`density_spectrum`;
-    without it, the eigenvalues are read unchecked, and negative ones get no
-    weight, as in :func:`entropy_of_spectrum`.  Leading axes index a stack of
-    matrices, giving one entropy per member.
+    without it, only its shape is checked, the eigenvalues are read
+    unchecked, and negative ones get no weight, as in
+    :func:`entropy_of_spectrum`.  Leading axes index a stack of matrices,
+    giving one entropy per member.
     """
     if validate:
         return entropy_of_spectrum(density_spectrum(rho))
-    return entropy_of_spectrum(_eigvalsh(np.asarray(rho, dtype=complex)))
+    m = np.asarray(rho, dtype=complex)
+    _require_square(m)
+    return entropy_of_spectrum(_eigvalsh(m))
 
 
 def binary_entropy(x: float) -> float:

@@ -337,6 +337,24 @@ LEMMA_CHECK_ROWS = {
 }
 
 
+# stdout of the verifier-small benchmark's commands (benchmarks/workloads.py) at seed 0,
+# `qcap lemma-check <suite> --trials 10000 --seed 0`
+BENCHMARK_LEMMA_ROWS = (
+    "fannes,10000,0,-0.000345037",
+    "lemma1,10000,0,-1.002451963",
+    "lemma2,10000,0,-2.009007333",
+    "mixing,10000,0,-0.000409503",
+)
+
+
+@pytest.mark.parametrize("row", BENCHMARK_LEMMA_ROWS, ids=lambda row: row.split(",")[0])
+def test_lemma_check_benchmark_commands_pinned_bytes(capsys, row):
+    lemma = row.split(",")[0]
+    code, out, err = run_cli(capsys, ["lemma-check", lemma, "--trials", "10000", "--seed", "0"])
+    assert (code, err) == (0, "")
+    assert out == f"lemma,trials,violations,max_slack\n{row}\n"
+
+
 @pytest.mark.parametrize("seed", sorted(LEMMA_CHECK_ROWS))
 def test_lemma_check_pinned_bytes(capsys, seed):
     for row in LEMMA_CHECK_ROWS[seed]:

@@ -277,14 +277,16 @@ def test_batched_suites_match_per_trial_reference(suite, dim):
 
 def test_fannes_solves_each_trace_distance_once(monkeypatch):
     # seed 0 halves some mixing weights (see the per-trial reference above); the
-    # distance is halved with them, never solved again
+    # distance is halved with them, never solved again.  The suite's one Hermitian
+    # solve of its own is that of rho - sigma; the checks of rho solve in linalg
     solved = []
+    real = continuity._eigvalsh
 
     def counted(matrix):
         solved.append(len(matrix))
-        return trace_norm(matrix)
+        return real(matrix)
 
-    monkeypatch.setattr(continuity, "trace_norm", counted)
+    monkeypatch.setattr(continuity, "_eigvalsh", counted)
     report = check_fannes(trials=1000, dim=6, seed=0)
     assert sum(solved) == report.trials == 1000
 
@@ -372,11 +374,13 @@ def test_report_fields_are_plain_numbers_and_worst_trial_replays(suite):
 
 @pytest.mark.parametrize("dim", [6, 16])
 def test_drawn_sigma_chunks_are_density_matrices(dim):
-    # fannes (dim 6) and lemma2 (dim 16 = 4 x 4) use sigma without validating it
+    # fannes (dim 6) uses sigma, and lemma2 (dim 16 = 4 x 4) its factor, without validating them
     for seed in range(3):
         rng = np.random.default_rng(seed)
         ranks = [1 + i % dim for i in range(continuity._CHUNK)]
-        raw = np.stack([continuity._gram_factor(dim, r, rng) for r in ranks])
+        raw = np.zeros((continuity._CHUNK, 2, dim, dim))
+        for row, r in zip(raw, ranks):
+            continuity._gram_factor(row, r, rng)
         sigma = _unit_trace(_wishart_grams(raw))
         spectra = density_spectrum(sigma)
         assert spectra.shape == (continuity._CHUNK, dim)
@@ -435,19 +439,21 @@ DRAWS = {
     "mixed-overlap": (_per_trial_mixed_overlap, _stacked_mixed_overlap),
     "mixing": (
         _per_trial_mixing,
-        lambda weights, parts, count: (weights, _wishart_grams(parts)),
+        lambda weights, parts, count: (continuity._flat_dirichlet(weights), _wishart_grams(parts)),
     ),
 }
 
 
 def _suite_draw(monkeypatch, suite, dim):
-    """The one-trial draw that the suite hands to ``_run``."""
+    """The per-trial row shapes and the one-trial draw that the suite hands to ``_run``."""
     captured = {}
     monkeypatch.setattr(
-        continuity, "_run", lambda trials, dim, seed, draw, measure: captured.update(draw=draw)
+        continuity,
+        "_run",
+        lambda trials, dim, seed, rows, draw, measure: captured.update(rows=rows, draw=draw),
     )
     SUITES[suite][0](trials=1, dim=dim, seed=0)
-    return captured["draw"]
+    return captured["rows"], captured["draw"]
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -455,15 +461,31 @@ def _suite_draw(monkeypatch, suite, dim):
 def test_raw_draws_keep_the_per_trial_stream(monkeypatch, suite, dim):
     # worst_trial replays seed for seed only if the generator calls keep their order
     per_trial, stacked = DRAWS[suite]
-    draw = _suite_draw(monkeypatch, suite, dim)
+    rows, draw = _suite_draw(monkeypatch, suite, dim)
     for seed in (0, 5):
         for trials in (1, 63, 65):
             old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             old = [per_trial(old_rng, dim) for _ in range(trials)]
-            new = [draw(new_rng) for _ in range(trials)]
+            new = continuity._drawn(new_rng, trials, rows, draw)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-            built = stacked(*(np.array(field) for field in zip(*new)))
+            built = stacked(*new)
             for before, after in zip(zip(*old), built):
                 before = np.array(before)
                 assert after.shape == before.shape
                 assert np.abs(after - before).max() <= 1e-13 * np.abs(before).max()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mixing_weights_are_rng_dirichlet_bit_for_bit(k):
+    # the suite draws k standard exponentials into a zero-padded row and scales them as
+    # numpy's flat Dirichlet does; a change inside numpy's dirichlet would show here, not
+    # as a replay that drifts
+    for seed in range(100):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            padded = np.zeros((1, continuity._MAX_PARTS))
+            ours.standard_exponential(out=padded[0, :k])
+            expected = numpys.dirichlet(np.ones(k))
+            assert ours.bit_generator.state == numpys.bit_generator.state
+            assert np.array_equal(continuity._flat_dirichlet(padded)[0, :k], expected)
+            assert np.array_equal(continuity._flat_dirichlet(padded[:, :k])[0], expected)

@@ -500,9 +500,28 @@ def test_verify_iplus_bound_counts_a_planted_pair_violation(table):
     assert report.pair_violations == 1
     assert report.max_pair_slack == 1.0
     assert report.witness == (3, 0)
-    # the full mask's empty subset, and each one-qubit mask's one singleton
-    assert report.pairs_checked == 3
+    # only the full mask's empty subset: each one-qubit mask's one singleton is itself
+    assert report.pairs_checked == 1
     assert not report.aggregate_ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_iplus_bound_witness_is_a_real_pair_at_even_n(seed):
+    # at n = 4 a two-qubit mask has k = n/2 and is its own k-subset; that pair has
+    # slack exactly 0, so it is skipped, and the worst real pair sits below 0
+    rng = np.random.default_rng(seed)
+    decomp = erasure_decomposition(_random_block_state(4, rng), 0.25, 4)
+    report = verify_iplus_bound(decomp)
+    mask, inner = report.witness
+    assert mask != inner
+    assert inner & ~mask == 0 and inner.bit_count() == 4 - mask.bit_count()
+    assert report.max_pair_slack < 0.0
+    cap = 4 - 2 * inner.bit_count()
+    assert report.max_pair_slack == decomp.entropy(mask) - decomp.entropy(inner) - cap
+    # the full mask's one empty subset and each three-qubit mask's three singletons; a
+    # two-qubit mask's one two-qubit subset is itself
+    assert report.pairs_checked == 1 + 4 * 3
+    assert report.pair_violations == 0
 
 
 def test_aggregate_ok_follows_iplus():

@@ -533,6 +533,16 @@ def test_a_density_that_is_not_square_is_refused_by_its_shape(shape):
     assert density_spectrum(np.stack([np.eye(2) / 2.0] * 2)).shape == (2, 2)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (3, 2, 3), ()])
+def test_unchecked_entropy_refuses_a_shape_that_is_not_square(shape):
+    # validate=False skips the density check but not the shape rule: numpy's own
+    # broadcast or axis errors never reach the caller
+    message = rf"^density matrix must be square, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy(np.ones(shape, dtype=complex), validate=False)
+    assert von_neumann_entropy(np.stack([np.eye(2) / 2.0] * 3), validate=False).shape == (3,)
+
+
 def test_entropy_of_spectrum_ignores_zeros():
     assert abs(entropy_of_spectrum(np.array([0.5, 0.5, 0.0]))) == 1.0
     assert entropy_of_spectrum(np.array([1.0, 0.0])) == 0.0
