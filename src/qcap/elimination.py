@@ -18,21 +18,18 @@ reference alone, so the two reference marginals agree to rounding; their trace-n
 mismatch is kept as ``marginal_gap`` and flags an instance above ``MARGINAL_GAP_TOL``.
 The fidelity bound is checked on every instance, flagged or not.
 
-:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy and share
-one window engine, ``_windowed``: it reads ``_WINDOW`` items of a stream at a
-time, so a stream of any length holds one window, groups a window's items by
-shape and runs each group as one stack.  The elimination groups pairs by the
-shapes of their encoder, decoder and channel stacks and block size; the demo
-groups raw draws, taken in stream order scheme by scheme, by family and
-dimension, the rotation family's drift-shrinking loop included.  Every step,
-every validation included, is one call on the stack, so the number of solves
-per group does not depend on its size.  A failed check names the instance by
-its stream position, and the demo's arrays are bit for bit those of drawing
-and building each scheme alone.
+:func:`eliminate_encoders` and :func:`random_demo_schemes` are lazy: each runs
+on :mod:`qcap.linalg`'s window engine, ``_windowed``, so a stream of any length
+holds one window.  The elimination groups pairs by the shapes of their encoder,
+decoder and channel stacks and block size; the demo groups raw draws, taken in
+stream order scheme by scheme, by family and dimension, the rotation family's
+drift-shrinking loop included.  Every step, every validation included, is one
+call on the stack, so the number of solves per group does not depend on its
+size.  A failed check names the instance by its stream position, and the demo's
+arrays are bit for bit those of drawing and building each scheme alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -56,6 +53,7 @@ from .linalg import (
     _eigh,
     _first_failure,
     _require_int,
+    _windowed,
     density_spectrum,
     entropy_of_spectrum,
 )
@@ -75,7 +73,6 @@ FIDELITY_WINDOW = 1.0 / 72.0
 FIDELITY_SLACK = 1e-7
 BRANCH_CUTOFF = 1e-12
 MARGINAL_GAP_TOL = 1e-8
-_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -139,32 +136,6 @@ def eliminate_encoders(pairs) -> Iterator[EliminationInstance]:
         return (scheme.block_size,) + tuple(op.kraus.shape for op in ops)
 
     return _windowed(pairs, shape, _eliminate_stack)
-
-
-def _windowed(items, key, run) -> Iterator:
-    """``run`` on each same-``key`` group of ``_WINDOW`` stream items, yielded in input order.
-
-    A stream of any length holds one window, and a group is one call.  An error
-    names an item as ``instance`` by its stream position: a failed member check
-    (:class:`qcap.linalg._MemberError`) its member, any other its group's first.
-    """
-    stream, start = iter(items), 0
-    while window := list(itertools.islice(stream, _WINDOW)):
-        groups: dict[tuple, list[int]] = {}
-        for i, item in enumerate(window):
-            groups.setdefault(key(item), []).append(i)
-        for members in groups.values():
-            try:
-                done = run([window[i] for i in members])
-            except _MemberError as exc:
-                where = start + members[exc.where[0]]
-                raise ValueError(f"{exc.reason} at instance {where}") from None
-            except ValueError as exc:
-                raise ValueError(f"{exc} at instance {start + members[0]}") from None
-            for i, result in zip(members, done):
-                window[i] = result
-        yield from window
-        start += len(window)
 
 
 def _eliminate_stack(pairs) -> list[EliminationInstance]:
@@ -407,6 +378,6 @@ def random_demo_schemes(trials: int, seed) -> Iterator[tuple[CodingScheme, Kraus
     """
     trials = _require_int(trials, "trials", 1)
     rng = _as_rng(seed)
-    families = itertools.islice(itertools.cycle(enumerate(_DEMO_FAMILIES)), trials)
-    draws = ((family, draw(rng)) for family, (draw, _) in families)
+    families = (i % len(_DEMO_FAMILIES) for i in range(trials))
+    draws = ((family, _DEMO_FAMILIES[family][0](rng)) for family in families)
     return _windowed(draws, lambda item: (item[0],) + tuple(map(np.shape, item[1])), _demo_group)

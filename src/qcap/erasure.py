@@ -8,6 +8,7 @@ per p weights, and the erasure-only input search folds their -log2 into the grad
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .channels import KrausChannel, _erasure_probability
 from .linalg import (
-    _adjoint, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int,
-    _require_probability, _scalar_or_stack, entropy_of_spectrum, partial_trace, von_neumann_entropy,
+    _adjoint, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int, _require_probability,
+    _scalar_or_stack, _windowed, entropy_of_spectrum, partial_trace, von_neumann_entropy,
 )
 from .states import DensityMatrix, _as_rng
 
@@ -330,28 +331,34 @@ def maximize_coherent_info(
     relative to -S (Lu, Freund and Nesterov 2018), so each step raises Ic.  It stops at a
     Frank-Wolfe gap lambda_max(G) - Ic below 1e-9 bits, a certificate where Ic is concave
     (p <= 1/2), or at 500 steps.  The pure input |0...0> competes too, at Ic = 0, and wins ties.
-    All restarts ascend as one stack, each step moving those still going, so memory is
-    O(restarts 4^n): about 130 MB at n = 4 with 2 000 restarts.  The best state keeps the
-    spectrum s its last evaluation formed: V diag(s) V^dag, or the pure input, is not checked.
+    The window engine ascends ``_WINDOW`` restarts at a time, each window one stack drawn by one
+    call of the stream, moving those still going, so memory is O(_WINDOW 4^n) for any number of
+    restarts: 52 MB at n = 4 with 2 000 (132 MB as one stack).  The best state keeps the spectrum
+    s its last evaluation formed: V diag(s) V^dag, or the pure input, is not checked.
     """
     restarts = _require_int(restarts, "restarts", 1)
     n = _require_int(block_size, "block size", 1, SEARCH_BLOCK_LIMIT)
     p = _erasure_probability(channel.kraus)
-    d, w = 2**n, _weights(n, p)
+    d, w, rng = 2**n, _weights(n, p), _as_rng(seed)
     smooth = float(np.clip(w - w[::-1], 0.0, None).sum())  # L_n(p)
-    draws = _as_rng(seed).standard_normal((restarts, 2, d, d))  # each restart's real, then imag
-    h = _hermitian(draws[:, 0] + 1j * draws[:, 1])
-    ics, spectra = np.zeros(restarts + 1), np.zeros((restarts + 1, d))  # row 0: |0...0>, Ic = 0
-    states = np.zeros((restarts + 1, d, d), dtype=complex)  # row r + 1: restart r's last rho
-    states[0, 0, 0] = spectra[0, -1] = 1.0
-    going = np.arange(1, restarts + 1)
-    for _ in range(ASCENT_CAP):
-        value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
-        ics[going], states[going], spectra[going] = value, rho, spectrum
-        on = ~(_eigvalsh(grad)[:, -1] - value < ASCENT_TOL)
-        if not on.any():  # at p = 1/2, G = 0 stops every restart before a step divides by L = 0
-            break
-        going, h = going[on], h[on] + math.log(2.0) / smooth * grad[on]
-    best = int(np.argmax(ics))  # the first maximum, so the pure input wins ties
-    rho = states[best].copy()  # a copy, so the stack is not kept alive
-    return DensityMatrix._checked(rho, spectra[best].copy(), (d,)), float(ics[best]) / n
+
+    def ascend(window: list[int]) -> list[tuple]:
+        """(Ic, last rho, its spectrum) of each restart of a window, ascended as one stack."""
+        draws = rng.standard_normal((len(window), 2, d, d))  # each restart's real, then imag
+        h = _hermitian(draws[:, 0] + 1j * draws[:, 1])
+        ics, spectra = np.zeros(len(window)), np.zeros((len(window), d))
+        states = np.zeros((len(window), d, d), dtype=complex)
+        going = np.arange(len(window))
+        for _ in range(ASCENT_CAP):
+            value, grad, rho, spectrum = _coherent_info_gradient(h, p, n)
+            ics[going], states[going], spectra[going] = value, rho, spectrum
+            on = ~(_eigvalsh(grad)[:, -1] - value < ASCENT_TOL)
+            if not on.any():  # at p = 1/2, G = 0 stops every restart before a step divides by L = 0
+                break
+            going, h = going[on], h[on] + math.log(2.0) / smooth * grad[on]
+        return list(zip(ics, states, spectra))
+
+    pure = (0.0, np.diag(np.eye(d, dtype=complex)[0]), np.eye(d)[-1])  # |0...0>, Ic = 0
+    found = itertools.chain([pure], _windowed(range(restarts), lambda _: (), ascend))
+    ic, rho, spectrum = max(found, key=lambda item: item[0])  # the first maximum wins ties
+    return DensityMatrix._checked(rho.copy(), spectrum.copy(), (d,)), float(ic) / n

@@ -5,14 +5,17 @@ arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
 this module, so it owns the integer and probability input rules, the
 shared array rules (the adjoint, the Hermitian part, the read-only view)
 and the eigensolve: ``_eigh`` and ``_eigvalsh`` solve the Hermitian part.
+Its window engine ``_windowed`` batches every lazy stack, the elimination,
+the demo draws and the input search's restarts, ``_WINDOW`` items at a time.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +23,7 @@ HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
 _TILE = 256
+_WINDOW = 256
 _LOG2 = math.log(2.0)
 
 
@@ -110,6 +114,32 @@ def _first_failure(bad: np.ndarray) -> tuple[int, ...] | None:
     if not bad.any():
         return None
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _windowed(items, key, run) -> Iterator:
+    """``run`` on each same-``key`` group of ``_WINDOW`` stream items, yielded in input order.
+
+    A stream of any length holds one window, and a group is one call.  An error
+    names an item as ``instance`` by its stream position: a failed member check
+    (:class:`_MemberError`) its member, any other its group's first.
+    """
+    stream, start = iter(items), 0
+    while window := list(itertools.islice(stream, _WINDOW)):
+        groups: dict[tuple, list[int]] = {}
+        for i, item in enumerate(window):
+            groups.setdefault(key(item), []).append(i)
+        for members in groups.values():
+            try:
+                done = run([window[i] for i in members])
+            except _MemberError as exc:
+                where = start + members[exc.where[0]]
+                raise ValueError(f"{exc.reason} at instance {where}") from None
+            except ValueError as exc:
+                raise ValueError(f"{exc} at instance {start + members[0]}") from None
+            for i, result in zip(members, done):
+                window[i] = result
+        yield from window
+        start += len(window)
 
 
 def partial_trace(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:

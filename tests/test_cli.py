@@ -519,6 +519,11 @@ SUCCESS_SHA256 = [
         "6239a674b09098826e396854ed475d8e825423035b912013077a79c50e16c8a5",
     ),
     (
+        # 600 restarts ascend in three windows of the search's window engine
+        ["maximize-ci", "--p", "0.25", "--n", "2", "--restarts", "600", "--seed", "0"],
+        "17a739dece0c7ad7602d9b6668115b8be45bdd2d01869de830d520671d354051",
+    ),
+    (
         ["theorem-demo", "--trials", "5"],
         "dc462aed763dfd04c368fe9e81099b07f95cb150c1eb9404ffae29dcbcba1788",
     ),

@@ -16,7 +16,7 @@ from qcap.channels import (
     identity_channel,
     tensor_power,
 )
-from qcap import channels, cli, elimination, erasure, functionals, states
+from qcap import channels, cli, elimination, erasure, functionals, linalg, states
 from qcap.elimination import (
     BRANCH_CUTOFF,
     FIDELITY_SLACK,
@@ -520,8 +520,8 @@ def _draw_digest(count, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_demo_draws_keep_their_pinned_bits(monkeypatch, seed):
     # the stream does not depend on the window it is drawn and built in
-    for window in (elimination._WINDOW, 7):
-        monkeypatch.setattr(elimination, "_WINDOW", window)
+    for window in (linalg._WINDOW, 7):
+        monkeypatch.setattr(linalg, "_WINDOW", window)
         digests = tuple(_draw_digest(count, seed) for count in _DRAW_COUNTS)
         assert digests == _DRAW_DIGESTS[seed], window
 
@@ -554,7 +554,7 @@ def test_drawing_solves_once_per_stack(monkeypatch):
     # 1 and of 85 or 86 members
     calls = count_factorizations(monkeypatch, "qr", "eigh", "eigvalsh")
     made = []
-    for count in (3, elimination._WINDOW):
+    for count in (3, linalg._WINDOW):
         for shapes in calls.values():
             shapes.clear()
         list(random_demo_schemes(count, _ThreeLevelRotations(np.random.PCG64(0))))
@@ -576,11 +576,11 @@ def test_rho_prime_feeds_channel_directly():
     assert abs((1.0 - direct.value) - instance.eps_out) < 1e-12
 
 
-@pytest.mark.parametrize("window", [elimination._WINDOW, 7])
+@pytest.mark.parametrize("window", [linalg._WINDOW, 7])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, window):
     # 60 schemes fall into five shape groups; a window of 7 splits each group
-    monkeypatch.setattr(elimination, "_WINDOW", window)
+    monkeypatch.setattr(linalg, "_WINDOW", window)
     pairs = list(random_demo_schemes(60, seed))
     batch = list(eliminate_encoders(pairs))
     assert len(batch) == len(pairs)
@@ -599,12 +599,12 @@ def test_stacked_batch_matches_one_at_a_time(monkeypatch, seed, window):
         assert not got.tail_decoder.kraus.flags.writeable
 
 
-@pytest.mark.parametrize("window", [elimination._WINDOW, 6])
+@pytest.mark.parametrize("window", [linalg._WINDOW, 6])
 def test_stacked_check_names_the_failing_instance(monkeypatch, window):
     # instance 8 shares the erasure-recovery shape with 2, 5 and 11, but sends
     # its scheme through a half-erasing channel: stack index 2, input index 8;
     # a window of 6 puts it at position 2 of the second window
-    monkeypatch.setattr(elimination, "_WINDOW", window)
+    monkeypatch.setattr(linalg, "_WINDOW", window)
     pairs = list(random_demo_schemes(12, 0))
     pairs[8] = (pairs[8][0], erasure_channel(0.5))
     with pytest.raises(ValueError, match=r"validity window.* at instance 8$"):
@@ -660,7 +660,7 @@ def test_eliminated_reads_its_input_one_window_at_a_time():
 
     first = list(itertools.islice(eliminate_encoders(endless()), 3))
     assert len(first) == 3
-    assert len(drawn) == elimination._WINDOW
+    assert len(drawn) == linalg._WINDOW
 
 
 def test_branch_index_counts_only_kept_branches():

@@ -1,11 +1,14 @@
 import dataclasses
+import functools
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qcap import erasure
+from qcap import erasure, linalg
 from qcap.channels import (
     CodingScheme,
     _erasure_probability,
@@ -756,6 +759,31 @@ def test_folded_gradient_matches_each_term_lifted_alone(monkeypatch, n, p):
     assert np.abs(grad - 0.5 * (ref + ref.conj().T)).max() <= 1e-12
 
 
+_PAULIS = tuple(
+    np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_retained_set_sum_matches_the_pauli_closed_form(n):
+    # rho = (I + delta P)/2^n with P a Pauli string of weight t: each marginal holding P's
+    # support has spectrum (1 +- delta)/d_A and every other is flat, so exactly, not only to
+    # second order, Ic = n(1 - 2p) - ((1 - p)^t - p^t)(1 - h2((1 + delta)/2)), with no brute
+    # force at any n; the solved table and the ascent's value (n <= 6) both meet it
+    delta, x = 0.5, 0.75  # x = (1 + delta)/2
+    curvature = 1.0 + x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)  # 1 - h2(x)
+    for t in range(1, n + 1):
+        factors = [np.eye(2, dtype=complex)] * (n - t) + [_PAULIS[j % 3] for j in range(t)]
+        pauli = functools.reduce(np.kron, factors)
+        rho = DensityMatrix((np.eye(2**n) + delta * pauli) / 2**n)
+        for p in (0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 1.0):
+            want = n * (1.0 - 2.0 * p) - ((1.0 - p) ** t - p**t) * curvature
+            assert abs(erasure_coherent_info_block(rho, p, n) - want) <= 1e-12, (t, p)
+            if n <= erasure.SEARCH_BLOCK_LIMIT:  # rho = exp(H)/Tr exp(H) for H = atanh(delta) P
+                value = _coherent_info_gradient(math.atanh(delta) * pauli, p, n)[0]
+                assert abs(value - want) <= 1e-12, (t, p)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
 def test_maximize_from_random_starts_reaches_one_minus_two_p(n, p):
@@ -810,12 +838,15 @@ def _recording_gradient(monkeypatch):
 def _per_restart(calls):
     """Each restart's own Ic sequence from recorded calls.
 
-    A call's rows are the restarts still going, in restart order, and a row certified to stop
-    is absent from the next call.
+    A call's rows are the restarts of its window still going, in restart order, and a row
+    certified to stop is absent from the next call; once none is going, the next call is the
+    next window's first, one row per restart.
     """
-    values, stops = calls[0]
-    runs, going = [[v] for v in values], np.flatnonzero(~stops)
-    for values, stops in calls[1:]:
+    runs, going = [], np.arange(0)
+    for values, stops in calls:
+        if not going.size:
+            going = np.arange(len(runs), len(runs) + len(values))
+            runs += [[] for _ in values]
         assert len(values) == len(going)
         for r, v in zip(going, values):
             runs[r].append(v)
@@ -852,25 +883,62 @@ def _restart_loop_reference(channel, n, restarts, rng):
 @pytest.mark.parametrize("restarts", [1, 3, 20])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_restart_stack_matches_one_restart_after_another(n, p, restarts):
-    # the stack draws the same stream and gives each restart the figures it would get alone
+def test_restart_stack_matches_one_restart_after_another(monkeypatch, n, p, restarts):
+    # each window's stack draws the same stream and gives each restart the figures it would
+    # get alone, and the fold over windows keeps the first maximum, at windows of 1 and 7 too
     chan = erasure_channel(p)
-    rng, ref_rng = (np.random.default_rng(10 * n + restarts) for _ in range(2))
-    rho, best = maximize_coherent_info(chan, n, restarts, rng)
+    ref_rng = np.random.default_rng(10 * n + restarts)
     matrix, spectrum, ref_best, _ = _restart_loop_reference(chan, n, restarts, ref_rng)
-    assert best == ref_best and type(best) is float
-    assert np.array_equal(rho.matrix, matrix) and np.array_equal(rho.eigenvalues, spectrum)
-    assert rng.standard_normal() == ref_rng.standard_normal()
+    ref_next = ref_rng.standard_normal()
+    for window in (linalg._WINDOW, 1, 7):
+        monkeypatch.setattr(linalg, "_WINDOW", window)
+        rng = np.random.default_rng(10 * n + restarts)
+        rho, best = maximize_coherent_info(chan, n, restarts, rng)
+        assert best == ref_best and type(best) is float, window
+        assert np.array_equal(rho.matrix, matrix) and np.array_equal(rho.eigenvalues, spectrum)
+        assert rng.standard_normal() == ref_next, window
 
 
 @pytest.mark.parametrize("n, p", [(1, 0.25), (2, 0.1), (3, 0.49), (2, 0.9)])
 def test_search_evaluates_as_often_as_its_longest_restart(monkeypatch, n, p):
-    # one call per ascent step serves every restart still going, not one call per restart
+    # one call per ascent step serves every restart of a window still going, not one call
+    # per restart; windows of 2 split the 5 restarts as 2, 2 and 1
     evaluations = _restart_loop_reference(erasure_channel(p), n, 5, np.random.default_rng(0))[-1]
     calls = _recording_gradient(monkeypatch)
-    maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
-    assert len(calls) == max(evaluations) < sum(evaluations)
-    assert [len(run) for run in _per_restart(calls)] == evaluations
+    for window in (linalg._WINDOW, 2):
+        monkeypatch.setattr(linalg, "_WINDOW", window)
+        calls.clear()
+        maximize_coherent_info(erasure_channel(p), n, restarts=5, seed=0)
+        longest = [max(evaluations[i : i + window]) for i in range(0, 5, window)]
+        assert len(calls) == sum(longest) < sum(evaluations), window
+        assert [len(run) for run in _per_restart(calls)] == evaluations, window
+
+
+def test_search_memory_is_one_window_whatever_the_restarts(monkeypatch):
+    # 64 restarts in windows of 4 hold one window's stack at a time, so their traced peak
+    # stays within 1.25x that of the same 16 windows run as searches of 4 restarts on one
+    # stream; one stack of 64 peaks at about 3x.  Both sides make the same evaluations, each
+    # of which grows the interpreter's tuple free lists a little, so that growth cancels
+    monkeypatch.setattr(linalg, "_WINDOW", 4)
+    chan = erasure_channel(0.49)
+
+    def traced(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def by_window():
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            maximize_coherent_info(chan, 3, 4, rng)
+
+    maximize_coherent_info(chan, 3, 4, seed=0)  # first-call allocations are not the search's
+    whole = traced(lambda: maximize_coherent_info(chan, 3, 64, np.random.default_rng(0)))
+    assert whole <= 1.25 * traced(by_window)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -114,8 +114,8 @@ def test_partial_trace_refuses_a_factor_dimension_below_one(dims, bad):
 
 def test_input_rules_have_one_owner():
     # the integer and probability rules live in linalg alone, the CLI bounds no
-    # input by hand, and elimination stacks each shape group of a window once,
-    # with no second batch size
+    # input by hand, and linalg's window engine is the one place that groups a
+    # window and reads a stream in windows, with no second batch size
     src = Path(__file__).resolve().parents[1] / "src" / "qcap"
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
@@ -132,9 +132,12 @@ def test_input_rules_have_one_owner():
             n_bound = r"args\.n [<>]|[<>]=? args\.n|<= MAX_BLOCK_SIZE|block sizes 1"
             assert not re.search(n_bound, text)
         if path.name == "elimination.py":
-            # one window-and-group engine serves the elimination and the demo draws
             assert "_CHUNK" not in text and "_demo_window" not in text
+        if path.name == "linalg.py":
+            # one window-and-group engine serves the elimination, the demo draws and the restarts
             assert text.count("setdefault(") == 1 and text.count("_WINDOW))") == 1
+        else:
+            assert "islice(" not in text, path.name
 
 
 # the range clamps that stay outside linalg, each one line, by module
@@ -161,7 +164,7 @@ TRUSTED_WRAPS = {
     ],
     "erasure.py": [
         # V diag(s) V^dag for the softmax spectrum s, or the pure input |0...0>
-        ("DensityMatrix._checked(rho, spectra[best].copy(), (d,))",
+        ("DensityMatrix._checked(rho.copy(), spectrum.copy(), (d,))",
          "rho = (vectors * spectrum[..., None, :]) @ _adjoint(vectors)"),
     ],
     "elimination.py": [
