@@ -162,47 +162,35 @@ def iplus_iminus_split(decomp: ErasureDecomposition) -> tuple[float, float]:
     return float(terms[low].sum()), float(terms[~low].sum())
 
 
-def _submasks_of_size(mask: int, size: int):
-    sub = mask
-    while True:
-        if sub.bit_count() == size:
-            yield sub
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-
-
 def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
     """Check the subadditivity cap on the low-erasure half of the sum.
 
     For every retained set i with k = n - |i| <= n//2 and every k-subset
     jbar of i, marginal subadditivity forces S(rho_i) - S(rho_jbar) <= n - 2k.
-    At k = n/2 the set i is one of its own k-subsets; that pair has slack 0
-    whatever the state, so it is skipped, and the witness is always a real pair.
-    Aggregating over the binomial weights bounds I+ by
-    sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
+    Each k reads one slack table: a row per set with k qubits erased in mask
+    order, a column per k-qubit set largest first, and a pair where the column
+    is a subset of the row.  At k = n/2 the set i is one of its own k-subsets;
+    that pair has slack 0 whatever the state, so it is skipped, and the witness
+    is always a real pair.  Of equal slacks the witness is the first set in mask
+    order, then its largest subset.  Aggregating over the binomial weights
+    bounds I+ by sum_k C(n,k) p^k (1-p)^(n-k) (n - 2k).
     """
-    n = decomp.block_size
-    entropies = decomp.subset_entropies.tolist()  # masks made here need no range check
-    erased = n - _kept(n)
+    n, s = decomp.block_size, decomp.subset_entropies
+    kept = _kept(n)
+    pairs = violations = 0
+    worst = []  # (slack, -i, jbar) of each table: their max keeps the tie rule across k
+    for k in range(n // 2 + 1):
+        sets, subsets = np.flatnonzero(kept == n - k), np.flatnonzero(kept == k)[::-1]
+        pair = ((subsets & ~sets[:, None]) == 0) & (subsets != sets[:, None])
+        slack = np.where(pair, s[sets, None] - s[subsets] - (n - 2 * k), -math.inf)
+        pairs += int(pair.sum())
+        violations += int((slack > PAIR_TOL).sum())
+        i, j = np.unravel_index(np.argmax(slack), slack.shape)
+        if pair[i, j]:
+            worst.append((float(slack[i, j]), -int(sets[i]), int(subsets[j])))
+    max_slack, minus_i, jbar = max(worst)  # k = 0 always pairs the full set with the empty one
+    erased = n - kept
     low = erased <= n // 2
-    pairs = 0
-    violations = 0
-    max_slack = -math.inf
-    witness = None
-    for mask in np.flatnonzero(low).tolist():
-        k = int(erased[mask])
-        cap = float(n - 2 * k)
-        for inner in _submasks_of_size(mask, k):
-            if inner == mask:
-                continue
-            slack = entropies[mask] - entropies[inner] - cap
-            pairs += 1
-            if slack > max_slack:
-                max_slack = slack
-                witness = (mask, inner)
-            if slack > PAIR_TOL:
-                violations += 1
     plus, _ = iplus_iminus_split(decomp)
     aggregate = _weights(n, decomp.p)[low] @ (n - 2 * erased[low])
     return IplusBoundReport(
@@ -210,8 +198,8 @@ def verify_iplus_bound(decomp: ErasureDecomposition) -> IplusBoundReport:
         aggregate_bound=float(aggregate),
         pairs_checked=pairs,
         pair_violations=violations,
-        max_pair_slack=float(max_slack),
-        witness=witness,
+        max_pair_slack=max_slack,
+        witness=(-minus_i, jbar),
     )
 
 

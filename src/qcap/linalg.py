@@ -10,7 +10,6 @@ the demo draws and the input search's restarts, ``_WINDOW`` items at a time.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -22,9 +21,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
-_TILE = 256
 _WINDOW = 256
-_LOG2 = math.log(2.0)
 
 
 def _require_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
@@ -206,10 +203,10 @@ def _require_square(m: np.ndarray) -> None:
 def _check_density(m: np.ndarray) -> None:
     """Raise unless each matrix of the stack is square, finite, Hermitian and of unit trace.
 
-    Hermiticity is read as max |m_ij - conj(m_ji)|, which is symmetric under
-    i <-> j, so each pair of 256 x 256 tiles (I, J) and (J, I) is compared
-    once, with J >= I; no d x d temporary is formed, and a matrix of at most
-    256 rows is one tile.
+    Hermiticity is read as max |m_ij - conj(m_ji)| over the whole matrix in one
+    pass, which holds two temporaries as large as ``m`` at its peak.  That is
+    enough: every check is followed by a solve of the same stack's Hermitian
+    part, which holds that part and LAPACK's working copy of it, as much again.
     """
     _require_square(m)
     bad = ~np.isfinite(m)
@@ -217,13 +214,7 @@ def _check_density(m: np.ndarray) -> None:
     if where is not None:
         i, j = np.argwhere(bad[where])[0]
         raise _MemberError(f"density matrix has a non-finite entry at row {i}, column {j}", where)
-    b, top = _TILE, max(m.shape[-1], 1)
-    tiles = (
-        np.abs(m[..., i : i + b, j : j + b] - _adjoint(m[..., j : j + b, i : i + b]))
-        for i in range(0, top, b)
-        for j in range(i, top, b)
-    )
-    defect = functools.reduce(np.maximum, (t.max(axis=(-2, -1), initial=0.0) for t in tiles))
+    defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1), initial=0.0)
     where = _first_failure(defect > HERMITICITY_TOL)
     if where is not None:
         raise _MemberError(

@@ -527,6 +527,83 @@ def test_verify_iplus_bound_witness_is_a_real_pair_at_even_n(seed):
     assert report.pair_violations == 0
 
 
+def _submasks_of_size(mask, size):
+    sub = mask
+    while True:
+        if sub.bit_count() == size:
+            yield sub
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+
+
+def _iplus_reference(decomp):
+    """The audit as one loop over every (set, subset) pair: sets in mask order, subsets largest first."""
+    n = decomp.block_size
+    entropies = decomp.subset_entropies.tolist()
+    erased = n - erasure._kept(n)
+    low = erased <= n // 2
+    pairs = 0
+    violations = 0
+    max_slack = -math.inf
+    witness = None
+    for mask in np.flatnonzero(low).tolist():
+        k = int(erased[mask])
+        cap = float(n - 2 * k)
+        for inner in _submasks_of_size(mask, k):
+            if inner == mask:
+                continue
+            slack = entropies[mask] - entropies[inner] - cap
+            pairs += 1
+            if slack > max_slack:
+                max_slack = slack
+                witness = (mask, inner)
+            if slack > PAIR_TOL:
+                violations += 1
+    plus, _ = iplus_iminus_split(decomp)
+    aggregate = erasure._weights(n, decomp.p)[low] @ (n - 2 * erased[low])
+    return erasure.IplusBoundReport(
+        iplus=plus,
+        aggregate_bound=float(aggregate),
+        pairs_checked=pairs,
+        pair_violations=violations,
+        max_pair_slack=float(max_slack),
+        witness=witness,
+    )
+
+
+def _assert_audit_matches_reference(decomp):
+    report = verify_iplus_bound(decomp)
+    assert report == _iplus_reference(decomp)
+    assert [type(x) for x in report.witness] == [int, int]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_verify_iplus_bound_matches_the_pair_loop_on_states(n):
+    rng = np.random.default_rng(100 + n)
+    for rank in (1, None):
+        table = subset_entropies(_random_block_state(n, rng, rank), n)
+        for p in (0.0, 0.1, 0.25, 0.49, 0.5, 0.75, 1.0):
+            _assert_audit_matches_reference(ErasureDecomposition(p, table))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_verify_iplus_bound_matches_the_pair_loop_on_tables(n):
+    rng = np.random.default_rng(200 + n)
+    flat = erasure._kept(n)  # every slack is 0, so the tie rule alone picks the witness
+    halves = rng.integers(0, 2 * n + 1, 1 << n) / 2  # half-integer entropies, full of ties
+    planted = flat.copy()  # one set above the cap of its pairs: from n = 3 on, one with k = 1
+    planted[(1 << n) - 1 - (1 << (n // 2) if n >= 3 else 0)] += 0.5
+    tables = [flat, halves, planted]
+    if n >= 8:
+        tables.append(rng.uniform(0.0, n, 1 << n))
+    for table in tables:
+        for p in (0.1, 0.49):
+            _assert_audit_matches_reference(ErasureDecomposition(p, table))
+    report = verify_iplus_bound(ErasureDecomposition(0.1, planted))
+    assert report.pair_violations > 0 and report.max_pair_slack == 0.5
+
+
 def test_aggregate_ok_follows_iplus():
     flat = maximally_mixed(8, (2, 2, 2))
     report = verify_iplus_bound(erasure_decomposition(flat, 0.3, 3))

@@ -24,6 +24,7 @@ from qcap.erasure import (
 )
 from qcap.linalg import (
     _adjoint,
+    _check_density,
     _eigh,
     _eigvalsh,
     _hermitian,
@@ -324,6 +325,19 @@ def test_array_rules_keep_their_arithmetic_bit_for_bit():
     assert np.shares_memory(view, stack) and stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         view[0, 0, 0] = 1.0
+
+
+def test_density_check_holds_at_most_two_temporaries():
+    # the Hermiticity defect is read in one pass: the conjugate and the difference, then
+    # the moduli; a three-temporary form of it exceeds the bound
+    m = random_density(512, rank=512, seed=np.random.default_rng(37)).matrix
+    tracemalloc.start()
+    try:
+        _check_density(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m.nbytes
 
 
 def test_hermitian_part_holds_one_temporary_and_writes_no_input():
