@@ -239,24 +239,20 @@ def environment_state(channel: KrausChannel, rho: DensityMatrix) -> DensityMatri
     return DensityMatrix(w, (channel.num_kraus,))
 
 
-def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, dims, factor: int) -> np.ndarray:
-    """Unnormalized (A_k on factor ``factor``)|psi>, one row per k.
+def _branch_vectors(kraus: np.ndarray, vector: np.ndarray, d_ref: int) -> np.ndarray:
+    """Unnormalized (I x A_k)|psi>, one row per k, for psi a (reference, input) table.
 
     These are the pure branches left by measuring the channel environment:
     row k has squared norm p_k, the probability of outcome k, the p_k sum to 1,
     and sum_k |row k><row k| is the channel output on |psi><psi|.  Leading axes
     of ``vector`` index a stack and those of ``kraus`` broadcast against them; each
-    member's rows keep the factors in place, with factor ``factor`` resized to the output.
+    member's rows are (reference, output) tables with ``d_ref`` reference levels.
     """
     lead = vector.shape[:-1]
     k, out, inn = kraus.shape[-3:]
-    at = len(lead) + factor
-    # (in, rest) table of psi with the acted-on factor first; rest keeps the others in order
-    table = np.moveaxis(vector.reshape(lead + tuple(dims)), at, len(lead))
-    rest = table.shape[len(lead) + 1 :]
-    moved = kraus.reshape(kraus.shape[:-3] + (k * out, inn)) @ table.reshape(lead + (inn, -1))
-    moved = np.moveaxis(moved.reshape(lead + (k, out) + rest), len(lead) + 1, at + 1)
-    return moved.reshape(lead + (k, -1))
+    table = vector.reshape(lead + (d_ref, inn)).swapaxes(-1, -2)  # (in, reference) view
+    moved = kraus.reshape(kraus.shape[:-3] + (k * out, inn)) @ table
+    return moved.reshape(lead + (k, out, d_ref)).swapaxes(-1, -2).reshape(lead + (k, -1))
 
 
 @dataclass(frozen=True, eq=False)

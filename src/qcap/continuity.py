@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    _adjoint, _eigvalsh, _require_int, density_spectrum, entropy_of_spectrum, von_neumann_entropy,
-)
+from .linalg import _adjoint, _eigvalsh, _require_int, density_spectrum, entropy_of_spectrum
 from .states import _as_rng, _dot, _normalized, _unit_trace, _wishart_grams
 
 FP_TOL = 1e-9
@@ -147,7 +145,7 @@ def _pure_marginal_entropy(vectors: np.ndarray, dim: int) -> np.ndarray:
     Phi Phi^dag for its dim x dim coefficient table Phi.
     """
     table = vectors.reshape(vectors.shape[:-1] + (dim, dim))
-    return von_neumann_entropy(table @ _adjoint(table), validate=False)
+    return entropy_of_spectrum(_eigvalsh(table @ _adjoint(table)))
 
 
 def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
@@ -177,7 +175,7 @@ def check_fannes(trials: int = 200, dim: int = 6, seed=None) -> TrialReport:
             t_mix[far] /= 2.0
             dist[far] /= 2.0
         other = (1.0 - t_mix)[:, None, None] * rho + t_mix[:, None, None] * sigma
-        diff = np.abs(entropy_of_spectrum(spectrum) - von_neumann_entropy(other, validate=False))
+        diff = np.abs(entropy_of_spectrum(spectrum) - entropy_of_spectrum(_eigvalsh(other)))
         eta = entropy_of_spectrum(dist[:, None])  # -t log2 t, 0 at t = 0
         bounds = np.stack([dist * log_dim + eta, dist * log_dim + 1.0], axis=1)
         return diff[:, None] - bounds, dist
@@ -247,7 +245,7 @@ def check_mixed_overlap_continuity(trials: int = 200, dim: int = 4, seed=None) -
         w = weight[:, None, None, None]
         rho = (1.0 - w) * pure + w * (_marginal_grams(factor, dim) / norm2[:, None, None, None])
         # S(phi_left), S(rho_left), S(rho_right): one solve of a (trials, 3, dim, dim) stack
-        s = von_neumann_entropy(np.concatenate([pure[:, :1], rho], axis=1), validate=False)
+        s = entropy_of_spectrum(_eigvalsh(np.concatenate([pure[:, :1], rho], axis=1)))
         s_phi, s_rho = s[:, 0], s[:, 1:]
         base = 2.0 * np.sqrt(2.0 * eps)
         sides = np.abs(s_rho - s_phi[:, None]) - (base * log_dim + 2.0)[:, None]
@@ -284,9 +282,7 @@ def check_mixing_bounds(trials: int = 200, dim: int = 4, seed=None) -> TrialRepo
         parts[drawn] = states
         entropies = np.zeros(drawn.shape)
         entropies[drawn] = entropy_of_spectrum(density_spectrum(states))
-        s_mix = von_neumann_entropy(
-            (weights[:, :, None, None] * parts).sum(axis=1), validate=False
-        )
+        s_mix = entropy_of_spectrum(_eigvalsh((weights[:, :, None, None] * parts).sum(axis=1)))
         s_avg = (weights * entropies).sum(axis=1)
         h_weights = entropy_of_spectrum(weights)
         slacks = np.stack([s_avg - s_mix, s_mix - (s_avg + h_weights)], axis=1)

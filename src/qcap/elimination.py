@@ -161,8 +161,8 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
     decode = _compose(decoder, block)
     _check_kraus(decode)
     # the decoded branch table: row (b, m) is (I x D_m)(I x E_b)|phi>, broadcast over b
-    branches = _branch_vectors(encoder, phi, (d_src, d_src), 1)
-    decoded = _branch_vectors(decode[:, None], branches, (d_src, d_in), 1)
+    branches = _branch_vectors(encoder, phi, d_src)
+    decoded = _branch_vectors(decode[:, None], branches, d_src)
     amps, eps_in = _departure(decoded, phi)
     where = _first_failure(eps_in >= FIDELITY_WINDOW)
     if where is not None:
@@ -179,7 +179,7 @@ def _eliminate_stack(pairs) -> list[EliminationInstance]:
     branch_index, psi, kept_rows = _kept_branch(branches, decoded, amps)
     rho_prime, prime_spectrum, big_psi = _decode_kept(kept_rows, psi, d_src, d_in)
     tail, marginal_gap = _tail(big_psi, psi, d_src, d_in)
-    _, eps_out = _departure(_branch_vectors(tail[:, None], kept_rows, (d_src, d_src), 1), psi)
+    _, eps_out = _departure(_branch_vectors(tail[:, None], kept_rows, d_src), psi)
     source_entropy = entropy_of_spectrum(np.stack([s.source.eigenvalues for s in schemes]))
     entropy_gap = np.abs(source_entropy - entropy_of_spectrum(prime_spectrum))
     return [
@@ -216,18 +216,18 @@ def _kept_branch(branches, decoded, amps) -> tuple[np.ndarray, np.ndarray, np.nd
     Branch b, of probability p_b above ``BRANCH_CUTOFF`` (the others are dropped and not
     counted in the index), scores sum_m |<phi|x_bm>|^2 / p_b over its decoded rows x_bm; the
     first best is kept, at least the overall fidelity by averaging.  Its rows come over sqrt(p_b).
-    A unit is a branch over its own norm; the kept one is checked as rho_prime's trace.
+    The kept branch over its own norm is the unit vector, checked as rho_prime's trace.
     """
     probs = _dot(branches.conj(), branches).real
     kept = probs > BRANCH_CUTOFF
     weight = np.where(kept, probs, 1.0)
-    units = branches / np.sqrt(weight)[..., None]
     scores = (np.abs(amps.reshape(decoded.shape[:-1])) ** 2).sum(-1) / weight
     # a dropped branch, left unnormalized, scores at most its probability, below the kept best
     best = np.argmax(scores, axis=-1)
     rows = np.arange(len(branches))
-    chosen = decoded[rows, best] / np.sqrt(weight[rows, best])[:, None, None]
-    return np.cumsum(kept, axis=-1)[rows, best] - 1, units[rows, best], chosen
+    norm = np.sqrt(weight[rows, best])
+    unit, chosen = branches[rows, best] / norm[:, None], decoded[rows, best] / norm[:, None, None]
+    return np.cumsum(kept, axis=-1)[rows, best] - 1, unit, chosen
 
 
 def _decode_kept(kept_rows, psi, d_src, d_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 from .channels import KrausChannel, _erasure_probability
 from .linalg import (
     _adjoint, _eigh, _eigvalsh, _hermitian, _log2, _read_only, _require_int, _require_probability,
-    _scalar_or_stack, _windowed, entropy_of_spectrum, partial_trace, von_neumann_entropy,
+    _scalar_or_stack, _windowed, entropy_of_spectrum, partial_trace,
 )
 from .states import DensityMatrix, _as_rng
 
@@ -89,14 +89,15 @@ class IplusBoundReport:
         return self.iplus <= self.aggregate_bound + PAIR_TOL
 
 
-def _marginals(matrix: np.ndarray, qubits: list[int], below: int | None = None):
-    """Yield (mask, marginal) for each proper subset of ``qubits``, the factors of ``matrix``.
+def _marginals(matrix: np.ndarray, qubits: list[int], below: int):
+    """Yield (mask, marginal) for each proper subset of ``qubits``, the factors of ``matrix``,
+    that keeps every qubit at position ``below`` and up; ``below = len(qubits)`` yields them all.
 
     Depth first, each traced from a parent with one more qubit: a child drops a qubit below
     the one its parent dropped, so each mask comes once and one marginal per size is alive.
     """
     dims = (2,) * len(qubits)
-    for pos in range(len(qubits) if below is None else below):
+    for pos in range(below):
         sub = partial_trace(matrix, dims, [k for k in range(len(qubits)) if k != pos])
         rest = qubits[:pos] + qubits[pos + 1:]
         yield sum(1 << j for j in rest), sub
@@ -112,8 +113,8 @@ def subset_entropies(rho: DensityMatrix, block_size: int) -> np.ndarray:
         return _kept(n)  # rho = I/d, whose table is read, not solved
     table = np.empty(1 << n)
     table[-1] = rho.entropy()  # the full mask: the state's stored spectrum
-    for mask, sub in _marginals(rho.matrix, list(range(n))):
-        table[mask] = von_neumann_entropy(sub, validate=False)
+    for mask, sub in _marginals(rho.matrix, list(range(n)), n):
+        table[mask] = entropy_of_spectrum(_eigvalsh(sub))
     return _read_only(table)
 
 
@@ -298,7 +299,7 @@ def _coherent_info_gradient(
     signed = w - w[::-1]
     value, neg_log = _neg_log2(spectrum, vectors)
     value, terms = signed[-1] * value, {len(w) - 1: signed[-1] * neg_log}
-    for mask, sub in _marginals(rho, list(range(n))):
+    for mask, sub in _marginals(rho, list(range(n)), n):
         entropy, neg_log = _neg_log2(*_eigh(sub))
         value += signed[mask] * entropy
         terms[mask] = signed[mask] * neg_log

@@ -52,9 +52,9 @@ def _kraus_fidelities(matrix: np.ndarray, kraus: np.ndarray) -> np.ndarray:
 
 def _purification_fidelity(rho: DensityMatrix, channel: KrausChannel) -> float:
     # sum_k |<eta|(I (x) A_k)|eta>|^2 on the levels input and output share (first-levels rule)
-    eta = purify(rho.flattened()).vector
+    eta = purify(rho).vector
     d, m = rho.dim, min(channel.in_dim, channel.out_dim)
-    kept = _branch_vectors(channel.kraus, eta, (d, d), 1).reshape(-1, d, channel.out_dim)[..., :m]
+    kept = _branch_vectors(channel.kraus, eta, d).reshape(-1, d, channel.out_dim)[..., :m]
     amps = np.tensordot(kept, eta.reshape(d, d)[:, :m].conj(), 2)
     return float((np.abs(amps) ** 2).sum())
 

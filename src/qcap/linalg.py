@@ -5,6 +5,8 @@ arrays; the typed wrappers live in :mod:`qcap.states`.  Every layer imports
 this module, so it owns the integer and probability input rules, the
 shared array rules (the adjoint, the Hermitian part, the read-only view)
 and the eigensolve: ``_eigh`` and ``_eigvalsh`` solve the Hermitian part.
+``von_neumann_entropy`` always checks its input; the package's own densities,
+built as such, are read as ``entropy_of_spectrum(_eigvalsh(m))``.
 Its window engine ``_windowed`` batches every lazy stack, the elimination,
 the demo draws and the input search's restarts, ``_WINDOW`` items at a time.
 """
@@ -194,27 +196,24 @@ def entropy_of_spectrum(values: np.ndarray) -> float | np.ndarray:
     return _scalar_or_stack(np.abs((values * _log2(values)).sum(-1)))
 
 
-def _require_square(m: np.ndarray) -> None:
-    """Raise unless ``m`` is a square matrix or a stack of them."""
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-
-
 def _check_density(m: np.ndarray) -> None:
     """Raise unless each matrix of the stack is square, finite, Hermitian and of unit trace.
 
-    Hermiticity is read as max |m_ij - conj(m_ji)| over the whole matrix in one
-    pass, which holds two temporaries as large as ``m`` at its peak.  That is
-    enough: every check is followed by a solve of the same stack's Hermitian
-    part, which holds that part and LAPACK's working copy of it, as much again.
+    Hermiticity is read as max |m_ij - conj(m_ji)| in one pass over one contiguous copy
+    of the adjoint, spelled as in ``_hermitian``, less ``m`` in place: the peak holds that
+    copy and its moduli.  That is enough: every check is followed by a solve of the same
+    stack's Hermitian part, which holds that part and LAPACK's working copy of it.
     """
-    _require_square(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
     bad = ~np.isfinite(m)
     where = _first_failure(bad.any(axis=(-2, -1)))
     if where is not None:
         i, j = np.argwhere(bad[where])[0]
         raise _MemberError(f"density matrix has a non-finite entry at row {i}, column {j}", where)
-    defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1), initial=0.0)
+    defect = np.conjugate(m.swapaxes(-1, -2), order="C")
+    defect -= m  # |conj(m_ji) - m_ij|, equal to |m_ij - conj(m_ji)| bit for bit
+    defect = np.abs(defect).max(axis=(-2, -1), initial=0.0)
     where = _first_failure(defect > HERMITICITY_TOL)
     if where is not None:
         raise _MemberError(
@@ -246,7 +245,7 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     and eigenvalues above -1e-10; the eigenvalues come from one solve of the
     Hermitian part, ascending, with small negative ones set to zero.
 
-    Leading axes index a stack of matrices, validated and solved in one
+    Leading axes index a stack of matrices, checked and solved in one
     call; an error names the first failing member by its stack index.
     """
     m = np.asarray(rho, dtype=complex)
@@ -254,20 +253,13 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     return _floored(_eigvalsh(m))
 
 
-def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
-    """Von Neumann entropy in bits, -Tr(rho log2 rho).
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in bits, -Tr(rho log2 rho), of a density matrix.
 
-    With ``validate`` the input is checked by :func:`density_spectrum`;
-    without it, only its shape is checked, the eigenvalues are read
-    unchecked, and negative ones get no weight, as in
-    :func:`entropy_of_spectrum`.  Leading axes index a stack of matrices,
-    giving one entropy per member.
+    The input is checked and solved by :func:`density_spectrum`.  Leading axes
+    index a stack of matrices, giving one entropy per member.
     """
-    if validate:
-        return entropy_of_spectrum(density_spectrum(rho))
-    m = np.asarray(rho, dtype=complex)
-    _require_square(m)
-    return entropy_of_spectrum(_eigvalsh(m))
+    return entropy_of_spectrum(density_spectrum(rho))
 
 
 def binary_entropy(x: float) -> float:

@@ -38,7 +38,7 @@ def _check_dims(total: int, dims) -> tuple[int, ...]:
 class DensityMatrix:
     """Unit-trace positive semidefinite matrix with tensor factors addressed by position.
 
-    Construction validates the matrix and keeps its clamped eigenvalues,
+    Construction checks the matrix and keeps its clamped eigenvalues,
     ascending, in ``eigenvalues``; :meth:`entropy` reads them.  Both arrays are read-only.
     ``DensityMatrix(matrix)`` and :meth:`from_factor` take the eigenvalues from
     one solve of the d x d matrix; a state exact by construction from checked
@@ -87,7 +87,7 @@ class DensityMatrix:
         return entropy_of_spectrum(self.eigenvalues)
 
     def flattened(self) -> "DensityMatrix":
-        """Same validated matrix and spectrum over the one factor ``(dim,)``, with no new solve."""
+        """Same checked matrix and spectrum over the one factor ``(dim,)``, with no new solve."""
         flat = copy.copy(self)
         vars(flat).update(dims=(self.dim,))
         return flat
@@ -317,7 +317,7 @@ def write_density_file(path, rho: DensityMatrix) -> None:
 
 
 def read_density_file(path) -> DensityMatrix:
-    """Parse the format written by :func:`write_density_file` and validate."""
+    """Parse the format written by :func:`write_density_file` and check it."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].split() or lines[0].split()[0] != "dims":

@@ -323,7 +323,7 @@ def test_measure_environment_branches_unitary_single_branch():
     rng = np.random.default_rng(23)
     u = random_unitary(2, seed=rng)
     psi = PureState(bell_vector(), (2, 2))
-    rows = _branch_vectors(unitary_channel(u).kraus, psi.vector, psi.dims, 1)
+    rows = _branch_vectors(unitary_channel(u).kraus, psi.vector, psi.dims[0])
     assert rows.shape == (1, 4)
     prob = np.vdot(rows[0], rows[0]).real
     assert abs(prob - 1.0) < 1e-12
@@ -336,7 +336,7 @@ def test_measure_environment_branches_erasure_on_bell():
     # one branch per Kraus operator, each on (2, 3) with the erased factor resized
     p = 0.3
     psi = PureState(bell_vector(), (2, 2))
-    rows = _branch_vectors(erasure_channel(p).kraus, psi.vector, psi.dims, 1)
+    rows = _branch_vectors(erasure_channel(p).kraus, psi.vector, psi.dims[0])
     assert rows.shape == (3, 2 * 3)
     probs = np.einsum("ki,ki->k", rows.conj(), rows).real
     assert np.allclose(sorted(probs), [p / 2.0, p / 2.0, 1.0 - p], atol=1e-12)
@@ -347,7 +347,7 @@ def test_measure_environment_branches_reconstruct_output():
     rng = np.random.default_rng(29)
     chan = random_kraus_channel(2, 3, 3, rng)
     psi = PureState(bell_vector(), (2, 2))
-    rows = _branch_vectors(chan.kraus, psi.vector, psi.dims, 1)
+    rows = _branch_vectors(chan.kraus, psi.vector, psi.dims[0])
     mix = sum(np.outer(row, row.conj()) for row in rows)
     direct = apply_to_subsystem(chan, psi.density(), 1)
     assert np.max(np.abs(mix - direct.matrix)) < 1e-10
@@ -373,11 +373,15 @@ def test_factor_kernel_on_each_factor(idx, in_dim, out_dim, num_kraus):
     assert out.dims == new_dims
     assert np.max(np.abs(out.matrix - expected)) < 1e-12
 
-    psi = random_pure_state(12, rng, dims)
+    # the branch kernel acts on the input of a (reference, input) table: the factors
+    # other than idx form the reference
+    d_ref = 12 // in_dim
+    psi = random_pure_state(12, rng, (d_ref, in_dim))
+    lifted = [np.kron(np.eye(d_ref, dtype=complex), a) for a in chan.kraus]
     expected = sum(np.outer(op @ psi.vector, (op @ psi.vector).conj()) for op in lifted)
-    rows = _branch_vectors(chan.kraus, psi.vector, dims, idx)
+    rows = _branch_vectors(chan.kraus, psi.vector, d_ref)
     mix = sum(np.outer(row, row.conj()) for row in rows)
-    assert rows.shape == (num_kraus, int(np.prod(new_dims)))
+    assert rows.shape == (num_kraus, d_ref * out_dim)
     assert np.max(np.abs(mix - expected)) < 1e-12
 
 
@@ -411,8 +415,8 @@ def test_stacked_channel_cores_match_each_member_bit_for_bit():
     for j, ops in enumerate(_compose(outer, kraus)):
         assert np.array_equal(ops, compose(KrausChannel(outer[j]), channels[j]).kraus)
     vectors = np.stack([random_pure_state(6, seed=rng).vector for _ in range(4)])
-    for j, rows in enumerate(_branch_vectors(kraus, vectors, (3, 2), 1)):
-        assert np.array_equal(rows, _branch_vectors(channels[j].kraus, vectors[j], (3, 2), 1))
+    for j, rows in enumerate(_branch_vectors(kraus, vectors, 3)):
+        assert np.array_equal(rows, _branch_vectors(channels[j].kraus, vectors[j], 3))
 
 
 def test_stacked_completeness_check_names_the_member():

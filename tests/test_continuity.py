@@ -13,7 +13,14 @@ from qcap.continuity import (
     check_mixing_bounds,
     check_pure_overlap_continuity,
 )
-from qcap.linalg import density_spectrum, partial_trace, trace_norm, von_neumann_entropy
+from qcap.linalg import (
+    _eigvalsh,
+    density_spectrum,
+    entropy_of_spectrum,
+    partial_trace,
+    trace_norm,
+    von_neumann_entropy,
+)
 from qcap.states import (
     _normalized,
     _unit_trace,
@@ -140,7 +147,7 @@ def test_fannes_bound_direct_on_rotated_pair():
 
 
 # Per-trial reference for the batched suites: one loop iteration per trial,
-# with one random_density / partial_trace / trace_norm / von_neumann_entropy
+# with one random_density / partial_trace / trace_norm / eigensolve
 # call per state, drawing in the suites' RNG call order.  Each returns, per
 # trial, the slacks in the order the suite checks them and the trial's epsilon.
 
@@ -148,7 +155,7 @@ def test_fannes_bound_direct_on_rotated_pair():
 def _reference_marginal_entropies(vec, dims):
     dense = np.outer(vec, vec.conj())
     return tuple(
-        von_neumann_entropy(partial_trace(dense, dims, [k]), validate=False) for k in (0, 1)
+        entropy_of_spectrum(_eigvalsh(partial_trace(dense, dims, [k]))) for k in (0, 1)
     )
 
 
@@ -166,7 +173,7 @@ def _reference_fannes(trials, dim, seed):
             t_mix /= 2.0
             other = (1.0 - t_mix) * rho.matrix + t_mix * sigma.matrix
             dist = trace_norm(rho.matrix - other)
-        diff = abs(rho.entropy() - von_neumann_entropy(other, validate=False))
+        diff = abs(rho.entropy() - entropy_of_spectrum(_eigvalsh(other)))
         eta = -dist * math.log2(dist) if dist > 0.0 else 0.0
         bounds = (dist * math.log2(dim) + eta, dist * math.log2(dim) + 1.0)
         records.append(([diff - b for b in bounds], dist))
@@ -208,7 +215,7 @@ def _reference_mixed_overlap(trials, dim, seed):
         assert float(np.linalg.eigvalsh(dense)[-1]) >= 1.0 - eps - FP_TOL
         s_phi = _reference_marginal_entropies(phi, (dim, dim))
         s_rho = tuple(
-            von_neumann_entropy(partial_trace(dense, (dim, dim), [k]), validate=False)
+            entropy_of_spectrum(_eigvalsh(partial_trace(dense, (dim, dim), [k])))
             for k in (0, 1)
         )
         base = 2.0 * math.sqrt(2.0 * eps)
@@ -229,7 +236,7 @@ def _reference_mixing(trials, dim, seed):
             for _ in range(count)
         ]
         mixture = sum(w * part.matrix for w, part in zip(weights, parts))
-        s_mix = von_neumann_entropy(mixture, validate=False)
+        s_mix = entropy_of_spectrum(_eigvalsh(mixture))
         s_avg = sum(w * part.entropy() for w, part in zip(weights, parts))
         h_weights = float(-np.sum(weights * np.log2(weights)))
         records.append(([s_avg - s_mix, s_mix - (s_avg + h_weights)], h_weights))
@@ -277,8 +284,9 @@ def test_batched_suites_match_per_trial_reference(suite, dim):
 
 def test_fannes_solves_each_trace_distance_once(monkeypatch):
     # seed 0 halves some mixing weights (see the per-trial reference above); the
-    # distance is halved with them, never solved again.  The suite's one Hermitian
-    # solve of its own is that of rho - sigma; the checks of rho solve in linalg
+    # distance is halved with them, never solved again.  The suite's two Hermitian
+    # solves of its own are those of rho - sigma and of the mixture; the checks of
+    # rho solve in linalg
     solved = []
     real = continuity._eigvalsh
 
@@ -288,7 +296,7 @@ def test_fannes_solves_each_trace_distance_once(monkeypatch):
 
     monkeypatch.setattr(continuity, "_eigvalsh", counted)
     report = check_fannes(trials=1000, dim=6, seed=0)
-    assert sum(solved) == report.trials == 1000
+    assert sum(solved) == 2 * report.trials == 2000
 
 
 @pytest.mark.parametrize(

@@ -250,7 +250,7 @@ def test_selected_branch_is_first_argmax():
 def _kept_branches(encoder, phi):
     """Normalized encoder branches of a purified source above ``BRANCH_CUTOFF``, in order."""
     kept = []
-    for row in _branch_vectors(encoder.kraus, phi.vector, phi.dims, 1):
+    for row in _branch_vectors(encoder.kraus, phi.vector, phi.dims[0]):
         prob = np.vdot(row, row).real
         if prob > BRANCH_CUTOFF:
             kept.append(PureState(row / math.sqrt(prob), (phi.dims[0], encoder.out_dim)))
@@ -340,11 +340,8 @@ def test_exactly_decodable_rows_print_the_bare_entropy_bound(seed):
     assert all(inst.eps_in > 1e-6 for inst in instances[1::3] + instances[2::3])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_entropy_bound_is_stable_under_tiny_source_nudge(seed):
-    # a traceless 1e-15 change of every source moves no printed entropy bound
-    rng = np.random.default_rng(100 + seed)
-    pairs = list(random_demo_schemes(1000, seed))
+def _nudged(pairs, rng):
+    """The pairs with each source moved by a traceless Hermitian h of max |h_ij| = 1e-15."""
     nudged = []
     for scheme, channel in pairs:
         d = scheme.source.dim
@@ -354,11 +351,37 @@ def test_entropy_bound_is_stable_under_tiny_source_nudge(seed):
         h *= 1e-15 / np.max(np.abs(h))
         source = DensityMatrix(scheme.source.matrix + h)
         nudged.append((dataclasses.replace(scheme, source=source), channel))
+    return nudged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_entropy_bound_is_stable_under_tiny_source_nudge(seed):
+    # a traceless 1e-15 change of every source moves no printed entropy bound
+    rng = np.random.default_rng(100 + seed)
+    pairs = list(random_demo_schemes(1000, seed))
     printed = [
         [cli._fmt(inst.entropy_bound) for inst in eliminate_encoders(batch)]
-        for batch in (pairs, nudged)
+        for batch in (pairs, _nudged(pairs, rng))
     ]
     assert printed[0] == printed[1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open, ROADMAP item 5: LAPACK's rounding completes the Uhlmann tail off the "
+    "source's range, so a 1e-15 nudge moves eps_out by up to about 1e-9",
+)
+def test_eps_out_of_every_demo_row_is_stable_under_tiny_source_nudge():
+    # the same nudge as above, on every source at seeds 0-2, may move no eps_out by 1e-13
+    worst = 0.0
+    for seed in (0, 1, 2):
+        pairs = list(random_demo_schemes(1000, seed))
+        base, moved = (
+            np.array([inst.eps_out for inst in eliminate_encoders(batch)])
+            for batch in (pairs, _nudged(pairs, np.random.default_rng(100 + seed)))
+        )
+        worst = max(worst, float(np.abs(moved - base).max()))
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
